@@ -14,8 +14,9 @@ Class weights for cost-sensitive training follow w_c = N / (K * n_c).
 
 from __future__ import annotations
 
+import base64
+import binascii
 import enum
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,8 +30,6 @@ from .errors import (
 )
 from .features import SparseVector
 from .textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
-
-LINEAR_FORMAT = "noisekit-linear-v1"
 
 SENTIMENT_CLASSES = tuple(label.label for label in SentimentLabel)
 
@@ -312,12 +311,8 @@ def predict_sentiment(model: LinearModel, x: SparseVector):
     return label, probs
 
 
-def to_json(model: LinearModel) -> str:
-    """Versioned JSON with per-class sparse weight entries; byte-deterministic."""
-    per_class = []
-    for row in model.weights:
-        nz = np.nonzero(row)[0]
-        per_class.append([[int(i), float(row[i])] for i in nz])
+def to_json(model: LinearModel) -> dict:
+    """JSON-ready bundle section; weights are the (K, D) matrix as base64 little-endian float64."""
     cfg = None
     if model.train_config is not None:
         cfg = {
@@ -331,37 +326,32 @@ def to_json(model: LinearModel) -> str:
                 else None
             ),
         }
-    payload = {
-        "version": LINEAR_FORMAT,
+    return {
         "kind": model.kind.value,
         "class_names": list(model.class_names),
-        "dim": model.dim,
-        "biases": [float(b) for b in model.bias],
-        "weights": per_class,
+        "biases": model.bias.tolist(),
         "train_config": cfg,
+        "weights": base64.b64encode(model.weights.astype("<f8").tobytes()).decode("ascii"),
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def from_json(text: str) -> LinearModel:
+def from_json(section: dict) -> LinearModel:
+    """Inverse of `to_json`; D follows from the weight byte count, which must be 8*K*D."""
+    class_names = tuple(section["class_names"])
+    k = len(class_names)
+    if k == 0:
+        raise Malformed("linear model has no classes")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise Malformed(f"invalid JSON: {exc}") from None
-    if payload.get("version") != LINEAR_FORMAT:
-        raise Malformed(f"unsupported linear model version {payload.get('version')!r}")
-    class_names = tuple(payload["class_names"])
-    dim = int(payload["dim"])
-    weights = np.zeros((len(class_names), dim), dtype=np.float64)
-    for row, entries in zip(weights, payload["weights"]):
-        for idx, value in entries:
-            if not 0 <= int(idx) < dim:
-                raise Malformed(f"weight index {idx} outside dimension {dim}")
-            row[int(idx)] = float(value)
-    bias = np.asarray(payload["biases"], dtype=np.float64)
-    if bias.shape != (len(class_names),):
+        raw = base64.b64decode(section["weights"], validate=True)
+    except binascii.Error as exc:
+        raise Malformed(f"weights are not valid base64: {exc}") from None
+    if len(raw) % (8 * k):
+        raise DimensionMismatch(f"{len(raw)} weight bytes are not 8 * {k} classes * dim")
+    weights = np.frombuffer(raw, dtype="<f8").reshape(k, -1).astype(np.float64)
+    bias = np.asarray(section["biases"], dtype=np.float64)
+    if bias.shape != (k,):
         raise DimensionMismatch("bias count does not match class count")
-    cfg = payload.get("train_config")
+    cfg = section["train_config"]
     train_config = None
     if cfg is not None:
         train_config = TrainConfig(
@@ -372,7 +362,7 @@ def from_json(text: str) -> LinearModel:
             class_weights=tuple(cfg["class_weights"]) if cfg.get("class_weights") else None,
         )
     return LinearModel(
-        kind=ModelKind(payload["kind"]),
+        kind=ModelKind(section["kind"]),
         class_names=class_names,
         weights=weights,
         bias=bias,

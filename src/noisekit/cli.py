@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -29,17 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"ERROR Usage: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("NOISEKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise Malformed(f"NOISEKIT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
 
 
 def _emit(payload, pretty: bool):
@@ -366,12 +354,20 @@ def cmd_eval_reduction(args) -> dict:
     if args.dict:
         resources.coverage_vocab = dataio.load_dictionary(args.dict)
     if args.human_tallies:
-        raw = json.loads(Path(args.human_tallies).read_text(encoding="utf-8"))
-        resources.human_tallies = {name: (int(a), int(t)) for name, (a, t) in raw.items()}
-    outputs = {}
+        resources.human_tallies = dataio.load_human_tallies(args.human_tallies)
+    # A report is named by its file stem, so two outputs must not share one.
+    paths = {}
     for output_path in args.outputs:
-        corpus = dataio.load_corpus(output_path, normalize_text=args.normalize)
-        outputs[Path(output_path).stem] = [d.text for d in corpus.documents]
+        name = Path(output_path).stem
+        if name in paths:
+            raise Malformed(
+                f"outputs {paths[name]} and {output_path} share the method name {name!r}"
+            )
+        paths[name] = output_path
+    outputs = {
+        name: [d.text for d in dataio.load_corpus(path, normalize_text=args.normalize).documents]
+        for name, path in paths.items()
+    }
     reports = metrics.evaluate_reduction(outputs, truth_texts, resources)
     return {"reports": [r.as_dict() for r in reports]}
 
@@ -541,7 +537,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         payload = args.func(args)
     except NoisekitError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)

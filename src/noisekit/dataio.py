@@ -8,7 +8,6 @@ structure satisfying its invariants or raises with a file location.
 
 from __future__ import annotations
 
-import enum
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -17,29 +16,21 @@ import numpy as np
 
 from . import classify, features
 from .agreement import RatingMatrix
-from .errors import BadEncoding, IoFailure, Malformed
+from .errors import BadEncoding, DataError, DimensionMismatch, IoFailure, Malformed
 from .metrics import EmbeddingTable
 from .reduce import Dictionary, FixtureClient, PhoneticTable
 from .textcore import Document, NoiseLabelSet, SentimentLabel, normalize
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
-BUNDLE_FORMAT = "noisekit-bundle-v1"
+BUNDLE_FORMAT = "noisekit-bundle-v2"
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 
 
-class Split(enum.Enum):
-    TRAIN = "train"
-    VALIDATION = "validation"
-    TEST = "test"
-    UNSPLIT = "unsplit"
-
-
 @dataclass
 class CorpusFile:
     documents: list[Document] = field(default_factory=list)
-    split: Split = Split.UNSPLIT
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -82,7 +73,7 @@ def _read_text(path) -> str:
         raise BadEncoding(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
 
 
-def load_corpus(path, normalize_text: bool = True, split: Split = Split.UNSPLIT) -> CorpusFile:
+def load_corpus(path, normalize_text: bool = True) -> CorpusFile:
     """Parse a corpus TSV; rejects unknown columns and reports error locations."""
     content = _read_text(path)
     lines = content.split("\n")
@@ -140,7 +131,7 @@ def load_corpus(path, normalize_text: bool = True, split: Split = Split.UNSPLIT)
                     column=4,
                 )
         documents.append(Document(id=doc_id, text=text, sentiment=sentiment, noise=noise))
-    return CorpusFile(documents=documents, split=split)
+    return CorpusFile(documents=documents)
 
 
 def save_corpus(corpus, path) -> None:
@@ -195,8 +186,6 @@ def load_dictionary(path, phonetic_table: PhoneticTable | None = None) -> Dictio
 
 def load_embeddings(path) -> EmbeddingTable:
     """First line VOCAB_SIZE DIM, then one word + DIM components per line."""
-    from .errors import DimensionMismatch
-
     content = _read_text(path)
     lines = content.split("\n")
     if lines and lines[-1] == "":
@@ -287,12 +276,34 @@ def load_rating_matrix(path) -> RatingMatrix:
         raise MalformedMatrix(f"{path}: {exc}") from None
 
 
+def load_human_tallies(path) -> dict[str, tuple[int, int]]:
+    """JSON object mapping each method name to [accurate, total] integer counts."""
+    try:
+        raw = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise Malformed(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    if not isinstance(raw, dict):
+        raise Malformed('expected a JSON object {"method": [accurate, total], ...}', path=path)
+    tallies = {}
+    for name, counts in raw.items():
+        if not (
+            isinstance(counts, list)
+            and len(counts) == 2
+            and all(type(v) is int for v in counts)
+        ):
+            raise Malformed(
+                f"{name!r}: expected [accurate, total] integers, got {counts!r}", path=path
+            )
+        tallies[name] = (counts[0], counts[1])
+    return tallies
+
+
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
-    """Persist featurizer + classifier together so prediction is one file."""
+    """Write featurizer + classifier as one `noisekit-bundle-v2` JSON document."""
     payload = {
         "version": BUNDLE_FORMAT,
-        "tfidf": json.loads(features.to_json(tfidf_model)),
-        "linear": json.loads(classify.to_json(linear_model)),
+        "tfidf": features.to_json(tfidf_model),
+        "linear": classify.to_json(linear_model),
     }
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -303,13 +314,23 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
 
 
 def load_model_bundle(path):
-    content = _read_text(path)
+    """Read a v2 bundle and check that featurizer and classifier agree on the dimension."""
     try:
-        payload = json.loads(content)
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise Malformed(f"invalid JSON: {exc.msg}", path=path) from None
-    if payload.get("version") != BUNDLE_FORMAT:
-        raise Malformed(f"unsupported bundle version {payload.get('version')!r}", path=path)
-    tfidf_model = features.from_json(json.dumps(payload["tfidf"]))
-    linear_model = classify.from_json(json.dumps(payload["linear"]))
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != BUNDLE_FORMAT:
+        raise Malformed(f"unsupported bundle version {version!r}", path=path)
+    try:
+        tfidf_model = features.from_json(payload["tfidf"])
+        linear_model = classify.from_json(payload["linear"])
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise Malformed(f"bad bundle entry ({type(exc).__name__}: {exc})", path=path) from None
+    if tfidf_model.dim != linear_model.dim:
+        raise DimensionMismatch(
+            f"{path}: featurizer has {tfidf_model.dim} terms, classifier {linear_model.dim}"
+        )
     return tfidf_model, linear_model

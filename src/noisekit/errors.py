@@ -74,10 +74,6 @@ class DimensionMismatch(DataError):
     pass
 
 
-class OffsetTooSmall(DataError):
-    pass
-
-
 class ZeroCount(DataError):
     pass
 

@@ -14,19 +14,16 @@ one-character gram.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import textcore
-from .errors import DimensionMismatch, EmptyCorpus, Malformed, OffsetTooSmall
+from .errors import DimensionMismatch, EmptyCorpus, Malformed
 
 _CHAR_TAG = "c" + textcore.NGRAM_JOIN
 _WORD_TAG = "w" + textcore.NGRAM_JOIN
-
-TFIDF_FORMAT = "noisekit-tfidf-v1"
 
 
 class AnalyzerMode(enum.Enum):
@@ -73,22 +70,6 @@ class SparseVector:
 
     def norm(self) -> float:
         return float(np.sqrt(np.dot(self.values, self.values)))
-
-    def dot(self, other: "SparseVector") -> float:
-        i = j = 0
-        total = 0.0
-        a_idx, a_val = self.indices, self.values
-        b_idx, b_val = other.indices, other.values
-        while i < len(a_idx) and j < len(b_idx):
-            if a_idx[i] == b_idx[j]:
-                total += a_val[i] * b_val[j]
-                i += 1
-                j += 1
-            elif a_idx[i] < b_idx[j]:
-                i += 1
-            else:
-                j += 1
-        return total
 
 
 def analyzer_terms(text: str, config: AnalyzerConfig) -> list[str]:
@@ -160,31 +141,9 @@ def transform(model: TfidfModel, doc) -> SparseVector:
     return SparseVector(indices, values)
 
 
-def combine(a: SparseVector, b: SparseVector, offset: int) -> SparseVector:
-    """Concatenate two feature spaces: b's indices are shifted by offset.
-
-    The result is re-normalized to unit L2 norm (zero stays zero).
-    """
-    if a.nnz and offset < int(a.indices[-1]) + 1:
-        raise OffsetTooSmall(
-            f"offset {offset} overlaps first vector (max index {int(a.indices[-1])})"
-        )
-    indices = np.concatenate([a.indices, b.indices + offset])
-    values = np.concatenate([a.values, b.values])
-    norm = np.sqrt(np.dot(values, values))
-    if norm > 0:
-        values = values / norm
-    return SparseVector(indices, values)
-
-
-def to_json(model: TfidfModel) -> str:
-    """Serialize a fitted model; terms sorted by index, keys sorted, UTF-8."""
-    terms = [
-        {"term": term, "index": idx, "idf": model.idf[idx]}
-        for term, idx in sorted(model.vocabulary.items(), key=lambda kv: kv[1])
-    ]
-    payload = {
-        "version": TFIDF_FORMAT,
+def to_json(model: TfidfModel) -> dict:
+    """JSON-ready bundle section; a term's index is its position in ``terms``."""
+    return {
         "config": {
             "mode": model.config.mode.value,
             "n_min": model.config.n_min,
@@ -192,38 +151,31 @@ def to_json(model: TfidfModel) -> str:
             "min_df": model.config.min_df,
         },
         "corpus_size": model.corpus_size,
-        "terms": terms,
+        "terms": sorted(model.vocabulary, key=model.vocabulary.__getitem__),
+        "idf": model.idf.tolist(),
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def from_json(text: str) -> TfidfModel:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise Malformed(f"invalid JSON: {exc}") from None
-    if payload.get("version") != TFIDF_FORMAT:
-        raise Malformed(f"unsupported TF-IDF model version {payload.get('version')!r}")
-    cfg = payload["config"]
+def from_json(section: dict) -> TfidfModel:
+    """Inverse of `to_json`; terms must strictly increase and carry finite idf > 0."""
+    cfg = section["config"]
     config = AnalyzerConfig(
         mode=AnalyzerMode(cfg["mode"]),
         n_min=cfg["n_min"],
         n_max=cfg["n_max"],
-        min_df=cfg.get("min_df", 1),
+        min_df=cfg["min_df"],
     )
-    terms = payload["terms"]
-    vocabulary = {}
-    idf = np.empty(len(terms), dtype=np.float64)
-    for entry in terms:
-        idx = int(entry["index"])
-        if not 0 <= idx < len(terms):
-            raise Malformed(f"term index {idx} out of range")
-        vocabulary[entry["term"]] = idx
-        idf[idx] = float(entry["idf"])
-    if len(vocabulary) != len(terms):
-        raise Malformed("duplicate terms in TF-IDF model")
-    if np.any(idf <= 0):
-        raise DimensionMismatch("idf values must be strictly positive")
+    terms = section["terms"]
+    if not all(a < b for a, b in zip(terms, terms[1:])):
+        raise Malformed("TF-IDF terms must be strictly increasing")
+    idf = np.asarray(section["idf"], dtype=np.float64)
+    if idf.shape != (len(terms),):
+        raise DimensionMismatch(f"{idf.size} idf values for {len(terms)} terms")
+    if not np.all(np.isfinite(idf) & (idf > 0)):
+        raise Malformed("idf values must be finite and > 0")
     return TfidfModel(
-        vocabulary=vocabulary, idf=idf, config=config, corpus_size=int(payload["corpus_size"])
+        vocabulary={term: i for i, term in enumerate(terms)},
+        idf=idf,
+        config=config,
+        corpus_size=int(section["corpus_size"]),
     )

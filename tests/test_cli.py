@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -48,6 +49,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_data_error(capsys, *argv):
+    """Run a command that must fail on its input: exit 2, one ERROR line, no traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.rstrip("\n").split("\n")
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), err
+    assert "Traceback" not in err
+    return lines[0]
 
 
 def run_json(capsys, *argv):
@@ -136,12 +148,58 @@ class TestNoisePipeline:
         reloaded = load_corpus(out)
         assert all(d.noise is not None for d in reloaded.documents)
 
+    def test_bundle_with_short_vocabulary_rejected(self, capsys, tmp_path, small_corpus):
+        model = tmp_path / "noise.json"
+        run_json(capsys, "train-noise", str(small_corpus), "--epochs", "5", "--out", str(model))
+        bundle = json.loads(model.read_text(encoding="utf-8"))
+        del bundle["tfidf"]["terms"][-10:]
+        del bundle["tfidf"]["idf"][-10:]
+        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+        error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
+        assert error.startswith("ERROR DimensionMismatch:")
+
     def test_train_noise_deterministic(self, capsys, tmp_path, small_corpus):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run_json(capsys, "train-noise", str(small_corpus), "--seed", "3", "--out", str(a))
         run_json(capsys, "train-noise", str(small_corpus), "--seed", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestGoldenPredictions:
+    """Pinned sha256 of the predict stdout; a change that moves a pin changes predictions."""
+
+    NOISE_SHA256 = "d492be4f6ef4b54238ce5b4245461823bf9982a1c17f49d014d2759f9c4c9ad9"
+    SENTIMENT_SHA256 = "f688a2639c4881dcb5a6f8add68ec45f053664ec798d4659e3f40d8b1c070d62"
+
+    @pytest.fixture()
+    def corpora(self, tmp_path):
+        train = tmp_path / "train.tsv"
+        test = tmp_path / "test.tsv"
+        save_corpus(synth_noise_corpus(60, seed=11), train)
+        save_corpus(synth_noise_corpus(20, seed=12), test)
+        return train, test
+
+    def predict_sha256(self, capsys, tmp_path, corpora, task, *train_flags):
+        train, test = corpora
+        model = tmp_path / f"{task}.json"
+        run_json(capsys, f"train-{task}", str(train), *train_flags, "--out", str(model))
+        code, out, err = run_cli(capsys, f"predict-{task}", str(model), str(test))
+        assert code == 0, err
+        return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    def test_predict_noise_stdout(self, capsys, tmp_path, corpora):
+        digest = self.predict_sha256(
+            capsys, tmp_path, corpora, "noise", "--epochs", "8", "--seed", "4"
+        )
+        assert digest == self.NOISE_SHA256
+
+    def test_predict_sentiment_stdout(self, capsys, tmp_path, corpora):
+        digest = self.predict_sha256(
+            capsys, tmp_path, corpora, "sentiment", "--analyzer", "char+word",
+            "--nmax", "2", "--auto-weights", "--epochs", "8", "--seed", "4",
+        )
+        assert digest == self.SENTIMENT_SHA256
 
 
 class TestSentimentPipeline:
@@ -263,6 +321,52 @@ class TestEvalReduction:
         assert report["composite"] < report["embedding_similarity"]
         assert 0.0 <= report["bleu"] <= 1.0
 
+    @pytest.fixture()
+    def eval_files(self, tmp_path):
+        truth = tmp_path / "truth.tsv"
+        output = tmp_path / "spell.tsv"
+        save_corpus(make_docs(["the cat sat"]), truth)
+        save_corpus(make_docs(["teh cat sat"]), output)
+        return truth, output
+
+    def test_missing_human_tallies(self, capsys, tmp_path, eval_files):
+        truth, output = eval_files
+        missing = tmp_path / "absent.json"
+        error = run_data_error(
+            capsys, "eval-reduction", str(output), "--truth", str(truth),
+            "--human-tallies", str(missing),
+        )
+        assert error.startswith("ERROR IoFailure:") and str(missing) in error
+
+    def test_human_tallies_not_json(self, capsys, tmp_path, eval_files):
+        truth, output = eval_files
+        tallies = tmp_path / "human.json"
+        tallies.write_text("spell: 3 of 4\n", encoding="utf-8")
+        error = run_data_error(
+            capsys, "eval-reduction", str(output), "--truth", str(truth),
+            "--human-tallies", str(tallies),
+        )
+        assert error.startswith("ERROR Malformed:") and str(tallies) in error
+
+    def test_human_tallies_wrong_shape(self, capsys, tmp_path, eval_files):
+        truth, output = eval_files
+        tallies = tmp_path / "human.json"
+        tallies.write_text('{"spell": [3, 4, 5]}', encoding="utf-8")
+        error = run_data_error(
+            capsys, "eval-reduction", str(output), "--truth", str(truth),
+            "--human-tallies", str(tallies),
+        )
+        assert error.startswith("ERROR Malformed:") and str(tallies) in error
+
+    def test_outputs_with_same_stem_rejected(self, capsys, tmp_path, eval_files):
+        truth, output = eval_files
+        other = tmp_path / "other" / "spell.tsv"
+        other.parent.mkdir()
+        save_corpus(make_docs(["the cat sat"]), other)
+        error = run_data_error(capsys, "eval-reduction", str(output), str(other), "--truth", str(truth))
+        assert error.startswith("ERROR Malformed:")
+        assert str(output) in error and str(other) in error
+
 
 class TestAgreementCommands:
     def test_kappa(self, capsys, tmp_path):
@@ -362,9 +466,3 @@ class TestErrorsAndUx:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["documents"] == 3
-
-    def test_thread_env_validation(self, capsys, small_corpus, monkeypatch):
-        monkeypatch.setenv("NOISEKIT_THREADS", "not-a-number")
-        code, _, err = run_cli(capsys, "stats", str(small_corpus))
-        assert code == 2
-        assert "NOISEKIT_THREADS" in err

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -249,12 +250,26 @@ class TestRatingMatrixLoader:
             load_rating_matrix(write(tmp_path, "m.tsv", "a\tb\n3\t1\n2\t1\n"))
 
 
+def small_bundle():
+    docs = make_docs(["aab x", "bba y", "abab z"], noises=["1000000000", "0100000000", "1100000000"])
+    tfidf = fit_tfidf(docs, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=2))
+    vectors = [transform(tfidf, d) for d in docs]
+    model = train_ovr_hinge(vectors, [d.noise for d in docs], TrainConfig(epochs=5), dim=tfidf.dim)
+    return tfidf, model
+
+
+def _swap_first_terms(tfidf):
+    tfidf["terms"][:2] = tfidf["terms"][1::-1]
+
+
+def _drop_last_term(tfidf):
+    del tfidf["terms"][-1]
+    del tfidf["idf"][-1]
+
+
 class TestModelBundle:
     def test_round_trip(self, tmp_path):
-        docs = make_docs(["aab x", "bba y", "abab z"], noises=["1000000000", "0100000000", "1100000000"])
-        tfidf = fit_tfidf(docs, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=2))
-        vectors = [transform(tfidf, d) for d in docs]
-        model = train_ovr_hinge(vectors, [d.noise for d in docs], TrainConfig(epochs=5), dim=tfidf.dim)
+        tfidf, model = small_bundle()
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
         tfidf2, model2 = load_model_bundle(path)
@@ -266,3 +281,71 @@ class TestModelBundle:
         path.write_text('{"version": "other"}', encoding="utf-8")
         with pytest.raises(Malformed):
             load_model_bundle(path)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        tfidf, model = small_bundle()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model_bundle(first, tfidf, model)
+        tfidf2, model2 = load_model_bundle(first)
+        save_model_bundle(second, tfidf2, model2)
+        assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(tfidf2.idf, tfidf.idf)
+        assert np.array_equal(model2.weights, model.weights)
+        assert np.array_equal(model2.bias, model.bias)
+        assert model2.train_config == model.train_config
+
+    def test_one_document_with_sorted_terms_and_packed_weights(self, tmp_path):
+        tfidf, model = small_bundle()
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["version"] == "noisekit-bundle-v2"
+        assert payload["tfidf"]["terms"] == sorted(tfidf.vocabulary)
+        assert isinstance(payload["linear"]["weights"], str)
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            (lambda b: b.update(version="noisekit-bundle-v1"), Malformed, "unsupported bundle version"),
+            (lambda b: _swap_first_terms(b["tfidf"]), Malformed, "strictly increasing"),
+            (lambda b: b["tfidf"]["idf"].pop(), DimensionMismatch, "idf values for"),
+            (lambda b: b["tfidf"]["idf"].__setitem__(0, 0.0), Malformed, "finite and > 0"),
+            (lambda b: b["tfidf"]["idf"].__setitem__(0, float("inf")), Malformed, "finite and > 0"),
+            (lambda b: b["linear"].update(weights="not base64!"), Malformed, "base64"),
+            (lambda b: b["linear"].update(weights=b["linear"]["weights"][:-4]), DimensionMismatch, "weight bytes"),
+            (lambda b: b["linear"]["biases"].pop(), DimensionMismatch, "bias count"),
+            (lambda b: _drop_last_term(b["tfidf"]), DimensionMismatch, "featurizer has"),
+            (lambda b: b["linear"].pop("kind"), Malformed, "KeyError"),
+            (lambda b: b["tfidf"]["config"].update(mode="bytes"), Malformed, "ValueError"),
+            (lambda b: b["tfidf"].update(corpus_size=float("inf")), Malformed, "OverflowError"),
+        ],
+    )
+    def test_inconsistent_bundle_rejected(self, tmp_path, corrupt, error, message):
+        tfidf, model = small_bundle()
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(error, match=message) as excinfo:
+            load_model_bundle(path)
+        assert str(path) in str(excinfo.value)
+
+
+class TestHumanTalliesLoader:
+    def test_load(self, tmp_path):
+        path = write(tmp_path, "h.json", '{"spell": [3, 4], "mask-oov": [0, 2]}')
+        assert dataio.load_human_tallies(path) == {"spell": (3, 4), "mask-oov": (0, 2)}
+
+    @pytest.mark.parametrize(
+        "content", ['[1, 2]', '{"spell": [3]}', '{"spell": ["3", 4]}', '{"spell": [true, 4]}']
+    )
+    def test_wrong_shape(self, tmp_path, content):
+        path = write(tmp_path, "h.json", content)
+        with pytest.raises(Malformed, match="h.json"):
+            dataio.load_human_tallies(path)
+
+    def test_invalid_json(self, tmp_path):
+        path = write(tmp_path, "h.json", '{"spell": [3, 4]')
+        with pytest.raises(Malformed, match="invalid JSON"):
+            dataio.load_human_tallies(path)

@@ -4,12 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from noisekit.errors import EmptyCorpus, OffsetTooSmall
+from noisekit.errors import EmptyCorpus
 from noisekit.features import (
     AnalyzerConfig,
     AnalyzerMode,
-    SparseVector,
-    combine,
     fit_tfidf,
     from_json,
     to_json,
@@ -104,30 +102,6 @@ class TestTransform:
         model = fit_tfidf(["a b c a b"], WORD)
         vec = transform(model, "c b a a")
         assert list(vec.indices) == sorted(set(vec.indices.tolist()))
-
-
-class TestCombine:
-    def test_zero_plus_vector_shifts(self):
-        v = SparseVector.from_entries([(0, 0.6), (2, 0.8)])
-        out = combine(SparseVector(), v, 10)
-        assert out.entries == [(10, pytest.approx(0.6)), (12, pytest.approx(0.8))]
-
-    def test_vector_plus_zero_keeps_unit_vector(self):
-        v = SparseVector.from_entries([(0, 0.6), (2, 0.8)])
-        out = combine(v, SparseVector(), 3)
-        assert out.entries == [(0, pytest.approx(0.6)), (2, pytest.approx(0.8))]
-
-    def test_two_unit_vectors(self):
-        a = SparseVector.from_entries([(0, 1.0)])
-        b = SparseVector.from_entries([(0, 0.6), (1, 0.8)])
-        out = combine(a, b, 1)
-        assert out.nnz == 3
-        assert out.norm() == pytest.approx(1.0, abs=1e-9)
-
-    def test_offset_too_small(self):
-        a = SparseVector.from_entries([(0, 1.0), (4, 1.0)])
-        with pytest.raises(OffsetTooSmall):
-            combine(a, SparseVector.from_entries([(0, 1.0)]), 4)
 
 
 class TestSerialization:
