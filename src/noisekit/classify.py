@@ -306,7 +306,6 @@ def predict_sentiment(model: LinearModel, x: SparseVector):
     if model.kind is not ModelKind.SOFTMAX_WEIGHTED:
         raise Malformed(f"expected a softmax model, got {model.kind.value}")
     probs = _softmax(model.decision_values(x))
-    probs = probs / probs.sum()
     label = SentimentLabel.from_name(model.class_names[int(np.argmax(probs))])
     return label, probs
 

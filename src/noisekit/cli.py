@@ -99,10 +99,10 @@ def cmd_stats(args) -> dict:
     summary = stats.corpus_summary(corpus.documents, bin_width=args.bin_width)
     if args.hist_tsv:
         hist = stats.length_histogram(corpus.documents, bin_width=args.bin_width)
-        Path(args.hist_tsv).write_text(stats.histogram_tsv(hist), encoding="utf-8")
+        dataio.write_text(args.hist_tsv, stats.histogram_tsv(hist))
     if args.corr_tsv:
         matrix = stats.label_correlation(corpus.documents)
-        Path(args.corr_tsv).write_text(stats.correlation_tsv(matrix), encoding="utf-8")
+        dataio.write_text(args.corr_tsv, stats.correlation_tsv(matrix))
     return summary
 
 
@@ -342,13 +342,25 @@ def cmd_reduce(args) -> dict:
     return {"method": method.value, "documents": len(reduced_docs), "out": str(args.out)}
 
 
+def _texts_in_id_order(path, ids: list[str], normalize_text: bool) -> list[str]:
+    """A corpus's texts in the order of `ids`, which must be exactly its id set."""
+    by_id = {d.id: d.text for d in dataio.load_corpus(path, normalize_text=normalize_text)}
+    unmatched = sorted(by_id.keys() ^ set(ids))
+    if unmatched:
+        raise Malformed(
+            f"{len(unmatched)} ids not shared with the truth file, first {unmatched[0]!r}",
+            path=path,
+        )
+    return [by_id[i] for i in ids]
+
+
 def cmd_eval_reduction(args) -> dict:
     truth = dataio.load_corpus(args.truth, normalize_text=args.normalize)
+    truth_ids = [d.id for d in truth.documents]
     truth_texts = [d.text for d in truth.documents]
     resources = metrics.EvalResources()
     if args.inputs:
-        inputs = dataio.load_corpus(args.inputs, normalize_text=args.normalize)
-        resources.inputs = [d.text for d in inputs.documents]
+        resources.inputs = _texts_in_id_order(args.inputs, truth_ids, args.normalize)
     if args.embeddings:
         resources.embeddings = dataio.load_embeddings(args.embeddings)
     if args.dict:
@@ -365,8 +377,7 @@ def cmd_eval_reduction(args) -> dict:
             )
         paths[name] = output_path
     outputs = {
-        name: [d.text for d in dataio.load_corpus(path, normalize_text=args.normalize).documents]
-        for name, path in paths.items()
+        name: _texts_in_id_order(path, truth_ids, args.normalize) for name, path in paths.items()
     }
     reports = metrics.evaluate_reduction(outputs, truth_texts, resources)
     return {"reports": [r.as_dict() for r in reports]}

@@ -61,7 +61,7 @@ def unescape_field(text: str, path=None, line=None, column=None) -> str:
     return "".join(out)
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -73,9 +73,18 @@ def _read_text(path) -> str:
         raise BadEncoding(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
 
 
+def write_text(path, content: str) -> None:
+    """Write UTF-8 text with LF line endings; an OS error becomes IoFailure naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def load_corpus(path, normalize_text: bool = True) -> CorpusFile:
     """Parse a corpus TSV; rejects unknown columns and reports error locations."""
-    content = _read_text(path)
+    content = read_text(path)
     lines = content.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -144,16 +153,12 @@ def save_corpus(corpus, path) -> None:
         lines.append(
             "\t".join((escape_field(doc.id), escape_field(doc.text), sentiment, noise))
         )
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_dictionary(path, phonetic_table: PhoneticTable | None = None) -> Dictionary:
     """word<TAB>frequency per line; frequency defaults to 1 and accumulates."""
-    content = _read_text(path)
+    content = read_text(path)
     freq: dict[str, int] = {}
     for lineno, raw in enumerate(content.split("\n"), start=1):
         line = raw.strip()
@@ -186,7 +191,7 @@ def load_dictionary(path, phonetic_table: PhoneticTable | None = None) -> Dictio
 
 def load_embeddings(path) -> EmbeddingTable:
     """First line VOCAB_SIZE DIM, then one word + DIM components per line."""
-    content = _read_text(path)
+    content = read_text(path)
     lines = content.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -229,7 +234,7 @@ def load_embeddings(path) -> EmbeddingTable:
 
 def load_fixture(path, source: str = "bn", pivot: str = "en") -> FixtureClient:
     """JSON-lines fixture; on duplicate keys the last entry wins with a warning."""
-    content = _read_text(path)
+    content = read_text(path)
     entries: dict[tuple[str, str, str, str], str] = {}
     for lineno, line in enumerate(content.split("\n"), start=1):
         if not line.strip():
@@ -254,7 +259,7 @@ def load_rating_matrix(path) -> RatingMatrix:
     """TSV with a header row of category names and one count row per item."""
     from .errors import MalformedMatrix
 
-    content = _read_text(path)
+    content = read_text(path)
     lines = [line for line in content.split("\n") if line.strip()]
     if len(lines) < 2:
         raise Malformed("need a header row and at least one item row", path=path, line=1)
@@ -279,7 +284,7 @@ def load_rating_matrix(path) -> RatingMatrix:
 def load_human_tallies(path) -> dict[str, tuple[int, int]]:
     """JSON object mapping each method name to [accurate, total] integer counts."""
     try:
-        raw = json.loads(_read_text(path))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise Malformed(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
     if not isinstance(raw, dict):
@@ -316,7 +321,7 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
 def load_model_bundle(path):
     """Read a v2 bundle and check that featurizer and classifier agree on the dimension."""
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise Malformed(f"invalid JSON: {exc.msg}", path=path) from None
     version = payload.get("version") if isinstance(payload, dict) else None

@@ -30,7 +30,6 @@ from .errors import (
     MissingResource,
     PredictorFailure,
 )
-from .errors import ClientError
 
 MASK_TOKEN = "<MASK>"
 
@@ -47,26 +46,27 @@ class PhoneticTable:
 
     @classmethod
     def from_file(cls, path) -> "PhoneticTable":
+        from .dataio import read_text  # dataio imports this module
+
         version = "unversioned"
         classes = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    if lineno == 1 and raw.startswith("#"):
-                        version = raw.lstrip("#").strip()
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise Malformed("expected CODEPOINT<TAB>digit", path=path, line=lineno)
-                try:
-                    ch = textcore._parse_codepoint(fields[0])
-                except ValueError as exc:
-                    raise Malformed(str(exc), path=path, line=lineno) from None
-                digit = fields[1].strip()
-                if len(digit) != 1 or not digit.isdigit():
-                    raise Malformed(f"class must be one digit, got {digit!r}", path=path, line=lineno)
-                classes[ch] = digit
+        for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                if lineno == 1 and raw.startswith("#"):
+                    version = raw.lstrip("#").strip()
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise Malformed("expected CODEPOINT<TAB>digit", path=path, line=lineno)
+            try:
+                ch = textcore._parse_codepoint(fields[0])
+            except ValueError as exc:
+                raise Malformed(str(exc), path=path, line=lineno) from None
+            digit = fields[1].strip()
+            if len(digit) != 1 or not digit.isdigit():
+                raise Malformed(f"class must be one digit, got {digit!r}", path=path, line=lineno)
+            classes[ch] = digit
         return cls(classes, version=version)
 
 
@@ -261,14 +261,16 @@ def mask_random(sentence, p: float = 0.2, seed: int = 0) -> str:
 
 
 class NgramMaskFiller:
-    """Fallback mask predictor: left-bigram argmax with unigram-frequency backoff."""
+    """Fallback mask predictor: left-bigram argmax with unigram-frequency backoff.
+
+    Both argmaxes are fixed at construction (ties: higher count, then lexicographic).
+    """
 
     def __init__(self, bigrams: dict[tuple[str, str], int], unigrams: dict[str, int]):
-        self.bigrams = dict(bigrams)
-        self.unigrams = dict(unigrams)
-        self._by_left: dict[str, list[tuple[str, int]]] = defaultdict(list)
-        for (left, right), count in self.bigrams.items():
-            self._by_left[left].append((right, count))
+        self._next: dict[str, str] = {}
+        for (left, right), _ in sorted(bigrams.items(), key=lambda kv: (-kv[1], kv[0][1])):
+            self._next.setdefault(left, right)
+        self._fallback = min(unigrams, key=lambda w: (-unigrams[w], w)) if unigrams else None
 
     @classmethod
     def from_corpus(cls, texts, dictionary: Dictionary | None = None) -> "NgramMaskFiller":
@@ -279,22 +281,19 @@ class NgramMaskFiller:
             unigrams.update(words)
             bigrams.update(zip(words, words[1:]))
         if dictionary is not None:
-            for word, count in dictionary.freq.items():
-                unigrams[word] += count
-        return cls(dict(bigrams), dict(unigrams))
+            unigrams.update(dictionary.freq)
+        return cls(bigrams, unigrams)
 
     @classmethod
     def from_dictionary(cls, dictionary: Dictionary) -> "NgramMaskFiller":
-        return cls({}, dict(dictionary.freq))
+        return cls({}, dictionary.freq)
 
     def _predict(self, left: str | None) -> str:
-        if left is not None:
-            followers = self._by_left.get(left)
-            if followers:
-                return min(followers, key=lambda wc: (-wc[1], wc[0]))[0]
-        if not self.unigrams:
+        if left in self._next:
+            return self._next[left]
+        if self._fallback is None:
             raise PredictorFailure("mask filler has an empty vocabulary")
-        return min(self.unigrams.items(), key=lambda wc: (-wc[1], wc[0]))[0]
+        return self._fallback
 
     def fill(self, masked: str) -> str:
         parts = masked.split(MASK_TOKEN)
@@ -306,27 +305,13 @@ class NgramMaskFiller:
         return out
 
 
-class ClientMaskFiller:
-    """Mask predictor backed by a translator-protocol client (task "fill")."""
-
-    def __init__(self, client, lang: str = "bn"):
-        self.client = client
-        self.lang = lang
-
-    def fill(self, masked: str) -> str:
-        return self.client.request("fill", self.lang, self.lang, masked)
-
-
 def fill_masks(masked: str, predictor) -> str:
     """Replace every mask literal via the predictor; the output carries no mask."""
     if MASK_TOKEN not in masked:
         return masked
     if predictor is None:
         raise MissingResource("mask filling needs a predictor")
-    try:
-        filled = predictor.fill(masked)
-    except ClientError as exc:
-        raise PredictorFailure(str(exc)) from exc
+    filled = predictor.fill(masked)
     if MASK_TOKEN in filled:
         raise PredictorFailure("predictor left mask tokens in its output")
     return filled
@@ -456,7 +441,10 @@ class ReduceMethod(Enum):
 
 @dataclass
 class Resources:
-    """Everything a reduction method may need; the dispatcher checks presence."""
+    """Everything a reduction method may need; the dispatcher checks presence.
+
+    A missing mask_filler is derived from the dictionary once, at construction.
+    """
 
     dictionary: Dictionary | None = None
     client: object | None = None
@@ -465,19 +453,15 @@ class Resources:
     seed: int = 0
     max_dist: int | None = None
 
+    def __post_init__(self):
+        if self.mask_filler is None and self.dictionary is not None:
+            self.mask_filler = NgramMaskFiller.from_dictionary(self.dictionary)
+
     def require(self, name: str, method: ReduceMethod):
         value = getattr(self, name)
         if value is None:
             raise MissingResource(f"method {method.value} needs a {name}")
         return value
-
-
-def _filler(resources: Resources, method: ReduceMethod):
-    if resources.mask_filler is not None:
-        return resources.mask_filler
-    if resources.dictionary is not None:
-        return NgramMaskFiller.from_dictionary(resources.dictionary)
-    raise MissingResource(f"method {method.value} needs a mask_filler or dictionary")
 
 
 def reduce_text(sentence, method: ReduceMethod, resources: Resources) -> str:
@@ -494,14 +478,13 @@ def reduce_text(sentence, method: ReduceMethod, resources: Resources) -> str:
         client = resources.require("client", method)
         return back_translate(text, client)
     if method is ReduceMethod.MASK_OOV_FILL:
-        dictionary = resources.require("dictionary", method)
-        masked = mask_oov(text, dictionary)
-        if MASK_TOKEN not in masked:
-            return masked
-        return fill_masks(masked, _filler(resources, method))
-    if method is ReduceMethod.MASK_RANDOM_FILL:
+        masked = mask_oov(text, resources.require("dictionary", method))
+    elif method is ReduceMethod.MASK_RANDOM_FILL:
         masked = mask_random(text, p=resources.mask_probability, seed=resources.seed)
-        if MASK_TOKEN not in masked:
-            return masked
-        return fill_masks(masked, _filler(resources, method))
-    raise MissingResource(f"unknown reduction method {method!r}")
+    else:
+        raise MissingResource(f"unknown reduction method {method!r}")
+    if MASK_TOKEN not in masked:
+        return masked
+    if resources.mask_filler is None:
+        raise MissingResource(f"method {method.value} needs a mask_filler or dictionary")
+    return fill_masks(masked, resources.mask_filler)

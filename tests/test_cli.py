@@ -9,6 +9,7 @@ import pytest
 from noisekit.cli import main
 from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
 from noisekit.metrics import prf, Averaging, ConfusionCounts
+from noisekit.reduce import NgramMaskFiller
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
 from conftest import make_docs
@@ -92,6 +93,12 @@ class TestStatsAndDedupe:
         run_json(capsys, "stats", str(small_corpus), "--hist-tsv", str(hist), "--corr-tsv", str(corr))
         assert hist.read_text(encoding="utf-8").count("\n") >= 1
         assert len(corr.read_text(encoding="utf-8").strip().split("\n")) == 100
+
+    @pytest.mark.parametrize("flag", ["--hist-tsv", "--corr-tsv"])
+    def test_stats_tsv_into_missing_directory(self, capsys, tmp_path, small_corpus, flag):
+        target = tmp_path / "absent" / "out.tsv"
+        error = run_data_error(capsys, "stats", str(small_corpus), flag, str(target))
+        assert error.startswith("ERROR IoFailure:") and str(target) in error
 
     def test_dedupe(self, capsys, tmp_path):
         docs = make_docs(["a b", "a  b", "c"])
@@ -256,6 +263,42 @@ class TestReduceCommand:
                 "--dict", str(dict_file), "--seed", "7", "--p", "0.5", "--out", str(out),
             )
         assert a.read_bytes() == b.read_bytes()
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "76860f17c049af0449910b890c74502e9bf63360e320f61462cfbe57caa7762a"
+        )
+
+    def test_mask_oov_output_pinned(self, capsys, tmp_path, small_corpus):
+        out = tmp_path / "oov.tsv"
+        run_json(
+            capsys, "reduce", str(small_corpus), "--method", "mask-oov",
+            "--dict", str(self.make_dict_file(tmp_path)), "--out", str(out),
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d5154ed5957b61e761a19c2bce1a6f5af265926c361092f0edc9871107631d98"
+        )
+
+    def test_mask_filler_built_once_per_run(self, capsys, tmp_path, small_corpus, monkeypatch):
+        calls = []
+        build = NgramMaskFiller.from_dictionary.__func__
+
+        def counting(cls, dictionary):
+            calls.append(dictionary)
+            return build(cls, dictionary)
+
+        monkeypatch.setattr(NgramMaskFiller, "from_dictionary", classmethod(counting))
+        run_json(
+            capsys, "reduce", str(small_corpus), "--method", "mask-random", "--p", "1",
+            "--dict", str(self.make_dict_file(tmp_path)), "--out", str(tmp_path / "o.tsv"),
+        )
+        assert len(calls) == 1
+
+    def test_mask_random_p_zero_needs_no_dictionary(self, capsys, tmp_path, small_corpus):
+        out = tmp_path / "o.tsv"
+        run_json(
+            capsys, "reduce", str(small_corpus), "--method", "mask-random", "--p", "0",
+            "--out", str(out),
+        )
+        assert [d.text for d in load_corpus(out)] == [d.text for d in load_corpus(small_corpus)]
 
     def test_backtranslate_with_fixture(self, capsys, tmp_path, small_corpus):
         corpus = load_corpus(small_corpus)
@@ -283,6 +326,15 @@ class TestReduceCommand:
         )
         assert code == 3
         assert err.startswith("ERROR FixtureMiss:")
+
+    def test_missing_phonetic_table(self, capsys, tmp_path, small_corpus):
+        table = tmp_path / "missing.tsv"
+        error = run_data_error(
+            capsys, "reduce", str(small_corpus), "--method", "spell",
+            "--dict", str(self.make_dict_file(tmp_path)), "--phonetic-table", str(table),
+            "--out", str(tmp_path / "o.tsv"),
+        )
+        assert error.startswith("ERROR IoFailure:") and str(table) in error
 
     def test_missing_dictionary_exits_2(self, capsys, tmp_path, small_corpus):
         out = tmp_path / "x.tsv"
@@ -357,6 +409,26 @@ class TestEvalReduction:
             "--human-tallies", str(tallies),
         )
         assert error.startswith("ERROR Malformed:") and str(tallies) in error
+
+    def eval_argv(self, tmp_path, output_docs):
+        truth = tmp_path / "truth.tsv"
+        noisy = tmp_path / "noisy.tsv"
+        output = tmp_path / "out.tsv"
+        save_corpus(make_docs(["the cat sat", "a dog ran", "it was red"]), truth)
+        save_corpus(make_docs(["teh cat sat", "a dog rnn", "it wsa red"]), noisy)
+        save_corpus(output_docs, output)
+        return ["eval-reduction", str(output), "--truth", str(truth), "--inputs", str(noisy)]
+
+    def test_rows_matched_by_id(self, capsys, tmp_path):
+        docs = make_docs(["the cat sat", "a dog rn", "it was red"])
+        in_order = run_json(capsys, *self.eval_argv(tmp_path, docs))
+        assert run_json(capsys, *self.eval_argv(tmp_path, docs[::-1])) == in_order
+
+    @pytest.mark.parametrize("ids", [["d0", "d1"], ["d0", "d1", "d2", "d3"], ["d0", "d1", "x"]])
+    def test_output_ids_must_match_truth(self, capsys, tmp_path, ids):
+        docs = [Document(id=i, text="the cat sat") for i in ids]
+        error = run_data_error(capsys, *self.eval_argv(tmp_path, docs))
+        assert error.startswith("ERROR Malformed:") and str(tmp_path / "out.tsv") in error
 
     def test_outputs_with_same_stem_rejected(self, capsys, tmp_path, eval_files):
         truth, output = eval_files

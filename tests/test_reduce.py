@@ -293,8 +293,13 @@ class TestFillMasks:
             assert MASK_TOKEN not in filled
 
     def test_from_corpus_counts_bigrams(self):
-        filler = NgramMaskFiller.from_corpus(["the cat sat", "the cat ran"])
-        assert filler.bigrams[("the", "cat")] == 2
+        filler = NgramMaskFiller.from_corpus(["the dog", "the cat", "the cat"])
+        assert fill_masks(f"the {MASK_TOKEN}", filler) == "the cat"
+        filler = NgramMaskFiller.from_corpus(["the dog", "the dog", "the cat"])
+        assert fill_masks(f"the {MASK_TOKEN}", filler) == "the dog"
+
+    def test_follower_tie_picks_smaller_word(self):
+        filler = NgramMaskFiller({("the", "dog"): 3, ("the", "cat"): 3}, {"dog": 9, "cat": 1})
         assert fill_masks(f"the {MASK_TOKEN}", filler) == "the cat"
 
     def test_empty_vocabulary_fails(self):
