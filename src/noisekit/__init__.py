@@ -11,7 +11,7 @@ from .textcore import (
     tokenize,
     word_ngrams,
 )
-from .features import AnalyzerConfig, AnalyzerMode, SparseVector, TfidfModel, fit_tfidf, transform
+from .features import AnalyzerConfig, AnalyzerMode, FeatureMatrix, TfidfModel, fit_tfidf, transform
 from .classify import (
     ClassWeights,
     LinearModel,

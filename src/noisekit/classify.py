@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import binascii
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .errors import (
     Malformed,
     ZeroCount,
 )
-from .features import SparseVector
+from .features import FeatureMatrix
 from .textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
 SENTIMENT_CLASSES = tuple(label.label for label in SentimentLabel)
@@ -48,12 +49,12 @@ class TrainConfig:
     class_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise Malformed(f"regularization strength must be > 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise Malformed(f"regularization strength must be finite and > 0, got {self.c}")
         if self.epochs < 1:
             raise Malformed(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise Malformed(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise Malformed(f"learning rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -95,35 +96,27 @@ class LinearModel:
     def dim(self) -> int:
         return self.weights.shape[1]
 
-    def decision_values(self, x: SparseVector) -> np.ndarray:
-        if x.nnz and int(x.indices[-1]) >= self.dim:
+    def decision_values(self, features: FeatureMatrix) -> np.ndarray:
+        """(rows, K) scores W x + b; an empty row scores the bias alone."""
+        if features.dim != self.dim:
             raise DimensionMismatch(
-                f"feature index {int(x.indices[-1])} outside model dimension {self.dim}"
+                f"feature dimension {features.dim} does not match model dimension {self.dim}"
             )
-        if not x.nnz:
-            return self.bias.copy()
-        return self.weights[:, x.indices] @ x.values + self.bias
+        out = np.tile(self.bias, (len(features), 1))
+        for i in range(len(features)):
+            idx, val = features.row(i)
+            if len(idx):
+                out[i] = self.weights[:, idx] @ val + self.bias
+        return out
 
 
 def _check_training_inputs(features, labels):
     if len(features) != len(labels):
         raise DimensionMismatch(
-            f"{len(features)} feature vectors but {len(labels)} labels"
+            f"{len(features)} feature rows but {len(labels)} labels"
         )
     if not features:
         raise EmptyTrainingSet("no training samples")
-
-
-def _feature_dim(features, dim):
-    max_idx = -1
-    for x in features:
-        if x.nnz:
-            max_idx = max(max_idx, int(x.indices[-1]))
-    if dim is None:
-        return max_idx + 1
-    if max_idx >= dim:
-        raise DimensionMismatch(f"feature index {max_idx} outside dimension {dim}")
-    return dim
 
 
 class _ScaledWeights:
@@ -144,7 +137,7 @@ class _ScaledWeights:
         return self.w * self.scale
 
 
-def train_ovr_hinge(features, labels, config: TrainConfig, dim: int | None = None) -> LinearModel:
+def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> LinearModel:
     """One independent max-margin binary classifier per noise class.
 
     Each class minimizes 0.5*||w||^2 + c * sum_i max(0, 1 - y_i (w.x_i + b))
@@ -152,7 +145,6 @@ def train_ovr_hinge(features, labels, config: TrainConfig, dim: int | None = Non
     order so the whole run is deterministic.
     """
     _check_training_inputs(features, labels)
-    d = _feature_dim(features, dim)
     n = len(features)
     k = len(NOISE_CLASSES)
     y = np.full((n, k), -1.0)
@@ -161,7 +153,7 @@ def train_ovr_hinge(features, labels, config: TrainConfig, dim: int | None = Non
             if label_set.has(j):
                 y[row, j] = 1.0
 
-    sw = _ScaledWeights(k, d)
+    sw = _ScaledWeights(k, features.dim)
     bias = np.zeros(k, dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     lr0 = config.learning_rate
@@ -170,18 +162,18 @@ def train_ovr_hinge(features, labels, config: TrainConfig, dim: int | None = Non
         for i in rng.permutation(n):
             lr = lr0 / (1.0 + step / n)
             step += 1
-            x = features[i]
+            idx, val = features.row(i)
             yi = y[i]
-            if x.nnz:
-                decision = sw.scale * (sw.w[:, x.indices] @ x.values) + bias
+            if len(idx):
+                decision = sw.scale * (sw.w[:, idx] @ val) + bias
             else:
                 decision = bias.copy()
             violated = yi * decision < 1.0
             sw.shrink(1.0 - lr / n)
             if violated.any():
                 coeff = (lr * config.c / sw.scale) * yi[violated]
-                if x.nnz:
-                    sw.w[np.ix_(violated, x.indices)] += coeff[:, None] * x.values[None, :]
+                if len(idx):
+                    sw.w[np.ix_(violated, idx)] += coeff[:, None] * val[None, :]
                 bias[violated] += lr * config.c * yi[violated]
     return LinearModel(
         kind=ModelKind.OVR_HINGE,
@@ -192,27 +184,24 @@ def train_ovr_hinge(features, labels, config: TrainConfig, dim: int | None = Non
     )
 
 
-def hinge_objective(w: np.ndarray, b: float, features, y, c: float) -> float:
+def hinge_objective(w: np.ndarray, b: float, features: FeatureMatrix, y, c: float) -> float:
     """Primal objective of one binary hinge classifier (used as a test oracle too)."""
     total = 0.5 * float(np.dot(w, w))
-    for x, yi in zip(features, y):
-        margin = yi * ((float(w[x.indices] @ x.values) if x.nnz else 0.0) + b)
+    for i, yi in enumerate(y):
+        idx, val = features.row(i)
+        margin = yi * ((float(w[idx] @ val) if len(idx) else 0.0) + b)
         total += c * max(0.0, 1.0 - margin)
     return total
 
 
-def predict_multilabel(model: LinearModel, x: SparseVector) -> NoiseLabelSet:
-    """Set every class with a non-negative decision value; never return the empty set."""
+def predict_multilabel(model: LinearModel, features: FeatureMatrix) -> list[NoiseLabelSet]:
+    """Per row, every class with a non-negative decision value, else the argmax class."""
     if model.kind is not ModelKind.OVR_HINGE:
         raise Malformed(f"expected an OVR hinge model, got {model.kind.value}")
-    decision = model.decision_values(x)
-    mask = 0
-    for j, value in enumerate(decision):
-        if value >= 0.0:
-            mask |= 1 << j
-    if mask == 0:
-        mask = 1 << int(np.argmax(decision))
-    return NoiseLabelSet(mask)
+    decision = model.decision_values(features)
+    masks = np.where(decision >= 0.0, 1 << np.arange(decision.shape[1]), 0).sum(axis=1)
+    masks = np.where(masks > 0, masks, 1 << np.argmax(decision, axis=1))
+    return [NoiseLabelSet(int(m)) for m in masks]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -229,25 +218,25 @@ def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):
     loss = float(np.sum(weights * weights)) / (2.0 * c)
     grad_w = weights / c
     grad_b = np.zeros(k, dtype=np.float64)
-    for x, yi in zip(features, label_idx):
-        z = (weights[:, x.indices] @ x.values if x.nnz else np.zeros(k)) + bias
+    for i, yi in enumerate(label_idx):
+        idx, val = features.row(i)
+        z = (weights[:, idx] @ val if len(idx) else np.zeros(k)) + bias
         p = _softmax(z)
         cw = class_weights[yi]
         loss -= cw * float(np.log(p[yi]))
         delta = cw * p
         delta[yi] -= cw
-        if x.nnz:
-            grad_w[:, x.indices] += delta[:, None] * x.values[None, :]
+        if len(idx):
+            grad_w[:, idx] += delta[:, None] * val[None, :]
         grad_b += delta
     return loss, grad_w, grad_b
 
 
 def train_softmax_weighted(
-    features,
+    features: FeatureMatrix,
     labels,
     weights: ClassWeights | None,
     config: TrainConfig,
-    dim: int | None = None,
     class_names: tuple[str, ...] = SENTIMENT_CLASSES,
 ) -> LinearModel:
     """Cost-sensitive softmax regression by seeded SGD.
@@ -263,14 +252,13 @@ def train_softmax_weighted(
         raise DimensionMismatch(
             f"{len(weights.values)} class weights for {k} classes"
         )
-    d = _feature_dim(features, dim)
     n = len(features)
     label_idx = np.array([int(lbl) for lbl in labels], dtype=np.intp)
     if label_idx.min() < 0 or label_idx.max() >= k:
         raise DimensionMismatch("label index outside class range")
     cw = np.asarray(weights.values, dtype=np.float64)
 
-    sw = _ScaledWeights(k, d)
+    sw = _ScaledWeights(k, features.dim)
     bias = np.zeros(k, dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     lr0 = config.learning_rate
@@ -279,18 +267,18 @@ def train_softmax_weighted(
         for i in rng.permutation(n):
             lr = lr0 / (1.0 + step / n)
             step += 1
-            x = features[i]
+            idx, val = features.row(i)
             yi = label_idx[i]
-            if x.nnz:
-                z = sw.scale * (sw.w[:, x.indices] @ x.values) + bias
+            if len(idx):
+                z = sw.scale * (sw.w[:, idx] @ val) + bias
             else:
                 z = bias.copy()
             delta = cw[yi] * _softmax(z)
             delta[yi] -= cw[yi]
             # L2 term contributes W/(c*n) per sample.
             sw.shrink(1.0 - lr / (config.c * n))
-            if x.nnz:
-                sw.w[:, x.indices] -= (lr / sw.scale) * delta[:, None] * x.values[None, :]
+            if len(idx):
+                sw.w[:, idx] -= (lr / sw.scale) * delta[:, None] * val[None, :]
             bias -= lr * delta
     return LinearModel(
         kind=ModelKind.SOFTMAX_WEIGHTED,
@@ -301,13 +289,13 @@ def train_softmax_weighted(
     )
 
 
-def predict_sentiment(model: LinearModel, x: SparseVector):
-    """Return (label, per-class probabilities); argmax ties go to the lowest class index."""
+def predict_sentiment(model: LinearModel, features: FeatureMatrix):
+    """Return (labels, (rows, K) probabilities); argmax ties go to the lowest class index."""
     if model.kind is not ModelKind.SOFTMAX_WEIGHTED:
         raise Malformed(f"expected a softmax model, got {model.kind.value}")
-    probs = _softmax(model.decision_values(x))
-    label = SentimentLabel.from_name(model.class_names[int(np.argmax(probs))])
-    return label, probs
+    probs = _softmax(model.decision_values(features))
+    labels = [SentimentLabel.from_name(model.class_names[j]) for j in np.argmax(probs, axis=1)]
+    return labels, probs
 
 
 def to_json(model: LinearModel) -> dict:
@@ -350,6 +338,8 @@ def from_json(section: dict) -> LinearModel:
     bias = np.asarray(section["biases"], dtype=np.float64)
     if bias.shape != (k,):
         raise DimensionMismatch("bias count does not match class count")
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise Malformed("weights and biases must be finite")
     cfg = section["train_config"]
     train_config = None
     if cfg is not None:

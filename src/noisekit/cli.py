@@ -8,6 +8,7 @@ with 1 for usage problems, 2 for data errors, 3 for client failures.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import warnings
@@ -67,6 +68,12 @@ def _analyzer_config(args) -> AnalyzerConfig:
     )
 
 
+def _csv_delimiter(value: str) -> str:
+    if len(value) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, got {value!r}")
+    return value
+
+
 def _train_config(args, class_weights=None) -> classify.TrainConfig:
     return classify.TrainConfig(
         c=args.c,
@@ -75,10 +82,6 @@ def _train_config(args, class_weights=None) -> classify.TrainConfig:
         seed=args.seed,
         class_weights=class_weights,
     )
-
-
-def _featurize_corpus(model, docs):
-    return [features.transform(model, doc) for doc in docs]
 
 
 def _prf_block(counts: ConfusionCounts) -> dict:
@@ -119,9 +122,8 @@ def cmd_train_noise(args) -> dict:
     if not labeled:
         raise Malformed(f"{args.train}: no noise-labeled rows to train on")
     tfidf = features.fit_tfidf(labeled, _analyzer_config(args))
-    vectors = _featurize_corpus(tfidf, labeled)
     model = classify.train_ovr_hinge(
-        vectors, [d.noise for d in labeled], _train_config(args), dim=tfidf.dim
+        features.transform(tfidf, labeled), [d.noise for d in labeled], _train_config(args)
     )
     dataio.save_model_bundle(args.out, tfidf, model)
     return {
@@ -135,12 +137,12 @@ def cmd_train_noise(args) -> dict:
 def cmd_predict_noise(args) -> dict:
     tfidf, model = dataio.load_model_bundle(args.model)
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
-    predictions = []
-    predicted_sets = []
-    for doc in corpus.documents:
-        label_set = classify.predict_multilabel(model, features.transform(tfidf, doc))
-        predicted_sets.append(label_set)
-        predictions.append({"id": doc.id, "noise": label_set.to_bits(), "labels": list(label_set.names())})
+    matrix = features.transform(tfidf, corpus.documents)
+    predicted_sets = classify.predict_multilabel(model, matrix)
+    predictions = [
+        {"id": d.id, "noise": p.to_bits(), "labels": list(p.names())}
+        for d, p in zip(corpus.documents, predicted_sets)
+    ]
     result = {"predictions": predictions}
     scored = [
         (d.noise, p) for d, p in zip(corpus.documents, predicted_sets) if d.noise is not None
@@ -169,10 +171,9 @@ def cmd_train_sentiment(args) -> dict:
             counts[int(doc.sentiment)] += 1
         weights = classify.compute_class_weights(counts)
     tfidf = features.fit_tfidf(labeled, _analyzer_config(args))
-    vectors = _featurize_corpus(tfidf, labeled)
     config = _train_config(args, class_weights=weights.values if weights else None)
     model = classify.train_softmax_weighted(
-        vectors, [d.sentiment for d in labeled], weights, config, dim=tfidf.dim
+        features.transform(tfidf, labeled), [d.sentiment for d in labeled], weights, config
     )
     dataio.save_model_bundle(args.out, tfidf, model)
     return {
@@ -186,20 +187,16 @@ def cmd_train_sentiment(args) -> dict:
 def cmd_predict_sentiment(args) -> dict:
     tfidf, model = dataio.load_model_bundle(args.model)
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
-    predictions = []
-    predicted = []
-    for doc in corpus.documents:
-        label, probs = classify.predict_sentiment(model, features.transform(tfidf, doc))
-        predicted.append(label)
-        predictions.append(
-            {
-                "id": doc.id,
-                "sentiment": label.label,
-                "probabilities": {
-                    name: round(float(p), 6) for name, p in zip(model.class_names, probs)
-                },
-            }
-        )
+    matrix = features.transform(tfidf, corpus.documents)
+    predicted, probs = classify.predict_sentiment(model, matrix)
+    predictions = [
+        {
+            "id": d.id,
+            "sentiment": label.label,
+            "probabilities": {name: round(float(p), 6) for name, p in zip(model.class_names, row)},
+        }
+        for d, label, row in zip(corpus.documents, predicted, probs)
+    ]
     result = {"predictions": predictions}
     scored = [
         (d.sentiment, p) for d, p in zip(corpus.documents, predicted) if d.sentiment is not None
@@ -232,25 +229,25 @@ def cmd_import_corpus(args) -> dict:
     if noise_cols is not None and len(noise_cols) != len(NOISE_CLASSES):
         raise Malformed(f"--noise-cols needs {len(NOISE_CLASSES)} names, got {len(noise_cols)}")
 
+    content = io.StringIO(dataio.read_text(args.input), newline="")
+    reader = csv.DictReader(content, delimiter=args.delimiter)
+    try:
+        header = reader.fieldnames or []
+        for col in (args.text_col, args.id_col, args.sentiment_col, *(noise_cols or ())):
+            if col is not None and col not in header:
+                raise Malformed(f"no column {col!r} in the header", path=args.input, line=1)
+        rows = list(reader)
+    except csv.Error as exc:
+        raise Malformed(str(exc), path=args.input, line=reader.line_num) from None
     documents = []
     seen_ids = set()
     skipped_empty = 0
     unlabeled_noise = 0
-    try:
-        fh = open(args.input, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise Malformed(f"cannot read {args.input}: {exc}") from exc
-    with fh:
-        try:
-            reader = csv.DictReader(fh, delimiter=args.delimiter)
-            rows = list(reader)
-        except UnicodeDecodeError as exc:
-            raise Malformed(f"{args.input}: not valid UTF-8 ({exc})") from None
     if not rows and noise_cols:
         raise Malformed(f"{args.input}: no data rows")
     for i, row in enumerate(rows):
         lineno = i + 2
-        if args.text_col not in row or row[args.text_col] is None:
+        if row[args.text_col] is None:
             raise Malformed(f"missing column {args.text_col!r}", path=args.input, line=lineno)
         text = row[args.text_col]
         if not text or not text.strip():
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise-cols",
         help="comma-separated names of the ten 0/1 noise columns, in canonical order",
     )
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_csv_delimiter, default=",")
     p.set_defaults(func=cmd_import_corpus)
 
     def add_train_flags(p, lr_default):

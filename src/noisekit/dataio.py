@@ -222,8 +222,8 @@ def load_embeddings(path) -> EmbeddingTable:
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError:
             raise Malformed("non-numeric vector component", path=path, line=lineno) from None
-        if np.isnan(vec).any():
-            raise Malformed(f"NaN component for {word!r}", path=path, line=lineno)
+        if not np.isfinite(vec).all():
+            raise Malformed(f"non-finite component for {word!r}", path=path, line=lineno)
         vectors[word] = vec
     if len(vectors) != vocab_size:
         raise Malformed(

@@ -1,6 +1,8 @@
 """TF-IDF featurization over character and/or word n-grams.
 
-Produces unit-L2 sparse vectors. The smoothed idf variant is
+A corpus is featurized once into a `FeatureMatrix`: CSR rows of unit-L2
+tf-idf weights (or an empty row when a document has no known term), with
+the model's dimension attached. The smoothed idf variant is
 ``ln((1 + N) / (1 + df)) + 1`` so no weight is ever zero or infinite, and tf
 is the raw term count. Feature indices are assigned by lexicographic term
 order, which makes fitting order-independent and fully deterministic.
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,30 +49,28 @@ class AnalyzerConfig:
             raise Malformed(f"min_df must be >= 1, got {self.min_df}")
 
 
-@dataclass
-class SparseVector:
-    """Sorted sparse vector; indices strictly increasing, no stored zeros."""
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """CSR corpus matrix: row i is ``indices``/``values`` over ``indptr[i]:indptr[i + 1]``.
 
-    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    values: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    Indices strictly increase within a row and no zero is stored.
+    """
 
-    @classmethod
-    def from_entries(cls, entries) -> "SparseVector":
-        entries = sorted((int(i), float(v)) for i, v in entries if v != 0.0)
-        idx = np.fromiter((i for i, _ in entries), dtype=np.int64, count=len(entries))
-        val = np.fromiter((v for _, v in entries), dtype=np.float64, count=len(entries))
-        return cls(idx, val)
+    indptr: np.ndarray  # (rows + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    values: np.ndarray  # (nnz,) float64
+    dim: int
 
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        return int(self.indptr[-1])
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.values[lo:hi]
 
 
 def analyzer_terms(text: str, config: AnalyzerConfig) -> list[str]:
@@ -122,23 +123,32 @@ def fit_tfidf(corpus, config: AnalyzerConfig | None = None) -> TfidfModel:
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config, corpus_size=n)
 
 
-def transform(model: TfidfModel, doc) -> SparseVector:
-    """Featurize one document: tf * idf, then L2-normalized (or the zero vector)."""
-    text = doc.text if isinstance(doc, textcore.Document) else doc
-    counts: dict[int, int] = {}
+def transform(model: TfidfModel, docs) -> FeatureMatrix:
+    """Featurize Documents or strings, one row each: tf * idf, then L2-normalized."""
     vocab = model.vocabulary
-    for term in analyzer_terms(text, model.config):
-        idx = vocab.get(term)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
-    if not counts:
-        return SparseVector()
-    indices = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
-    values = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
-    norm = np.sqrt(np.dot(values, values))
-    if norm > 0:
-        values /= norm
-    return SparseVector(indices, values)
+    indptr, indices, values = array("q", [0]), array("q"), array("d")
+    for doc in docs:
+        text = doc.text if isinstance(doc, textcore.Document) else doc
+        counts: dict[int, int] = {}
+        for term in analyzer_terms(text, model.config):
+            idx = vocab.get(term)
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0) + 1
+        if counts:
+            row_idx = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
+            row_val = np.array([counts[i] for i in row_idx], dtype=np.float64) * model.idf[row_idx]
+            norm = np.sqrt(np.dot(row_val, row_val))
+            if norm > 0:
+                row_val /= norm
+            indices.frombytes(row_idx.tobytes())
+            values.frombytes(row_val.tobytes())
+        indptr.append(len(indices))
+    return FeatureMatrix(
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=np.frombuffer(indices, dtype=np.int64),
+        values=np.frombuffer(values, dtype=np.float64),
+        dim=model.dim,
+    )
 
 
 def to_json(model: TfidfModel) -> dict:

@@ -114,8 +114,8 @@ class EmbeddingTable:
         for word, vec in self.vectors.items():
             if vec.shape != (self.dim,):
                 raise Malformed(f"vector for {word!r} has length {vec.shape}, expected {self.dim}")
-            if np.isnan(vec).any():
-                raise Malformed(f"vector for {word!r} contains NaN")
+            if not np.isfinite(vec).all():
+                raise Malformed(f"vector for {word!r} has a non-finite component")
 
     def __contains__(self, word: str) -> bool:
         return word in self.vectors

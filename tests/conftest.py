@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from noisekit.features import FeatureMatrix
 from noisekit.reduce import Dictionary, latin_test_phonetic_table
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
@@ -50,3 +52,21 @@ def make_docs(texts, sentiments=None, noises=None):
 
 def random_word(rng: random.Random, alphabet="abdegikloprstz", max_len=8):
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+
+
+def csr(rows, dim=None):
+    """FeatureMatrix from per-row (index, value) pairs; dim defaults to max index + 1."""
+    indptr, indices, values = [0], [], []
+    for pairs in rows:
+        for i, v in sorted((int(i), float(v)) for i, v in pairs if v != 0.0):
+            indices.append(i)
+            values.append(v)
+        indptr.append(len(indices))
+    if dim is None:
+        dim = max(indices, default=-1) + 1
+    return FeatureMatrix(
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+        values=np.array(values, dtype=np.float64),
+        dim=dim,
+    )

@@ -37,7 +37,7 @@ from noisekit.reduce import Dictionary, FixtureClient, back_translate, latin_tes
 from noisekit.stats import class_stats, dedupe, label_correlation, length_histogram
 from noisekit.textcore import NOISE_CLASSES
 
-from conftest import BASE_VOCAB, make_docs
+from conftest import BASE_VOCAB, csr, make_docs
 from test_cli import synth_noise_corpus
 
 DATASET_DIR = Path(os.environ.get("NOISEKIT_DATASET_DIR", Path(__file__).parent / "data" / "nc_sentnob"))
@@ -130,14 +130,12 @@ def test_criterion_3_dataset_statistics():
 def _train_and_score(documents, test_documents, mode):
     config = AnalyzerConfig(mode=mode, n_min=1, n_max=4)
     tfidf = fit_tfidf(documents, config)
-    vectors = [transform(tfidf, d) for d in documents]
     model = train_ovr_hinge(
-        vectors,
+        transform(tfidf, documents),
         [d.noise for d in documents],
         TrainConfig(c=1.0, epochs=20, learning_rate=0.5, seed=0),
-        dim=tfidf.dim,
     )
-    predicted = [predict_multilabel(model, transform(tfidf, d)) for d in test_documents]
+    predicted = predict_multilabel(model, transform(tfidf, test_documents))
     counts = ConfusionCounts.from_multilabel([d.noise for d in test_documents], predicted)
     _, _, f1 = prf(counts, Averaging.MICRO)
     return f1
@@ -228,12 +226,7 @@ def test_criterion_6_property_suites(tmp_path):
 
         # Weighted cross-entropy gradient vs central differences, 20 points.
         grad_rng = np.random.default_rng(163)
-        from noisekit.features import SparseVector
-
-        features = [
-            SparseVector.from_entries([(j, grad_rng.normal()) for j in range(4)])
-            for _ in range(8)
-        ]
+        features = csr([[(j, grad_rng.normal()) for j in range(4)] for _ in range(8)])
         labels = [int(grad_rng.integers(0, 3)) for _ in range(8)]
         class_weights = np.array([1.4496, 0.8106, 0.9289])
         h = 1e-6

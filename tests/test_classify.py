@@ -21,12 +21,15 @@ from noisekit.classify import (
     train_softmax_weighted,
 )
 from noisekit.errors import DimensionMismatch, EmptyTrainingSet, ZeroCount
-from noisekit.features import SparseVector
+from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
+
+from conftest import csr
 
 
 def vec(*pairs):
-    return SparseVector.from_entries(pairs)
+    """One matrix row as (index, value) pairs."""
+    return list(pairs)
 
 
 class TestClassWeights:
@@ -59,7 +62,7 @@ def separable_points():
     # Positive cluster around (2, 2), negative around (-2, -2).
     pos = [vec((0, 2.0), (1, 2.0)), vec((0, 1.5), (1, 2.5)), vec((0, 2.5), (1, 1.0))]
     neg = [vec((0, -2.0), (1, -2.0)), vec((0, -1.0), (1, -2.5)), vec((0, -2.5), (1, -1.5))]
-    features = pos + neg
+    features = csr(pos + neg)
     labels = [NoiseLabelSet(1)] * len(pos) + [NoiseLabelSet(0)] * len(neg)
     return features, labels
 
@@ -68,16 +71,15 @@ class TestTrainOvrHinge:
     def test_separable_points_classified(self):
         features, labels = separable_points()
         model = train_ovr_hinge(features, labels, TrainConfig(epochs=100, learning_rate=0.2, seed=1))
-        for x, y in zip(features, labels):
-            decision = model.decision_values(x)[0]
+        for decision, y in zip(model.decision_values(features)[:, 0], labels):
             assert (decision >= 0) == y.has(0)
 
     def test_all_positive_single_class(self):
-        features = [vec((0, 1.0)), vec((0, 2.0)), vec((1, 1.0))]
+        features = csr([vec((0, 1.0)), vec((0, 2.0)), vec((1, 1.0))])
         labels = [NoiseLabelSet(1)] * 3
         model = train_ovr_hinge(features, labels, TrainConfig(epochs=100, learning_rate=0.2, seed=0))
-        for x in features:
-            assert model.decision_values(x)[0] > 0
+        for decision in model.decision_values(features)[:, 0]:
+            assert decision > 0
 
     def test_objective_near_brute_force_optimum(self):
         rng = np.random.default_rng(7)
@@ -86,7 +88,7 @@ class TestTrainOvrHinge:
         true_w = np.array([1.5, -2.0])
         margins = points @ true_w + 0.5
         y = np.where(margins >= 0, 1.0, -1.0)
-        features = [vec((0, p[0]), (1, p[1])) for p in points]
+        features = csr([vec((0, p[0]), (1, p[1])) for p in points])
         labels = [NoiseLabelSet(1) if yi > 0 else NoiseLabelSet(0) for yi in y]
         c = 1.0
         model = train_ovr_hinge(
@@ -115,9 +117,9 @@ class TestTrainOvrHinge:
 
     def test_length_mismatch_and_empty(self):
         with pytest.raises(DimensionMismatch):
-            train_ovr_hinge([vec((0, 1.0))], [], TrainConfig())
+            train_ovr_hinge(csr([vec((0, 1.0))]), [], TrainConfig())
         with pytest.raises(EmptyTrainingSet):
-            train_ovr_hinge([], [], TrainConfig())
+            train_ovr_hinge(csr([]), [], TrainConfig())
 
 
 class TestPredictMultilabel:
@@ -133,7 +135,7 @@ class TestPredictMultilabel:
         weights = np.zeros((10, 2))
         bias = -np.arange(10, 0, -1, dtype=float)  # all negative, max is class 9 (others)
         model = self.make_model(weights, bias)
-        result = predict_multilabel(model, vec((0, 1.0)))
+        [result] = predict_multilabel(model, csr([vec((0, 1.0))], dim=2))
         assert result.names() == ("others",)
 
     def test_two_positive_decisions(self):
@@ -142,27 +144,27 @@ class TestPredictMultilabel:
         weights[5, 0] = 2.0
         bias = np.full(10, -0.5)
         model = self.make_model(weights, bias)
-        result = predict_multilabel(model, vec((0, 1.0)))
+        [result] = predict_multilabel(model, csr([vec((0, 1.0))]))
         assert set(result.names()) == {NOISE_CLASSES[2], NOISE_CLASSES[5]}
 
     def test_zero_vector_uses_bias_argmax(self):
         weights = np.ones((10, 3))
         bias = np.array([-5.0, -1.0, -3.0, -4.0, -2.0, -6.0, -7.0, -8.0, -9.0, -10.0])
         model = self.make_model(weights, bias)
-        result = predict_multilabel(model, SparseVector())
+        [result] = predict_multilabel(model, csr([vec()], dim=3))
         assert result.names() == (NOISE_CLASSES[1],)
 
     def test_never_empty_fuzz(self):
         rng = np.random.default_rng(13)
         model = self.make_model(rng.normal(size=(10, 4)), rng.normal(size=10))
-        for _ in range(200):
-            x = vec(*((i, rng.normal()) for i in range(4)))
-            assert predict_multilabel(model, x)
+        rows = [vec(*((i, rng.normal()) for i in range(4))) for _ in range(200)]
+        for result in predict_multilabel(model, csr(rows)):
+            assert result
 
     def test_dimension_mismatch(self):
         model = self.make_model(np.zeros((10, 2)), np.zeros(10))
         with pytest.raises(DimensionMismatch):
-            predict_multilabel(model, vec((5, 1.0)))
+            predict_multilabel(model, csr([vec((5, 1.0))]))
 
 
 def toy_sentiment_data():
@@ -173,7 +175,7 @@ def toy_sentiment_data():
         for _ in range(8):
             features.append(vec((0, cx + rng.normal(0, 0.2)), (1, cy + rng.normal(0, 0.2))))
             labels.append(label)
-    return features, labels
+    return csr(features), labels
 
 
 class TestTrainSoftmaxWeighted:
@@ -200,9 +202,10 @@ class TestTrainSoftmaxWeighted:
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(23)
-        features = [
-            vec(*((j, rng.normal()) for j in range(5) if rng.random() < 0.7)) for _ in range(10)
-        ]
+        features = csr(
+            [vec(*((j, rng.normal()) for j in range(5) if rng.random() < 0.7)) for _ in range(10)],
+            dim=5,
+        )
         label_idx = [int(rng.integers(0, 3)) for _ in range(10)]
         class_weights = np.array([1.4496, 0.8106, 0.9289])
         c = 2.0
@@ -254,14 +257,14 @@ class TestPredictSentiment:
 
     def test_zero_model_is_uniform_and_ties_to_neutral(self):
         model = self.make_model(np.zeros((3, 2)), np.zeros(3))
-        label, probs = predict_sentiment(model, vec((0, 1.0)))
+        (label,), (probs,) = predict_sentiment(model, csr([vec((0, 1.0))], dim=2))
         assert label is SentimentLabel.NEUTRAL
         assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
         assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_saturation(self):
         model = self.make_model(np.zeros((3, 1)), np.array([0.0, 50.0, 0.0]))
-        label, probs = predict_sentiment(model, SparseVector())
+        (label,), (probs,) = predict_sentiment(model, csr([vec()], dim=1))
         assert label is SentimentLabel.POSITIVE
         assert probs[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -269,7 +272,7 @@ class TestPredictSentiment:
         rng = np.random.default_rng(31)
         w = rng.normal(size=(3, 3))
         b = rng.normal(size=3)
-        x = vec((0, 0.3), (1, -0.2), (2, 0.9))
+        x = csr([vec((0, 0.3), (1, -0.2), (2, 0.9))])
         _, base = predict_sentiment(self.make_model(w, b), x)
         _, shifted = predict_sentiment(self.make_model(w, b + 7.5), x)
         assert shifted == pytest.approx(base, abs=1e-9)
@@ -279,7 +282,7 @@ class TestPredictSentiment:
         for _ in range(50):
             w = rng.normal(size=(3, 3))
             b = rng.normal(size=3)
-            x = vec(*((i, rng.normal()) for i in range(3)))
+            x = csr([vec(*((i, rng.normal()) for i in range(3)))])
             label, _ = predict_sentiment(self.make_model(w, b), x)
             scaled, _ = predict_sentiment(self.make_model(2.5 * w, 2.5 * b), x)
             assert scaled == label
@@ -302,3 +305,60 @@ class TestModelSerialization:
         a = to_json(train_ovr_hinge(features, labels, config))
         b = to_json(train_ovr_hinge(features, labels, config))
         assert a == b
+
+
+class TestCorpusMatrix:
+    TEXTS = ["a b", "zzz", "b c c"]  # the middle document has no known term
+
+    @pytest.fixture()
+    def matrix(self):
+        tfidf = fit_tfidf(["a b", "b c"], AnalyzerConfig(mode=AnalyzerMode.WORD, n_min=1, n_max=1))
+        return tfidf, transform(tfidf, self.TEXTS)
+
+    def test_rows_equal_single_document_transforms(self, matrix):
+        tfidf, features = matrix
+        assert len(features) == 3 and features.dim == tfidf.dim
+        assert features.row(1)[0].size == 0
+        for i, text in enumerate(self.TEXTS):
+            alone = transform(tfidf, [text])
+            assert np.array_equal(features.row(i)[0], alone.indices)
+            assert np.array_equal(features.row(i)[1], alone.values)
+        assert features.nnz == sum(transform(tfidf, [t]).nnz for t in self.TEXTS)
+
+    def test_empty_row_predicts_from_bias_alone(self, matrix):
+        _, features = matrix
+        rng = np.random.default_rng(41)
+        bias = np.array([-3.0, 0.5, -1.0, -2.0, 0.0, -4.0, -5.0, -6.0, -7.0, -8.0])
+        noise = LinearModel(
+            kind=ModelKind.OVR_HINGE,
+            class_names=NOISE_CLASSES,
+            weights=rng.normal(size=(10, features.dim)),
+            bias=bias,
+        )
+        assert np.array_equal(noise.decision_values(features)[1], bias)
+        assert predict_multilabel(noise, features)[1] == NoiseLabelSet.from_names(
+            [NOISE_CLASSES[1], NOISE_CLASSES[4]]
+        )
+        senti = LinearModel(
+            kind=ModelKind.SOFTMAX_WEIGHTED,
+            class_names=("neutral", "positive", "negative"),
+            weights=rng.normal(size=(3, features.dim)),
+            bias=np.array([0.0, -1.0, 2.0]),
+        )
+        labels, probs = predict_sentiment(senti, features)
+        assert labels[1] is SentimentLabel.NEGATIVE
+        e = np.exp(senti.bias - senti.bias.max())
+        assert probs[1] == pytest.approx(e / e.sum(), abs=1e-12)
+
+    def test_other_dimension_rejected(self, matrix):
+        _, features = matrix
+        model = LinearModel(
+            kind=ModelKind.OVR_HINGE,
+            class_names=NOISE_CLASSES,
+            weights=np.zeros((10, features.dim + 1)),
+            bias=np.zeros(10),
+        )
+        with pytest.raises(DimensionMismatch):
+            model.decision_values(features)
+        with pytest.raises(DimensionMismatch):
+            predict_multilabel(model, features)

@@ -1,11 +1,17 @@
+import base64
 import hashlib
 import json
+import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import noisekit
 from noisekit.cli import main
 from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
 from noisekit.metrics import prf, Averaging, ConfusionCounts
@@ -164,6 +170,32 @@ class TestNoisePipeline:
         model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
         error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
         assert error.startswith("ERROR DimensionMismatch:")
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--c", "inf"), ("--c", "nan")]
+    )
+    def test_non_finite_hyperparameter_rejected(self, capsys, tmp_path, small_corpus, flag, value):
+        model = tmp_path / "noise.json"
+        error = run_data_error(
+            capsys, "train-noise", str(small_corpus), flag, value, "--out", str(model)
+        )
+        assert error.startswith("ERROR Malformed:") and "finite" in error
+        assert not model.exists()
+
+    @pytest.mark.parametrize("key", ["weights", "biases"])
+    def test_bundle_with_non_finite_parameters_rejected(self, capsys, tmp_path, small_corpus, key):
+        model = tmp_path / "noise.json"
+        run_json(capsys, "train-noise", str(small_corpus), "--epochs", "5", "--out", str(model))
+        bundle = json.loads(model.read_text(encoding="utf-8"))
+        if key == "biases":
+            bundle["linear"]["biases"][0] = float("nan")
+        else:
+            weights = np.frombuffer(base64.b64decode(bundle["linear"]["weights"]), dtype="<f8").copy()
+            weights[0] = np.inf
+            bundle["linear"]["weights"] = base64.b64encode(weights.tobytes()).decode("ascii")
+        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+        error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
+        assert error.startswith("ERROR Malformed:") and str(model) in error
 
     def test_train_noise_deterministic(self, capsys, tmp_path, small_corpus):
         a = tmp_path / "a.json"
@@ -430,6 +462,16 @@ class TestEvalReduction:
         error = run_data_error(capsys, *self.eval_argv(tmp_path, docs))
         assert error.startswith("ERROR Malformed:") and str(tmp_path / "out.tsv") in error
 
+    @pytest.mark.parametrize("component", ["inf", "-inf"])
+    def test_infinite_embedding_rejected(self, capsys, tmp_path, eval_files, component):
+        truth, output = eval_files
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"2 2\nthe 1.0 0.0\ncat 0.5 {component}\n", encoding="utf-8")
+        error = run_data_error(
+            capsys, "eval-reduction", str(output), "--truth", str(truth), "--embeddings", str(emb)
+        )
+        assert error.startswith("ERROR Malformed:") and f"{emb}, line 3" in error
+
     def test_outputs_with_same_stem_rejected(self, capsys, tmp_path, eval_files):
         truth, output = eval_files
         other = tmp_path / "other" / "spell.tsv"
@@ -506,6 +548,50 @@ class TestImportCorpus:
         )
         assert code == 2
 
+    def test_missing_input(self, capsys, tmp_path):
+        src = tmp_path / "absent.csv"
+        error = run_data_error(
+            capsys, "import-corpus", str(src), str(tmp_path / "o.tsv"), "--text-col", "Data"
+        )
+        assert error.startswith("ERROR IoFailure:") and str(src) in error
+
+    def test_non_utf8_input(self, capsys, tmp_path):
+        src = tmp_path / "up.csv"
+        src.write_bytes(b"Data\nkhub \xff bhalo\n")
+        error = run_data_error(
+            capsys, "import-corpus", str(src), str(tmp_path / "o.tsv"), "--text-col", "Data"
+        )
+        assert error.startswith("ERROR BadEncoding:") and str(src) in error
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, capsys, tmp_path, delimiter):
+        src = tmp_path / "up.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["import-corpus", str(src), str(tmp_path / "o.tsv"), "--text-col", "Data",
+                  "--delimiter", delimiter])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "ERROR Usage: argument --delimiter" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,value,column",
+        [
+            ("--id-col", "nope", "nope"),
+            ("--sentiment-col", "nope", "nope"),
+            ("--noise-cols", NOISE_COLS.replace("spelling", "speling"), "speling"),
+        ],
+    )
+    def test_unknown_column_rejected(self, capsys, tmp_path, flag, value, column):
+        src = tmp_path / "up.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        error = run_data_error(
+            capsys, "import-corpus", str(src), str(out), "--text-col", "Data", flag, value
+        )
+        assert error == f"ERROR Malformed: {src}, line 1: no column {column!r} in the header"
+        assert not out.exists()
+
 
 class TestErrorsAndUx:
     def test_missing_file_exits_2(self, capsys):
@@ -531,10 +617,97 @@ class TestErrorsAndUx:
         assert "documents: 3" in out
 
     def test_console_entry_point(self, small_corpus):
+        # The child finds the package where this process imported it from.
+        src = str(Path(noisekit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "noisekit.cli", "stats", str(small_corpus)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["documents"] == 3
+
+
+# Each case runs one subcommand on a malformed input; placeholders name files of `sweep_files`.
+MALFORMED_INPUT_CASES = {
+    "stats-missing": ["stats", "{missing}"],
+    "stats-non-utf8": ["stats", "{binary}"],
+    "stats-wrong-header": ["stats", "{wrong_header}"],
+    "dedupe-non-utf8": ["dedupe", "{binary}", "{out}"],
+    "dedupe-wrong-header": ["dedupe", "{wrong_header}", "{out}"],
+    "import-missing": ["import-corpus", "{missing}", "{out}", "--text-col", "text"],
+    "import-non-utf8": ["import-corpus", "{binary}", "{out}", "--text-col", "text"],
+    "import-empty-delimiter": ["import-corpus", "{csv}", "{out}", "--text-col", "text", "--delimiter", ""],
+    "import-long-delimiter": ["import-corpus", "{csv}", "{out}", "--text-col", "text", "--delimiter", ";;"],
+    "import-unknown-text-col": ["import-corpus", "{csv}", "{out}", "--text-col", "nope"],
+    "import-unknown-id-col": ["import-corpus", "{csv}", "{out}", "--text-col", "text", "--id-col", "nope"],
+    "import-unknown-sentiment-col": ["import-corpus", "{csv}", "{out}", "--text-col", "text", "--sentiment-col", "nope"],
+    "train-noise-missing": ["train-noise", "{missing}", "--out", "{model}"],
+    "train-noise-header-only": ["train-noise", "{header_only}", "--out", "{model}"],
+    "train-noise-nan-lr": ["train-noise", "{corpus}", "--lr", "nan", "--out", "{model}"],
+    "train-noise-inf-c": ["train-noise", "{corpus}", "--c", "inf", "--out", "{model}"],
+    "train-noise-bad-analyzer": ["train-noise", "{corpus}", "--nmin", "0", "--out", "{model}"],
+    "train-sentiment-header-only": ["train-sentiment", "{header_only}", "--out", "{model}"],
+    "train-sentiment-wrong-header": ["train-sentiment", "{wrong_header}", "--out", "{model}"],
+    "train-sentiment-nan-lr": ["train-sentiment", "{corpus}", "--lr", "nan", "--out", "{model}"],
+    "predict-noise-missing-bundle": ["predict-noise", "{missing}", "{corpus}"],
+    "predict-noise-non-json-bundle": ["predict-noise", "{corpus}", "{corpus}"],
+    "predict-noise-nan-bundle": ["predict-noise", "{nan_bundle}", "{corpus}"],
+    "predict-noise-non-utf8-corpus": ["predict-noise", "{bundle}", "{binary}"],
+    "predict-sentiment-wrong-kind": ["predict-sentiment", "{bundle}", "{corpus}"],
+    "predict-sentiment-wrong-header": ["predict-sentiment", "{bundle}", "{wrong_header}"],
+    "reduce-missing-corpus": ["reduce", "{missing}", "--method", "mask-oov", "--dict", "{dict}", "--out", "{out}"],
+    "reduce-non-utf8-dict": ["reduce", "{corpus}", "--method", "mask-oov", "--dict", "{binary}", "--out", "{out}"],
+    "reduce-header-only-dict": ["reduce", "{corpus}", "--method", "spell", "--dict", "{header_only}", "--out", "{out}"],
+    "reduce-bad-phonetic-table": ["reduce", "{corpus}", "--method", "spell", "--dict", "{dict}", "--phonetic-table", "{wrong_header}", "--out", "{out}"],
+    "reduce-non-json-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{corpus}", "--out", "{out}"],
+    "reduce-empty-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{empty}", "--out", "{out}"],
+    "reduce-bad-probability": ["reduce", "{corpus}", "--method", "mask-random", "--p", "nan", "--dict", "{dict}", "--out", "{out}"],
+    "eval-missing-truth": ["eval-reduction", "{corpus}", "--truth", "{missing}"],
+    "eval-header-only-output": ["eval-reduction", "{header_only}", "--truth", "{corpus}"],
+    "eval-wrong-header-inputs": ["eval-reduction", "{corpus}", "--truth", "{corpus}", "--inputs", "{wrong_header}"],
+    "eval-inf-embeddings": ["eval-reduction", "{corpus}", "--truth", "{corpus}", "--embeddings", "{inf_embeddings}"],
+    "eval-non-utf8-tallies": ["eval-reduction", "{corpus}", "--truth", "{corpus}", "--human-tallies", "{binary}"],
+    "kappa-missing": ["agreement", "kappa", "{missing}"],
+    "kappa-header-only": ["agreement", "kappa", "{header_only}"],
+    "trust-non-utf8": ["agreement", "trust", "{binary}", "{corpus}"],
+    "trust-wrong-header": ["agreement", "trust", "{corpus}", "{wrong_header}"],
+}
+
+
+class TestMalformedInputSweep:
+    @pytest.fixture()
+    def sweep_files(self, tmp_path, small_corpus):
+        files = {name: tmp_path / name for name in (
+            "missing", "binary", "header_only", "wrong_header", "empty", "csv", "dict",
+            "inf_embeddings", "bundle", "nan_bundle", "model", "out",
+        )}
+        files["binary"].write_bytes(b"id\ttext\tsentiment\tnoise\nd0\t\xff\xfe\t-\t-\n")
+        files["header_only"].write_text(CORPUS_HEADER + "\n", encoding="utf-8")
+        files["wrong_header"].write_text("a\tb\n1\t2\n", encoding="utf-8")
+        files["empty"].write_text("", encoding="utf-8")
+        files["csv"].write_text("text,label\nkhub bhalo,1\n", encoding="utf-8")
+        files["dict"].write_text("khub\t10\nbhalo\t8\n", encoding="utf-8")
+        files["inf_embeddings"].write_text("2 2\nkhub 1.0 inf\nbhalo 0.0 1.0\n", encoding="utf-8")
+        assert main(["train-noise", str(small_corpus), "--epochs", "2", "--out", str(files["bundle"])]) == 0
+        bundle = json.loads(files["bundle"].read_text(encoding="utf-8"))
+        bundle["linear"]["biases"][0] = float("nan")
+        files["nan_bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+        files["corpus"] = small_corpus
+        return {name: str(path) for name, path in files.items()}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_CASES))
+    def test_one_error_line_and_error_exit(self, capsys, sweep_files, case):
+        capsys.readouterr()
+        argv = [arg.format(**sweep_files) for arg in MALFORMED_INPUT_CASES[case]]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (1, 2, 3), err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and re.match(r"ERROR \w+: ", errors[0]), err
+        assert "Traceback" not in err

@@ -253,8 +253,7 @@ class TestRatingMatrixLoader:
 def small_bundle():
     docs = make_docs(["aab x", "bba y", "abab z"], noises=["1000000000", "0100000000", "1100000000"])
     tfidf = fit_tfidf(docs, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=2))
-    vectors = [transform(tfidf, d) for d in docs]
-    model = train_ovr_hinge(vectors, [d.noise for d in docs], TrainConfig(epochs=5), dim=tfidf.dim)
+    model = train_ovr_hinge(transform(tfidf, docs), [d.noise for d in docs], TrainConfig(epochs=5))
     return tfidf, model
 
 

@@ -17,6 +17,16 @@ from noisekit.features import (
 WORD = AnalyzerConfig(mode=AnalyzerMode.WORD, n_min=1, n_max=1)
 
 
+def entries(matrix, i=0):
+    idx, val = matrix.row(i)
+    return list(zip(idx.tolist(), val.tolist()))
+
+
+def norm(matrix, i=0):
+    _, val = matrix.row(i)
+    return float(np.sqrt(np.dot(val, val)))
+
+
 class TestFitTfidf:
     def test_single_document_idf_is_one(self):
         model = fit_tfidf(["hello"], WORD)
@@ -73,34 +83,37 @@ class TestFitTfidf:
 class TestTransform:
     def test_single_known_term(self):
         model = fit_tfidf(["hello", "other"], WORD)
-        vec = transform(model, "hello")
-        assert vec.entries == [(model.vocabulary["hello"], pytest.approx(1.0))]
+        vec = transform(model, ["hello"])
+        assert entries(vec) == [(model.vocabulary["hello"], pytest.approx(1.0))]
 
     def test_all_unseen_terms_give_zero_vector(self):
         model = fit_tfidf(["hello"], WORD)
-        vec = transform(model, "unknown words only")
+        vec = transform(model, ["unknown words only"])
         assert vec.nnz == 0
-        assert vec.norm() == 0.0
+        assert norm(vec) == 0.0
 
     def test_two_equal_weight_terms(self):
         model = fit_tfidf(["a b", "a b"], WORD)
-        vec = transform(model, "a b")
+        vec = transform(model, ["a b"])
         assert vec.nnz == 2
-        for _, weight in vec.entries:
+        for _, weight in entries(vec):
             assert weight == pytest.approx(1 / math.sqrt(2))
 
     def test_norm_is_zero_or_one_fuzz(self):
         rng = random.Random(6)
         corpus = ["a b c d", "b c", "e f g", "a e"]
         model = fit_tfidf(corpus, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=3))
-        for _ in range(300):
-            text = " ".join(rng.choice("abcdefgxyz") for _ in range(rng.randint(0, 8)))
-            norm = transform(model, text).norm()
-            assert norm == pytest.approx(0.0, abs=1e-9) or norm == pytest.approx(1.0, abs=1e-9)
+        texts = [
+            " ".join(rng.choice("abcdefgxyz") for _ in range(rng.randint(0, 8))) for _ in range(300)
+        ]
+        matrix = transform(model, texts)
+        for i in range(len(texts)):
+            length = norm(matrix, i)
+            assert length == pytest.approx(0.0, abs=1e-9) or length == pytest.approx(1.0, abs=1e-9)
 
     def test_indices_strictly_increasing(self):
         model = fit_tfidf(["a b c a b"], WORD)
-        vec = transform(model, "c b a a")
+        vec = transform(model, ["c b a a"])
         assert list(vec.indices) == sorted(set(vec.indices.tolist()))
 
 
@@ -114,7 +127,7 @@ class TestSerialization:
         assert clone.config == model.config
         assert clone.corpus_size == model.corpus_size
         # Transform parity on fresh text.
-        assert transform(clone, "ab xy").entries == transform(model, "ab xy").entries
+        assert entries(transform(clone, ["ab xy"])) == entries(transform(model, ["ab xy"]))
 
     def test_serialization_deterministic(self):
         model = fit_tfidf(["a b", "b c"], WORD)

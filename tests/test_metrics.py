@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from noisekit.errors import EmptyInput, EmptyReference, InvalidCounts, LengthMismatch
+from noisekit.errors import EmptyInput, EmptyReference, InvalidCounts, LengthMismatch, Malformed
 from noisekit.metrics import (
     Averaging,
     ConfusionCounts,
@@ -146,6 +146,11 @@ def small_table():
 
 
 class TestSentenceSimilarity:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_table_rejects_non_finite_components(self, bad):
+        with pytest.raises(Malformed):
+            EmbeddingTable(dim=2, vectors={"cat": np.array([1.0, bad])})
+
     def test_identical_sentences(self):
         table = small_table()
         assert sentence_similarity(["cat", "dog"], ["cat", "dog"], table) == pytest.approx(1.0)
