@@ -299,7 +299,13 @@ def predict_sentiment(model: LinearModel, features: FeatureMatrix):
 
 
 def to_json(model: LinearModel) -> dict:
-    """JSON-ready bundle section; weights are the (K, D) matrix as base64 little-endian float64."""
+    """JSON-ready bundle section; the (K, D) weights are stored as a table of distinct columns.
+
+    ``columns`` holds the U distinct weight columns (U x K little-endian
+    float64, in the order of their raw bytes) and ``column_index`` one
+    little-endian uint32 per term naming its column; both are base64.
+    Columns are compared by raw bytes, so -0.0 and 0.0 stay apart.
+    """
     cfg = None
     if model.train_config is not None:
         cfg = {
@@ -313,47 +319,92 @@ def to_json(model: LinearModel) -> dict:
                 else None
             ),
         }
+    by_term = np.ascontiguousarray(model.weights.T, dtype="<f8")  # (D, K)
+    keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return {
         "kind": model.kind.value,
         "class_names": list(model.class_names),
         "biases": model.bias.tolist(),
         "train_config": cfg,
-        "weights": base64.b64encode(model.weights.astype("<f8").tobytes()).decode("ascii"),
+        "columns": _b64encode(by_term[first]),
+        "column_index": _b64encode(inverse.astype("<u4")),
     }
 
 
+def _b64encode(array: np.ndarray) -> str:
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _b64decode(section: dict, key: str) -> bytes:
+    try:
+        return base64.b64decode(section[key], validate=True)
+    except binascii.Error as exc:
+        raise Malformed(f"{key} is not valid base64: {exc}") from None
+
+
+def _finite_numbers(values) -> bool:
+    return isinstance(values, list) and all(
+        type(v) in (int, float) and math.isfinite(v) for v in values
+    )
+
+
+def _train_config_from_json(cfg, k: int) -> TrainConfig | None:
+    if cfg is None:
+        return None
+    if not _finite_numbers([cfg["c"], cfg["learning_rate"]]):
+        raise Malformed("train_config c and learning_rate must be finite numbers")
+    if not (type(cfg["epochs"]) is int and type(cfg["seed"]) is int):
+        raise Malformed("train_config epochs and seed must be integers")
+    class_weights = cfg["class_weights"]
+    if class_weights is not None and not (
+        _finite_numbers(class_weights)
+        and len(class_weights) == k
+        and all(v > 0 for v in class_weights)
+    ):
+        raise Malformed(f"train_config class_weights must be null or {k} finite positive numbers")
+    return TrainConfig(
+        c=cfg["c"],
+        epochs=cfg["epochs"],
+        learning_rate=cfg["learning_rate"],
+        seed=cfg["seed"],
+        class_weights=tuple(class_weights) if class_weights is not None else None,
+    )
+
+
 def from_json(section: dict) -> LinearModel:
-    """Inverse of `to_json`; D follows from the weight byte count, which must be 8*K*D."""
-    class_names = tuple(section["class_names"])
+    """Inverse of `to_json`; D is the length of ``column_index``."""
+    class_names = section["class_names"]
+    if not (isinstance(class_names, list) and all(type(c) is str for c in class_names)):
+        raise Malformed("class_names must be a list of strings")
     k = len(class_names)
     if k == 0:
         raise Malformed("linear model has no classes")
-    try:
-        raw = base64.b64decode(section["weights"], validate=True)
-    except binascii.Error as exc:
-        raise Malformed(f"weights are not valid base64: {exc}") from None
-    if len(raw) % (8 * k):
-        raise DimensionMismatch(f"{len(raw)} weight bytes are not 8 * {k} classes * dim")
-    weights = np.frombuffer(raw, dtype="<f8").reshape(k, -1).astype(np.float64)
-    bias = np.asarray(section["biases"], dtype=np.float64)
-    if bias.shape != (k,):
-        raise DimensionMismatch("bias count does not match class count")
-    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-        raise Malformed("weights and biases must be finite")
-    cfg = section["train_config"]
-    train_config = None
-    if cfg is not None:
-        train_config = TrainConfig(
-            c=cfg["c"],
-            epochs=cfg["epochs"],
-            learning_rate=cfg["learning_rate"],
-            seed=cfg["seed"],
-            class_weights=tuple(cfg["class_weights"]) if cfg.get("class_weights") else None,
+    columns_raw = _b64decode(section, "columns")
+    if len(columns_raw) % (8 * k):
+        raise DimensionMismatch(
+            f"columns hold {len(columns_raw)} weight bytes, not a multiple of 8 * {k} classes"
         )
+    index_raw = _b64decode(section, "column_index")
+    if len(index_raw) % 4:
+        raise DimensionMismatch(f"{len(index_raw)} column index bytes are not a multiple of 4")
+    columns = np.frombuffer(columns_raw, dtype="<f8").reshape(-1, k)
+    index = np.frombuffer(index_raw, dtype="<u4")
+    if index.size and int(index.max()) >= len(columns):
+        raise Malformed(
+            f"column index {int(index.max())} is out of range for {len(columns)} columns"
+        )
+    biases = section["biases"]
+    if not _finite_numbers(biases):
+        raise Malformed("biases must be finite numbers")
+    if len(biases) != k:
+        raise DimensionMismatch("bias count does not match class count")
+    if not np.isfinite(columns).all():
+        raise Malformed("weights must be finite")
     return LinearModel(
         kind=ModelKind(section["kind"]),
-        class_names=class_names,
-        weights=weights,
-        bias=bias,
-        train_config=train_config,
+        class_names=tuple(class_names),
+        weights=np.ascontiguousarray(columns[index].T, dtype=np.float64),
+        bias=np.array(biases, dtype=np.float64),
+        train_config=_train_config_from_json(section["train_config"], k),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -72,6 +73,16 @@ def _csv_delimiter(value: str) -> str:
     if len(value) != 1:
         raise argparse.ArgumentTypeError(f"must be one character, got {value!r}")
     return value
+
+
+def _percent(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not 0.0 <= number <= 100.0:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 100], got {value!r}")
+    return number
 
 
 def _train_config(args, class_weights=None) -> classify.TrainConfig:
@@ -534,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(pt, after_subcommand=True)
     pt.add_argument("annotator")
     pt.add_argument("gold")
-    pt.add_argument("--threshold", type=float, default=90.0)
+    pt.add_argument("--threshold", type=_percent, default=90.0)
     pt.add_argument("--jaccard", action="store_true", help="per-label overlap instead of exact match")
     pt.set_defaults(func=cmd_agreement)
 

@@ -22,7 +22,7 @@ from .reduce import Dictionary, FixtureClient, PhoneticTable
 from .textcore import Document, NoiseLabelSet, SentimentLabel, normalize
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
-BUNDLE_FORMAT = "noisekit-bundle-v2"
+BUNDLE_FORMAT = "noisekit-bundle-v3"
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
@@ -304,7 +304,7 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
 
 
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
-    """Write featurizer + classifier as one `noisekit-bundle-v2` JSON document."""
+    """Write featurizer + classifier as one `noisekit-bundle-v3` JSON document."""
     payload = {
         "version": BUNDLE_FORMAT,
         "tfidf": features.to_json(tfidf_model),
@@ -319,7 +319,7 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
 
 
 def load_model_bundle(path):
-    """Read a v2 bundle and check that featurizer and classifier agree on the dimension."""
+    """Read a v3 bundle and check that featurizer and classifier agree on the dimension."""
     try:
         payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:

@@ -18,12 +18,12 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import textcore
-from .errors import DimensionMismatch, EmptyCorpus, Malformed
+from .errors import DimensionMismatch, EmptyCorpus, InsufficientData, Malformed
 
 _CHAR_TAG = "c" + textcore.NGRAM_JOIN
 _WORD_TAG = "w" + textcore.NGRAM_JOIN
@@ -84,12 +84,27 @@ def analyzer_terms(text: str, config: AnalyzerConfig) -> list[str]:
     return [_CHAR_TAG + g for g in chars] + [_WORD_TAG + g for g in words]
 
 
+def _smoothed_idf(corpus_size: int, df: np.ndarray) -> np.ndarray:
+    """idf = ln((1 + N) / (1 + df)) + 1 per term, evaluated once per distinct df value."""
+    values, inverse = np.unique(df, return_inverse=True)
+    table = np.array(
+        [math.log((1 + corpus_size) / (1 + int(v))) + 1.0 for v in values], dtype=np.float64
+    )
+    return table[inverse]
+
+
 @dataclass
 class TfidfModel:
+    """Vocabulary plus per-term document frequency; ``idf`` is derived from ``df``."""
+
     vocabulary: dict[str, int]
-    idf: np.ndarray
+    df: np.ndarray  # (dim,) int64, in index order
     config: AnalyzerConfig
     corpus_size: int
+    idf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.idf = _smoothed_idf(self.corpus_size, self.df)
 
     @property
     def dim(self) -> int:
@@ -97,7 +112,7 @@ class TfidfModel:
 
 
 def fit_tfidf(corpus, config: AnalyzerConfig | None = None) -> TfidfModel:
-    """Build vocabulary and idf weights from a corpus of Documents.
+    """Build vocabulary and document frequencies from a corpus of Documents.
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1; indices are assigned by
     lexicographic term order, so shuffling the corpus yields an identical
@@ -116,11 +131,17 @@ def fit_tfidf(corpus, config: AnalyzerConfig | None = None) -> TfidfModel:
     if config.min_df > 1:
         df = {t: c for t, c in df.items() if c >= config.min_df}
     n = len(docs)
-    vocabulary = {term: i for i, term in enumerate(sorted(df))}
-    idf = np.empty(len(vocabulary), dtype=np.float64)
-    for term, i in vocabulary.items():
-        idf[i] = math.log((1 + n) / (1 + df[term])) + 1.0
-    return TfidfModel(vocabulary=vocabulary, idf=idf, config=config, corpus_size=n)
+    if not df:
+        raise InsufficientData(
+            f"no term occurs in at least min_df={config.min_df} of {n} documents"
+        )
+    terms = sorted(df)
+    return TfidfModel(
+        vocabulary={term: i for i, term in enumerate(terms)},
+        df=np.fromiter((df[t] for t in terms), dtype=np.int64, count=len(terms)),
+        config=config,
+        corpus_size=n,
+    )
 
 
 def transform(model: TfidfModel, docs) -> FeatureMatrix:
@@ -162,30 +183,44 @@ def to_json(model: TfidfModel) -> dict:
         },
         "corpus_size": model.corpus_size,
         "terms": sorted(model.vocabulary, key=model.vocabulary.__getitem__),
-        "idf": model.idf.tolist(),
+        "df": model.df.tolist(),
     }
 
 
 def from_json(section: dict) -> TfidfModel:
-    """Inverse of `to_json`; terms must strictly increase and carry finite idf > 0."""
+    """Inverse of `to_json`.
+
+    Terms must be strings in strictly increasing order, and each term's df an
+    integer in [max(1, min_df), corpus_size].
+    """
     cfg = section["config"]
+    # `type(...) is int` because JSON true/false load as bool, a subclass of int.
+    if not all(type(cfg[key]) is int for key in ("n_min", "n_max", "min_df")):
+        raise Malformed("n_min, n_max and min_df must be integers")
     config = AnalyzerConfig(
         mode=AnalyzerMode(cfg["mode"]),
         n_min=cfg["n_min"],
         n_max=cfg["n_max"],
         min_df=cfg["min_df"],
     )
-    terms = section["terms"]
+    n = section["corpus_size"]
+    if not (type(n) is int and n > 0):
+        raise Malformed(f"corpus_size must be a positive integer, got {n!r}")
+    terms, df = section["terms"], section["df"]
+    if not (isinstance(terms, list) and set(map(type, terms)) <= {str}):
+        raise Malformed("TF-IDF terms must be a list of strings")
     if not all(a < b for a, b in zip(terms, terms[1:])):
         raise Malformed("TF-IDF terms must be strictly increasing")
-    idf = np.asarray(section["idf"], dtype=np.float64)
-    if idf.shape != (len(terms),):
-        raise DimensionMismatch(f"{idf.size} idf values for {len(terms)} terms")
-    if not np.all(np.isfinite(idf) & (idf > 0)):
-        raise Malformed("idf values must be finite and > 0")
+    if not isinstance(df, list):
+        raise Malformed("df must be a list of integers")
+    if len(df) != len(terms):
+        raise DimensionMismatch(f"{len(df)} df values for {len(terms)} terms")
+    lo = max(1, config.min_df)
+    if not (set(map(type, df)) <= {int} and lo <= min(df, default=lo) and max(df, default=n) <= n):
+        raise Malformed(f"df values must be integers in [{lo}, {n}]")
     return TfidfModel(
         vocabulary={term: i for i, term in enumerate(terms)},
-        idf=idf,
+        df=np.array(df, dtype=np.int64),
         config=config,
-        corpus_size=int(section["corpus_size"]),
+        corpus_size=n,
     )

@@ -166,7 +166,7 @@ class TestNoisePipeline:
         run_json(capsys, "train-noise", str(small_corpus), "--epochs", "5", "--out", str(model))
         bundle = json.loads(model.read_text(encoding="utf-8"))
         del bundle["tfidf"]["terms"][-10:]
-        del bundle["tfidf"]["idf"][-10:]
+        del bundle["tfidf"]["df"][-10:]
         model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
         error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
         assert error.startswith("ERROR DimensionMismatch:")
@@ -190,12 +190,34 @@ class TestNoisePipeline:
         if key == "biases":
             bundle["linear"]["biases"][0] = float("nan")
         else:
-            weights = np.frombuffer(base64.b64decode(bundle["linear"]["weights"]), dtype="<f8").copy()
-            weights[0] = np.inf
-            bundle["linear"]["weights"] = base64.b64encode(weights.tobytes()).decode("ascii")
+            raw = base64.b64decode(bundle["linear"]["columns"])
+            columns = np.frombuffer(raw, dtype="<f8").copy()
+            columns[0] = np.inf
+            bundle["linear"]["columns"] = base64.b64encode(columns.tobytes()).decode("ascii")
         model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
         error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
         assert error.startswith("ERROR Malformed:") and str(model) in error
+
+    @pytest.mark.parametrize("task", ["noise", "sentiment"])
+    def test_bundle_with_wrongly_typed_field_rejected(self, capsys, tmp_path, small_corpus, task):
+        model = tmp_path / f"{task}.json"
+        run_json(capsys, f"train-{task}", str(small_corpus), "--epochs", "2", "--out", str(model))
+        bundle = json.loads(model.read_text(encoding="utf-8"))
+        if task == "noise":  # integer terms, still strictly increasing
+            bundle["tfidf"]["terms"] = list(range(len(bundle["tfidf"]["terms"])))
+        else:  # a string once loaded as the class weights ('a', 'b', 'c')
+            bundle["linear"]["train_config"]["class_weights"] = "abc"
+        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+        error = run_data_error(capsys, f"predict-{task}", str(model), str(small_corpus))
+        assert error.startswith(f"ERROR Malformed: {model}: ")
+
+    def test_min_df_above_every_document_frequency_rejected(self, capsys, tmp_path, small_corpus):
+        model = tmp_path / "noise.json"
+        error = run_data_error(
+            capsys, "train-noise", str(small_corpus), "--min-df", "1000", "--out", str(model)
+        )
+        assert error.startswith("ERROR InsufficientData:") and "min_df=1000" in error
+        assert not model.exists()
 
     def test_train_noise_deterministic(self, capsys, tmp_path, small_corpus):
         a = tmp_path / "a.json"
@@ -210,6 +232,8 @@ class TestGoldenPredictions:
 
     NOISE_SHA256 = "d492be4f6ef4b54238ce5b4245461823bf9982a1c17f49d014d2759f9c4c9ad9"
     SENTIMENT_SHA256 = "f688a2639c4881dcb5a6f8add68ec45f053664ec798d4659e3f40d8b1c070d62"
+    # The noisekit-bundle-v3 file of the noise training run; moves when the format drifts.
+    NOISE_BUNDLE_SHA256 = "c211e34c19045ee1d0fb3a9542807c89ff08c8d4588165bc227773b04888d8bc"
 
     @pytest.fixture()
     def corpora(self, tmp_path):
@@ -226,6 +250,12 @@ class TestGoldenPredictions:
         code, out, err = run_cli(capsys, f"predict-{task}", str(model), str(test))
         assert code == 0, err
         return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    def test_noise_bundle_bytes(self, capsys, tmp_path, corpora):
+        model = tmp_path / "noise.json"
+        train = str(corpora[0])
+        run_json(capsys, "train-noise", train, "--epochs", "8", "--seed", "4", "--out", str(model))
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.NOISE_BUNDLE_SHA256
 
     def test_predict_noise_stdout(self, capsys, tmp_path, corpora):
         digest = self.predict_sha256(
@@ -501,6 +531,25 @@ class TestAgreementCommands:
         save_corpus(ann_docs, ann)
         result = run_json(capsys, "agreement", "trust", str(ann), str(gold))
         assert result == {"score": 90.0, "pass": True, "threshold": 90.0, "mode": "exact"}
+        for threshold, passed in (("0", True), ("100", False)):
+            result = run_json(
+                capsys, "agreement", "trust", str(ann), str(gold), "--threshold", threshold
+            )
+            assert result == {
+                "score": 90.0, "pass": passed, "threshold": float(threshold), "mode": "exact"
+            }
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "100.5"])
+    def test_trust_threshold_outside_percent_range_is_usage_error(self, capsys, small_corpus, threshold):
+        corpus = str(small_corpus)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["agreement", "trust", corpus, corpus, "--threshold", threshold])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 1
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+        expected = f"ERROR Usage: argument --threshold: must be a number in [0, 100], got {threshold!r}"
+        assert errors == [expected]
 
 
 class TestImportCorpus:

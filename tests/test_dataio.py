@@ -1,3 +1,4 @@
+import base64
 import json
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from noisekit import dataio
-from noisekit.classify import TrainConfig, train_ovr_hinge
+from noisekit.classify import LinearModel, ModelKind, TrainConfig, train_ovr_hinge
 from noisekit.dataio import (
     CORPUS_HEADER,
     escape_field,
@@ -20,7 +21,7 @@ from noisekit.dataio import (
     unescape_field,
 )
 from noisekit.errors import BadEncoding, DimensionMismatch, FixtureMiss, Malformed, MalformedMatrix
-from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
+from noisekit.features import AnalyzerConfig, AnalyzerMode, TfidfModel, fit_tfidf, transform
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
 from conftest import make_docs
@@ -257,23 +258,83 @@ def small_bundle():
     return tfidf, model
 
 
+def hand_built_bundle(weights):
+    """A bundle around given (K, D) weights, with one term per column."""
+    k, d = weights.shape
+    tfidf = TfidfModel(
+        vocabulary={f"t{i:03d}": i for i in range(d)},
+        df=np.arange(d, dtype=np.int64) % 3 + 1,
+        config=AnalyzerConfig(),
+        corpus_size=3,
+    )
+    model = LinearModel(
+        kind=ModelKind.SOFTMAX_WEIGHTED,
+        class_names=tuple(f"c{j}" for j in range(k)),
+        weights=weights,
+        bias=np.array([-0.0] + [0.5] * (k - 1)),
+        train_config=TrainConfig(class_weights=(0.5,) * k),
+    )
+    return tfidf, model
+
+
+HAND_BUILT_WEIGHTS = {
+    # columns 0, 2 and 4 repeat; columns 1 and 3 differ only in the sign of zero
+    "repeated-and-signed-zero": np.array(
+        [[1.5, 0.0, 1.5, -0.0, 1.5, 2.0], [-3.0, 0.0, -3.0, 0.0, -3.0, 1e-300]]
+    ),
+    "one-term": np.array([[0.25], [-0.0], [7.0]]),
+}
+
+
 def _swap_first_terms(tfidf):
     tfidf["terms"][:2] = tfidf["terms"][1::-1]
 
 
 def _drop_last_term(tfidf):
     del tfidf["terms"][-1]
-    del tfidf["idf"][-1]
+    del tfidf["df"][-1]
+
+
+def _recode(linear, key, edit):
+    """Decode a base64 field of the linear section, apply `edit` to its bytes, re-encode."""
+    raw = edit(base64.b64decode(linear[key]))
+    linear[key] = base64.b64encode(raw).decode("ascii")
+
+
+def _index_past_end(linear):
+    columns = len(base64.b64decode(linear["columns"])) // (8 * len(linear["class_names"]))
+    _recode(linear, "column_index", lambda raw: np.array([columns], dtype="<u4").tobytes() + raw[4:])
 
 
 class TestModelBundle:
-    def test_round_trip(self, tmp_path):
-        tfidf, model = small_bundle()
+    def assert_loads_bit_identical(self, tmp_path, tfidf, model):
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
         tfidf2, model2 = load_model_bundle(path)
         assert tfidf2.vocabulary == tfidf.vocabulary
-        assert np.array_equal(model2.weights, model.weights)
+        # tobytes, not array_equal: -0.0 == 0.0 would hide a lost sign
+        assert model2.weights.tobytes() == model.weights.tobytes()
+        assert model2.weights.shape == model.weights.shape
+        assert model2.bias.tobytes() == model.bias.tobytes()
+        assert tfidf2.idf.tobytes() == tfidf.idf.tobytes()
+        assert np.array_equal(tfidf2.df, tfidf.df)
+        assert model2.train_config == model.train_config
+
+    def test_round_trip(self, tmp_path):
+        self.assert_loads_bit_identical(tmp_path, *small_bundle())
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT_WEIGHTS))
+    def test_round_trip_hand_built_weights(self, tmp_path, name):
+        self.assert_loads_bit_identical(tmp_path, *hand_built_bundle(HAND_BUILT_WEIGHTS[name]))
+
+    def test_repeated_columns_stored_once(self, tmp_path):
+        tfidf, model = hand_built_bundle(HAND_BUILT_WEIGHTS["repeated-and-signed-zero"])
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+        linear = json.loads(path.read_text(encoding="utf-8"))["linear"]
+        assert len(base64.b64decode(linear["columns"])) == 4 * 2 * 8
+        index = np.frombuffer(base64.b64decode(linear["column_index"]), dtype="<u4")
+        assert len(index) == 6 and index[0] == index[2] == index[4] != index[1] != index[3]
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "model.json"
@@ -298,25 +359,48 @@ class TestModelBundle:
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == "noisekit-bundle-v2"
+        assert payload["version"] == "noisekit-bundle-v3"
         assert payload["tfidf"]["terms"] == sorted(tfidf.vocabulary)
-        assert isinstance(payload["linear"]["weights"], str)
+        assert payload["tfidf"]["df"] == [int(v) for v in tfidf.df]
+        assert "idf" not in payload["tfidf"] and "weights" not in payload["linear"]
+        assert isinstance(payload["linear"]["columns"], str)
+        assert isinstance(payload["linear"]["column_index"], str)
 
     @pytest.mark.parametrize(
         "corrupt, error, message",
         [
-            (lambda b: b.update(version="noisekit-bundle-v1"), Malformed, "unsupported bundle version"),
+            (lambda b: b.update(version="noisekit-bundle-v2"), Malformed, "unsupported bundle version"),
             (lambda b: _swap_first_terms(b["tfidf"]), Malformed, "strictly increasing"),
-            (lambda b: b["tfidf"]["idf"].pop(), DimensionMismatch, "idf values for"),
-            (lambda b: b["tfidf"]["idf"].__setitem__(0, 0.0), Malformed, "finite and > 0"),
-            (lambda b: b["tfidf"]["idf"].__setitem__(0, float("inf")), Malformed, "finite and > 0"),
-            (lambda b: b["linear"].update(weights="not base64!"), Malformed, "base64"),
-            (lambda b: b["linear"].update(weights=b["linear"]["weights"][:-4]), DimensionMismatch, "weight bytes"),
+            (lambda b: b["tfidf"]["df"].pop(), DimensionMismatch, "df values for"),
+            (lambda b: b["tfidf"]["df"].__setitem__(0, 0), Malformed, "df values must be integers in"),
+            (lambda b: b["tfidf"]["df"].__setitem__(0, 4), Malformed, r"integers in \[1, 3\]"),
+            (lambda b: b["tfidf"]["df"].__setitem__(0, True), Malformed, "df values must be"),
+            (lambda b: b["tfidf"]["df"].__setitem__(0, 1.0), Malformed, "df values must"),
+            (lambda b: b["linear"].update(columns="not base64!"), Malformed, "base64"),
+            (lambda b: b["linear"].update(column_index="not base64!"), Malformed, "column_index is not valid"),
+            (lambda b: b["linear"].update(columns=b["linear"]["columns"][:-4]), DimensionMismatch, "weight bytes"),
+            (lambda b: _recode(b["linear"], "column_index", lambda raw: raw + b"\0"), DimensionMismatch, "column index bytes"),
+            (lambda b: _index_past_end(b["linear"]), Malformed, "out of range for"),
+            (lambda b: _recode(b["linear"], "column_index", lambda raw: raw[:-4]), DimensionMismatch, r"featurizer has \d+ terms, classifier"),
             (lambda b: b["linear"]["biases"].pop(), DimensionMismatch, "bias count"),
             (lambda b: _drop_last_term(b["tfidf"]), DimensionMismatch, "featurizer has"),
             (lambda b: b["linear"].pop("kind"), Malformed, "KeyError"),
             (lambda b: b["tfidf"]["config"].update(mode="bytes"), Malformed, "ValueError"),
-            (lambda b: b["tfidf"].update(corpus_size=float("inf")), Malformed, "OverflowError"),
+            (lambda b: b["tfidf"].update(corpus_size=10**400), Malformed, "OverflowError"),
+            (lambda b: b["tfidf"].update(corpus_size=float("inf")), Malformed, "corpus_size must be a positive integer"),
+            (lambda b: b["tfidf"].update(corpus_size=0), Malformed, "corpus_size must be"),
+            (lambda b: b["tfidf"]["config"].update(min_df=2.5), Malformed, "min_df must be integers"),
+            (lambda b: b["tfidf"]["terms"].__setitem__(-1, 10**6), Malformed, "terms must be a list of strings"),
+            (lambda b: b["linear"].update(class_names=list(range(10))), Malformed, "class_names must be"),
+            (lambda b: b["linear"]["biases"].__setitem__(0, "0.5"), Malformed, "biases must be finite numbers"),
+            (lambda b: b["linear"]["biases"].__setitem__(0, float("-inf")), Malformed, "biases must be finite"),
+            (lambda b: b["linear"]["train_config"].update(c="1.0"), Malformed, "c and learning_rate must be finite"),
+            (lambda b: b["linear"]["train_config"].update(learning_rate=float("nan")), Malformed, "learning_rate must be finite"),
+            (lambda b: b["linear"]["train_config"].update(epochs=5.0), Malformed, "epochs and seed must be integers"),
+            (lambda b: b["linear"]["train_config"].update(seed=False), Malformed, "seed must be integers"),
+            (lambda b: b["linear"]["train_config"].update(class_weights="abc"), Malformed, "class_weights must be null or 10"),
+            (lambda b: b["linear"]["train_config"].update(class_weights=[1.0] * 9), Malformed, "class_weights must be null"),
+            (lambda b: b["linear"]["train_config"].update(class_weights=[0.0] + [1.0] * 9), Malformed, "finite positive numbers"),
         ],
     )
     def test_inconsistent_bundle_rejected(self, tmp_path, corrupt, error, message):

@@ -41,6 +41,18 @@ class TestFitTfidf:
         model = fit_tfidf(["rare a", "a", "a", "a"], WORD)
         assert model.idf[model.vocabulary["rare"]] == pytest.approx(math.log(5 / 2) + 1, abs=1e-4)
 
+    def test_idf_bits_match_per_term_formula(self):
+        rng = random.Random(9)
+        corpus = [
+            " ".join(rng.choice("abcdefghij") for _ in range(rng.randint(1, 6))) for _ in range(40)
+        ]
+        model = fit_tfidf(corpus, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=3))
+        reference = np.array(
+            [math.log((1 + 40) / (1 + int(df))) + 1.0 for df in model.df], dtype=np.float64
+        )
+        assert len(set(model.df.tolist())) < model.dim  # the per-value table is shared
+        assert model.idf.tobytes() == reference.tobytes()
+
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             fit_tfidf([], WORD)
