@@ -13,7 +13,6 @@ from .textcore import (
 )
 from .features import AnalyzerConfig, AnalyzerMode, FeatureMatrix, TfidfModel, fit_tfidf, transform
 from .classify import (
-    ClassWeights,
     LinearModel,
     ModelKind,
     TrainConfig,

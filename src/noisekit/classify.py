@@ -1,15 +1,18 @@
 """Linear classifiers for noise identification and sentiment analysis.
 
-Two trainers share the same seeded SGD skeleton:
+Both trainers run the one seeded SGD loop `_sgd`:
 
 * one-vs-rest hinge loss (per class: 0.5*||w||^2 + c * sum_i hinge_i),
 * class-weighted softmax cross-entropy with L2 term ||W||^2 / (2c),
 
-both with the decaying step size lr_t = lr0 / (1 + t/n) over global step t
-and the L2 shrink folded into a scale factor so updates stay sparse.
+with the decaying step size lr_t = lr0 / (1 + t/n) over global step t and
+the L2 shrink folded into a scale factor so updates stay sparse. A trainer
+supplies only its per-sample direction, its loss multiplier (c for hinge,
+1 for softmax) and its L2 divisor (n for hinge, c*n for softmax).
 Training is bit-deterministic given the data order and the seed.
 
-Class weights for cost-sensitive training follow w_c = N / (K * n_c).
+Class weights for cost-sensitive training follow w_c = N / (K * n_c) and
+live in `TrainConfig.class_weights`.
 """
 
 from __future__ import annotations
@@ -18,17 +21,11 @@ import base64
 import binascii
 import enum
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyTrainingSet,
-    Malformed,
-    ZeroCount,
-)
+from .errors import DataError, DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
 from .features import FeatureMatrix
 from .textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
@@ -46,7 +43,7 @@ class TrainConfig:
     epochs: int = 20
     learning_rate: float = 0.1
     seed: int = 0
-    class_weights: tuple[float, ...] | None = None
+    class_weights: tuple[float, ...] | None = None  # None trains every class with weight 1
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
@@ -55,33 +52,24 @@ class TrainConfig:
             raise Malformed(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise Malformed(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise Malformed(f"seed must be >= 0, got {self.seed}")
+        if self.class_weights is not None and not all(
+            math.isfinite(v) and v > 0 for v in self.class_weights
+        ):
+            raise Malformed(
+                f"class weights must be finite positive numbers, got {list(self.class_weights)}"
+            )
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class loss weights; `exact` keeps the unrounded fractions."""
-
-    values: tuple[float, ...]
-    exact: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.values):
-            raise ZeroCount("class weights must be positive")
-
-    @classmethod
-    def uniform(cls, k: int) -> "ClassWeights":
-        return cls(values=(1.0,) * k, exact=(Fraction(1),) * k)
-
-
-def compute_class_weights(counts) -> ClassWeights:
+def compute_class_weights(counts) -> tuple[float, ...]:
     """Inverse-frequency weights w_c = N / (K * n_c) for K classes of size n_c."""
     counts = [int(c) for c in counts]
     if any(c <= 0 for c in counts):
         raise ZeroCount(f"all class counts must be positive, got {counts}")
     n = sum(counts)
     k = len(counts)
-    exact = tuple(Fraction(n, k * c) for c in counts)
-    return ClassWeights(values=tuple(float(f) for f in exact), exact=exact)
+    return tuple(n / (k * c) for c in counts)
 
 
 @dataclass
@@ -110,31 +98,49 @@ class LinearModel:
         return out
 
 
-def _check_training_inputs(features, labels):
-    if len(features) != len(labels):
-        raise DimensionMismatch(
-            f"{len(features)} feature rows but {len(labels)} labels"
-        )
-    if not features:
+def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction,
+         loss_multiplier: float, l2_divisor: float):
+    """Seeded SGD over the rows of `features`; returns the (K, D) weights and (K,) bias.
+
+    Each step visits row i of a fresh permutation per epoch, asks
+    ``direction(i, z)`` for the descent direction g (K,) at the scores
+    z = W x_i + b, shrinks W by 1 - lr/l2_divisor and adds
+    (lr*loss_multiplier) * g x_i^T to W and (lr*loss_multiplier) * g to b.
+    W is kept as w * scale so the shrink is O(1) and updates stay sparse.
+    """
+    n = len(features)
+    if n != len(labels):
+        raise DimensionMismatch(f"{n} feature rows but {len(labels)} labels")
+    if not n:
         raise EmptyTrainingSet("no training samples")
-
-
-class _ScaledWeights:
-    """Dense (K, D) weights with a multiplicative scale so the L2 shrink is O(1)."""
-
-    def __init__(self, k: int, d: int):
-        self.w = np.zeros((k, d), dtype=np.float64)
-        self.scale = 1.0
-
-    def shrink(self, factor: float):
-        # Extreme learning rates could flip the sign; clamp instead.
-        self.scale *= max(factor, 1e-12)
-        if self.scale < 1e-9:
-            self.w *= self.scale
-            self.scale = 1.0
-
-    def dense(self) -> np.ndarray:
-        return self.w * self.scale
+    w = np.zeros((k, features.dim), dtype=np.float64)
+    scale = 1.0
+    bias = np.zeros(k, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        for _ in range(config.epochs):
+            for i in rng.permutation(n):
+                lr = config.learning_rate / (1.0 + step / n)
+                step += 1
+                idx, val = features.row(i)
+                z = scale * (w[:, idx] @ val) + bias if len(idx) else bias.copy()
+                g = direction(i, z)
+                # Extreme learning rates could flip the sign; clamp instead.
+                scale *= max(1.0 - lr / l2_divisor, 1e-12)
+                if scale < 1e-9:
+                    w *= scale
+                    scale = 1.0
+                rate = lr * loss_multiplier
+                if len(idx):
+                    w[:, idx] += ((rate / scale) * g)[:, None] * val[None, :]
+                bias += rate * g
+    w *= scale
+    if not (np.isfinite(w).all() and np.isfinite(bias).all()):
+        raise DataError(
+            "training diverged to non-finite weights; lower the learning rate (--lr) or c (--c)"
+        )
+    return w, bias
 
 
 def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> LinearModel:
@@ -144,41 +150,18 @@ def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> Lin
     by seeded stochastic subgradient descent; the classes share the sample
     order so the whole run is deterministic.
     """
-    _check_training_inputs(features, labels)
-    n = len(features)
     k = len(NOISE_CLASSES)
-    y = np.full((n, k), -1.0)
-    for row, label_set in enumerate(labels):
-        for j in range(k):
-            if label_set.has(j):
-                y[row, j] = 1.0
+    y = np.where([[label_set.has(j) for j in range(k)] for label_set in labels], 1.0, -1.0)
 
-    sw = _ScaledWeights(k, features.dim)
-    bias = np.zeros(k, dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
-    lr0 = config.learning_rate
-    step = 0
-    for _ in range(config.epochs):
-        for i in rng.permutation(n):
-            lr = lr0 / (1.0 + step / n)
-            step += 1
-            idx, val = features.row(i)
-            yi = y[i]
-            if len(idx):
-                decision = sw.scale * (sw.w[:, idx] @ val) + bias
-            else:
-                decision = bias.copy()
-            violated = yi * decision < 1.0
-            sw.shrink(1.0 - lr / n)
-            if violated.any():
-                coeff = (lr * config.c / sw.scale) * yi[violated]
-                if len(idx):
-                    sw.w[np.ix_(violated, idx)] += coeff[:, None] * val[None, :]
-                bias[violated] += lr * config.c * yi[violated]
+    def direction(i, decision):
+        # y on the classes whose margin is violated, 0 elsewhere.
+        return y[i] * (y[i] * decision < 1.0)
+
+    weights, bias = _sgd(features, labels, k, config, direction, config.c, len(features))
     return LinearModel(
         kind=ModelKind.OVR_HINGE,
         class_names=NOISE_CLASSES,
-        weights=sw.dense(),
+        weights=weights,
         bias=bias,
         train_config=config,
     )
@@ -235,55 +218,34 @@ def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):
 def train_softmax_weighted(
     features: FeatureMatrix,
     labels,
-    weights: ClassWeights | None,
     config: TrainConfig,
     class_names: tuple[str, ...] = SENTIMENT_CLASSES,
 ) -> LinearModel:
     """Cost-sensitive softmax regression by seeded SGD.
 
-    Minimizes sum_i cw[y_i] * CE_i + ||W||^2 / (2c); passing uniform weights
-    (or None) reproduces unweighted training bit for bit.
+    Minimizes sum_i cw[y_i] * CE_i + ||W||^2 / (2c) with cw from
+    ``config.class_weights``; None, like all-ones weights, trains unweighted.
     """
-    _check_training_inputs(features, labels)
     k = len(class_names)
-    if weights is None:
-        weights = ClassWeights.uniform(k)
-    if len(weights.values) != k:
-        raise DimensionMismatch(
-            f"{len(weights.values)} class weights for {k} classes"
-        )
-    n = len(features)
-    label_idx = np.array([int(lbl) for lbl in labels], dtype=np.intp)
-    if label_idx.min() < 0 or label_idx.max() >= k:
+    cw = np.ones(k) if config.class_weights is None else np.array(config.class_weights, float)
+    if len(cw) != k:
+        raise DimensionMismatch(f"{len(cw)} class weights for {k} classes")
+    label_idx = [int(lbl) for lbl in labels]
+    if any(not 0 <= j < k for j in label_idx):
         raise DimensionMismatch("label index outside class range")
-    cw = np.asarray(weights.values, dtype=np.float64)
 
-    sw = _ScaledWeights(k, features.dim)
-    bias = np.zeros(k, dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
-    lr0 = config.learning_rate
-    step = 0
-    for _ in range(config.epochs):
-        for i in rng.permutation(n):
-            lr = lr0 / (1.0 + step / n)
-            step += 1
-            idx, val = features.row(i)
-            yi = label_idx[i]
-            if len(idx):
-                z = sw.scale * (sw.w[:, idx] @ val) + bias
-            else:
-                z = bias.copy()
-            delta = cw[yi] * _softmax(z)
-            delta[yi] -= cw[yi]
-            # L2 term contributes W/(c*n) per sample.
-            sw.shrink(1.0 - lr / (config.c * n))
-            if len(idx):
-                sw.w[:, idx] -= (lr / sw.scale) * delta[:, None] * val[None, :]
-            bias -= lr * delta
+    def direction(i, z):
+        # The negated gradient of cw[y] * CE at z.
+        yi = label_idx[i]
+        g = -cw[yi] * _softmax(z)
+        g[yi] += cw[yi]
+        return g
+
+    weights, bias = _sgd(features, labels, k, config, direction, 1.0, config.c * len(features))
     return LinearModel(
         kind=ModelKind.SOFTMAX_WEIGHTED,
         class_names=tuple(class_names),
-        weights=sw.dense(),
+        weights=weights,
         bias=bias,
         train_config=config,
     )
@@ -306,19 +268,6 @@ def to_json(model: LinearModel) -> dict:
     little-endian uint32 per term naming its column; both are base64.
     Columns are compared by raw bytes, so -0.0 and 0.0 stay apart.
     """
-    cfg = None
-    if model.train_config is not None:
-        cfg = {
-            "c": model.train_config.c,
-            "epochs": model.train_config.epochs,
-            "learning_rate": model.train_config.learning_rate,
-            "seed": model.train_config.seed,
-            "class_weights": (
-                list(model.train_config.class_weights)
-                if model.train_config.class_weights is not None
-                else None
-            ),
-        }
     by_term = np.ascontiguousarray(model.weights.T, dtype="<f8")  # (D, K)
     keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -326,7 +275,7 @@ def to_json(model: LinearModel) -> dict:
         "kind": model.kind.value,
         "class_names": list(model.class_names),
         "biases": model.bias.tolist(),
-        "train_config": cfg,
+        "train_config": asdict(model.train_config) if model.train_config is not None else None,
         "columns": _b64encode(by_term[first]),
         "column_index": _b64encode(inverse.astype("<u4")),
     }
@@ -358,11 +307,11 @@ def _train_config_from_json(cfg, k: int) -> TrainConfig | None:
         raise Malformed("train_config epochs and seed must be integers")
     class_weights = cfg["class_weights"]
     if class_weights is not None and not (
-        _finite_numbers(class_weights)
+        isinstance(class_weights, list)
+        and all(type(v) in (int, float) for v in class_weights)
         and len(class_weights) == k
-        and all(v > 0 for v in class_weights)
     ):
-        raise Malformed(f"train_config class_weights must be null or {k} finite positive numbers")
+        raise Malformed(f"train_config class_weights must be null or {k} numbers")
     return TrainConfig(
         c=cfg["c"],
         epochs=cfg["epochs"],

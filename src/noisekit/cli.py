@@ -182,15 +182,16 @@ def cmd_train_sentiment(args) -> dict:
             counts[int(doc.sentiment)] += 1
         weights = classify.compute_class_weights(counts)
     tfidf = features.fit_tfidf(labeled, _analyzer_config(args))
-    config = _train_config(args, class_weights=weights.values if weights else None)
     model = classify.train_softmax_weighted(
-        features.transform(tfidf, labeled), [d.sentiment for d in labeled], weights, config
+        features.transform(tfidf, labeled),
+        [d.sentiment for d in labeled],
+        _train_config(args, class_weights=weights),
     )
     dataio.save_model_bundle(args.out, tfidf, model)
     return {
         "trained_on": len(labeled),
         "features": tfidf.dim,
-        "class_weights": list(weights.values) if weights else None,
+        "class_weights": weights,
         "model": str(args.out),
     }
 

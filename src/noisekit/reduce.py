@@ -183,6 +183,8 @@ def spell_correct(sentence, dictionary: Dictionary, max_dist: int | None = None)
     """
     if not dictionary.words:
         raise MissingResource("spell correction needs a non-empty dictionary")
+    if max_dist is not None and max_dist < 0:
+        raise Malformed(f"edit-distance budget must be >= 0, got {max_dist}")
     text = sentence.text if isinstance(sentence, textcore.Document) else sentence
     seq = textcore.tokenize(text)
     edits = []

@@ -1,12 +1,10 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from noisekit.classify import (
-    ClassWeights,
     ModelKind,
     LinearModel,
     TrainConfig,
@@ -20,7 +18,7 @@ from noisekit.classify import (
     train_ovr_hinge,
     train_softmax_weighted,
 )
-from noisekit.errors import DimensionMismatch, EmptyTrainingSet, ZeroCount
+from noisekit.errors import DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
@@ -35,27 +33,24 @@ def vec(*pairs):
 class TestClassWeights:
     def test_published_training_counts(self):
         weights = compute_class_weights([2767, 4948, 4318])
-        assert weights.values[0] == pytest.approx(1.4496, abs=1e-4)
-        assert weights.values[1] == pytest.approx(0.8106, abs=1e-4)
-        assert weights.values[2] == pytest.approx(0.9289, abs=1e-4)
+        assert weights == pytest.approx((1.4496, 0.8106, 0.9289), abs=1e-4)
 
     def test_balanced_counts(self):
-        assert compute_class_weights([5, 5, 5]).values == (1.0, 1.0, 1.0)
+        assert compute_class_weights([5, 5, 5]) == (1.0, 1.0, 1.0)
 
     def test_small_case(self):
-        weights = compute_class_weights([1, 1, 2])
-        assert weights.values == pytest.approx((4 / 3, 4 / 3, 2 / 3))
+        assert compute_class_weights([1, 1, 2]) == pytest.approx((4 / 3, 4 / 3, 2 / 3))
 
     def test_zero_count_rejected(self):
         with pytest.raises(ZeroCount):
             compute_class_weights([3, 0, 2])
 
-    def test_balance_identity_exact(self):
-        counts = [2767, 4948, 4318]
-        weights = compute_class_weights(counts)
-        n, k = sum(counts), len(counts)
-        for w, c in zip(weights.exact, counts):
-            assert w * c == Fraction(n, k)
+    @pytest.mark.parametrize(
+        "weights", [(1.0, 0.0, 1.0), (1.0, float("nan"), 1.0), (-1.0, 1.0, 1.0)]
+    )
+    def test_non_positive_or_nan_rejected_by_config(self, weights):
+        with pytest.raises(Malformed, match="class weights must be finite positive"):
+            TrainConfig(class_weights=weights)
 
 
 def separable_points():
@@ -184,8 +179,10 @@ class TestTrainSoftmaxWeighted:
         weights = compute_class_weights([8, 8, 8])
         losses = []
         for epochs in range(1, 7):
-            config = TrainConfig(c=1.0, epochs=epochs, learning_rate=0.05, seed=5)
-            model = train_softmax_weighted(features, labels, weights, config)
+            config = TrainConfig(
+                c=1.0, epochs=epochs, learning_rate=0.05, seed=5, class_weights=weights
+            )
+            model = train_softmax_weighted(features, labels, config)
             loss, _, _ = softmax_loss_grad(
                 model.weights, model.bias, features, [int(l) for l in labels], np.ones(3), 1.0
             )
@@ -195,10 +192,27 @@ class TestTrainSoftmaxWeighted:
     def test_uniform_weights_match_unweighted(self):
         features, labels = toy_sentiment_data()
         config = TrainConfig(epochs=10, learning_rate=0.1, seed=9)
-        uniform = train_softmax_weighted(features, labels, ClassWeights.uniform(3), config)
-        unweighted = train_softmax_weighted(features, labels, None, config)
-        assert np.array_equal(uniform.weights, unweighted.weights)
-        assert np.array_equal(uniform.bias, unweighted.bias)
+        uniform_config = TrainConfig(epochs=10, learning_rate=0.1, seed=9, class_weights=(1.0,) * 3)
+        uniform = train_softmax_weighted(features, labels, uniform_config)
+        unweighted = train_softmax_weighted(features, labels, config)
+        assert uniform.weights.tobytes() == unweighted.weights.tobytes()
+        assert uniform.bias.tobytes() == unweighted.bias.tobytes()
+
+    def test_class_weights_change_the_model(self):
+        features, labels = toy_sentiment_data()
+        config = TrainConfig(epochs=10, learning_rate=0.1, seed=9)
+        weighted_config = TrainConfig(epochs=10, learning_rate=0.1, seed=9, class_weights=(3.0, 1.0, 0.5))
+        weighted = train_softmax_weighted(features, labels, weighted_config)
+        unweighted = train_softmax_weighted(features, labels, config)
+        assert not np.array_equal(weighted.weights, unweighted.weights)
+        assert not np.array_equal(weighted.bias, unweighted.bias)
+        assert weighted.train_config.class_weights == (3.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("weights", [(), (1.0, 1.0), (1.0,) * 4])
+    def test_wrong_length_class_weights(self, weights):
+        features, labels = toy_sentiment_data()
+        with pytest.raises(DimensionMismatch, match=f"{len(weights)} class weights for 3 classes"):
+            train_softmax_weighted(features, labels, TrainConfig(class_weights=weights))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(23)
@@ -238,10 +252,11 @@ class TestTrainSoftmaxWeighted:
 
     def test_retraining_is_bit_identical(self):
         features, labels = toy_sentiment_data()
-        config = TrainConfig(epochs=15, learning_rate=0.1, seed=21)
-        weights = compute_class_weights([8, 8, 8])
-        a = train_softmax_weighted(features, labels, weights, config)
-        b = train_softmax_weighted(features, labels, weights, config)
+        config = TrainConfig(
+            epochs=15, learning_rate=0.1, seed=21, class_weights=compute_class_weights([8, 8, 8])
+        )
+        a = train_softmax_weighted(features, labels, config)
+        b = train_softmax_weighted(features, labels, config)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 

@@ -211,6 +211,25 @@ class TestNoisePipeline:
         error = run_data_error(capsys, f"predict-{task}", str(model), str(small_corpus))
         assert error.startswith(f"ERROR Malformed: {model}: ")
 
+    @pytest.mark.parametrize("task", ["noise", "sentiment"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, small_corpus, task):
+        model = tmp_path / f"{task}.json"
+        error = run_data_error(
+            capsys, f"train-{task}", str(small_corpus), "--seed", "-1", "--out", str(model)
+        )
+        assert error == "ERROR Malformed: seed must be >= 0, got -1"
+        assert not model.exists()
+
+    def test_diverged_training_writes_no_bundle(self, capsys, tmp_path, small_corpus):
+        model = tmp_path / "noise.json"
+        error = run_data_error(
+            capsys, "train-noise", str(small_corpus), "--lr", "1e308", "--c", "1e308",
+            "--out", str(model),
+        )
+        assert error.startswith("ERROR DataError: training diverged")
+        assert "--lr" in error and "--c" in error
+        assert not model.exists()
+
     def test_min_df_above_every_document_frequency_rejected(self, capsys, tmp_path, small_corpus):
         model = tmp_path / "noise.json"
         error = run_data_error(
@@ -234,6 +253,14 @@ class TestGoldenPredictions:
     SENTIMENT_SHA256 = "f688a2639c4881dcb5a6f8add68ec45f053664ec798d4659e3f40d8b1c070d62"
     # The noisekit-bundle-v3 file of the noise training run; moves when the format drifts.
     NOISE_BUNDLE_SHA256 = "c211e34c19045ee1d0fb3a9542807c89ff08c8d4588165bc227773b04888d8bc"
+    # Full-precision bundles; with c != 1 they move if the SGD arithmetic is re-associated.
+    SENTIMENT_BUNDLE_SHA256 = "4721726ad04a84f4cb00418a83e13805948b8fa8a5713e40724d9b77bb9687b7"
+    NOISE_BUNDLE_C_SHA256 = "85a9b98c1303f059e5b7d808192c8f4f6d7476e4e67cbfd71cfe6c4b9df1b23a"
+    SENTIMENT_BUNDLE_C_SHA256 = "fab6989467e5acbbfee48ad60577fb3363cfa02c9013267832ce63cfe2f9be18"
+    SENTIMENT_FLAGS = (
+        "--analyzer", "char+word", "--nmax", "2", "--auto-weights", "--epochs", "8", "--seed", "4",
+    )
+    C_FLAGS = ("--c", "0.5", "--lr", "0.07", "--epochs", "8", "--seed", "4")
 
     @pytest.fixture()
     def corpora(self, tmp_path):
@@ -251,11 +278,28 @@ class TestGoldenPredictions:
         assert code == 0, err
         return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
+    def bundle_sha256(self, capsys, tmp_path, corpora, task, *train_flags):
+        model = tmp_path / f"{task}.json"
+        run_json(capsys, f"train-{task}", str(corpora[0]), *train_flags, "--out", str(model))
+        return hashlib.sha256(model.read_bytes()).hexdigest()
+
     def test_noise_bundle_bytes(self, capsys, tmp_path, corpora):
-        model = tmp_path / "noise.json"
-        train = str(corpora[0])
-        run_json(capsys, "train-noise", train, "--epochs", "8", "--seed", "4", "--out", str(model))
-        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.NOISE_BUNDLE_SHA256
+        digest = self.bundle_sha256(capsys, tmp_path, corpora, "noise", "--epochs", "8", "--seed", "4")
+        assert digest == self.NOISE_BUNDLE_SHA256
+
+    def test_sentiment_bundle_bytes(self, capsys, tmp_path, corpora):
+        digest = self.bundle_sha256(capsys, tmp_path, corpora, "sentiment", *self.SENTIMENT_FLAGS)
+        assert digest == self.SENTIMENT_BUNDLE_SHA256
+
+    def test_noise_bundle_bytes_c_half(self, capsys, tmp_path, corpora):
+        digest = self.bundle_sha256(capsys, tmp_path, corpora, "noise", *self.C_FLAGS)
+        assert digest == self.NOISE_BUNDLE_C_SHA256
+
+    def test_sentiment_bundle_bytes_c_half(self, capsys, tmp_path, corpora):
+        digest = self.bundle_sha256(
+            capsys, tmp_path, corpora, "sentiment", "--auto-weights", *self.C_FLAGS
+        )
+        assert digest == self.SENTIMENT_BUNDLE_C_SHA256
 
     def test_predict_noise_stdout(self, capsys, tmp_path, corpora):
         digest = self.predict_sha256(
@@ -264,10 +308,7 @@ class TestGoldenPredictions:
         assert digest == self.NOISE_SHA256
 
     def test_predict_sentiment_stdout(self, capsys, tmp_path, corpora):
-        digest = self.predict_sha256(
-            capsys, tmp_path, corpora, "sentiment", "--analyzer", "char+word",
-            "--nmax", "2", "--auto-weights", "--epochs", "8", "--seed", "4",
-        )
+        digest = self.predict_sha256(capsys, tmp_path, corpora, "sentiment", *self.SENTIMENT_FLAGS)
         assert digest == self.SENTIMENT_SHA256
 
 
@@ -314,6 +355,15 @@ class TestReduceCommand:
             "--out", str(out),
         )
         assert len(load_corpus(out)) == 3
+
+    def test_negative_max_dist_rejected(self, capsys, tmp_path, small_corpus):
+        out = tmp_path / "reduced.tsv"
+        error = run_data_error(
+            capsys, "reduce", str(small_corpus), "--method", "spell",
+            "--dict", str(self.make_dict_file(tmp_path)), "--max-dist", "-1", "--out", str(out),
+        )
+        assert error == "ERROR Malformed: edit-distance budget must be >= 0, got -1"
+        assert not out.exists()
 
     def test_mask_random_deterministic(self, capsys, tmp_path, small_corpus):
         dict_file = self.make_dict_file(tmp_path)

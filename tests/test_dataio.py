@@ -398,6 +398,7 @@ class TestModelBundle:
             (lambda b: b["linear"]["train_config"].update(learning_rate=float("nan")), Malformed, "learning_rate must be finite"),
             (lambda b: b["linear"]["train_config"].update(epochs=5.0), Malformed, "epochs and seed must be integers"),
             (lambda b: b["linear"]["train_config"].update(seed=False), Malformed, "seed must be integers"),
+            (lambda b: b["linear"]["train_config"].update(seed=-1), Malformed, "seed must be >= 0"),
             (lambda b: b["linear"]["train_config"].update(class_weights="abc"), Malformed, "class_weights must be null or 10"),
             (lambda b: b["linear"]["train_config"].update(class_weights=[1.0] * 9), Malformed, "class_weights must be null"),
             (lambda b: b["linear"]["train_config"].update(class_weights=[0.0] + [1.0] * 9), Malformed, "finite positive numbers"),
