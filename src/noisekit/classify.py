@@ -27,14 +27,17 @@ import numpy as np
 
 from .errors import DataError, DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
 from .features import FeatureMatrix
-from .textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
-
-SENTIMENT_CLASSES = tuple(label.label for label in SentimentLabel)
+from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, NoiseLabelSet, SentimentLabel
 
 
 class ModelKind(enum.Enum):
     OVR_HINGE = "ovr_hinge"
     SOFTMAX_WEIGHTED = "softmax_weighted"
+
+    @property
+    def class_names(self) -> tuple[str, ...]:
+        """The fixed classes of this kind, one per weight row."""
+        return NOISE_CLASSES if self is ModelKind.OVR_HINGE else SENTIMENT_CLASSES
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,13 @@ def compute_class_weights(counts) -> tuple[float, ...]:
 @dataclass
 class LinearModel:
     kind: ModelKind
-    class_names: tuple[str, ...]
     weights: np.ndarray  # (n_classes, dim)
     bias: np.ndarray  # (n_classes,)
     train_config: TrainConfig | None = None
+
+    @property
+    def class_names(self) -> tuple[str, ...]:
+        return self.kind.class_names
 
     @property
     def dim(self) -> int:
@@ -158,13 +164,7 @@ def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> Lin
         return y[i] * (y[i] * decision < 1.0)
 
     weights, bias = _sgd(features, labels, k, config, direction, config.c, len(features))
-    return LinearModel(
-        kind=ModelKind.OVR_HINGE,
-        class_names=NOISE_CLASSES,
-        weights=weights,
-        bias=bias,
-        train_config=config,
-    )
+    return LinearModel(ModelKind.OVR_HINGE, weights, bias, train_config=config)
 
 
 def hinge_objective(w: np.ndarray, b: float, features: FeatureMatrix, y, c: float) -> float:
@@ -215,18 +215,13 @@ def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):
     return loss, grad_w, grad_b
 
 
-def train_softmax_weighted(
-    features: FeatureMatrix,
-    labels,
-    config: TrainConfig,
-    class_names: tuple[str, ...] = SENTIMENT_CLASSES,
-) -> LinearModel:
+def train_softmax_weighted(features: FeatureMatrix, labels, config: TrainConfig) -> LinearModel:
     """Cost-sensitive softmax regression by seeded SGD.
 
     Minimizes sum_i cw[y_i] * CE_i + ||W||^2 / (2c) with cw from
     ``config.class_weights``; None, like all-ones weights, trains unweighted.
     """
-    k = len(class_names)
+    k = len(SENTIMENT_CLASSES)
     cw = np.ones(k) if config.class_weights is None else np.array(config.class_weights, float)
     if len(cw) != k:
         raise DimensionMismatch(f"{len(cw)} class weights for {k} classes")
@@ -242,13 +237,7 @@ def train_softmax_weighted(
         return g
 
     weights, bias = _sgd(features, labels, k, config, direction, 1.0, config.c * len(features))
-    return LinearModel(
-        kind=ModelKind.SOFTMAX_WEIGHTED,
-        class_names=tuple(class_names),
-        weights=weights,
-        bias=bias,
-        train_config=config,
-    )
+    return LinearModel(ModelKind.SOFTMAX_WEIGHTED, weights, bias, train_config=config)
 
 
 def predict_sentiment(model: LinearModel, features: FeatureMatrix):
@@ -256,7 +245,7 @@ def predict_sentiment(model: LinearModel, features: FeatureMatrix):
     if model.kind is not ModelKind.SOFTMAX_WEIGHTED:
         raise Malformed(f"expected a softmax model, got {model.kind.value}")
     probs = _softmax(model.decision_values(features))
-    labels = [SentimentLabel.from_name(model.class_names[j]) for j in np.argmax(probs, axis=1)]
+    labels = [SentimentLabel(int(j)) for j in np.argmax(probs, axis=1)]
     return labels, probs
 
 
@@ -323,12 +312,13 @@ def _train_config_from_json(cfg, k: int) -> TrainConfig | None:
 
 def from_json(section: dict) -> LinearModel:
     """Inverse of `to_json`; D is the length of ``column_index``."""
-    class_names = section["class_names"]
-    if not (isinstance(class_names, list) and all(type(c) is str for c in class_names)):
-        raise Malformed("class_names must be a list of strings")
-    k = len(class_names)
-    if k == 0:
-        raise Malformed("linear model has no classes")
+    kind = ModelKind(section["kind"])
+    if section["class_names"] != list(kind.class_names):
+        raise Malformed(
+            f"class_names must be the {kind.value} classes {list(kind.class_names)}, "
+            f"got {section['class_names']!r}"
+        )
+    k = len(kind.class_names)
     columns_raw = _b64decode(section, "columns")
     if len(columns_raw) % (8 * k):
         raise DimensionMismatch(
@@ -351,8 +341,7 @@ def from_json(section: dict) -> LinearModel:
     if not np.isfinite(columns).all():
         raise Malformed("weights must be finite")
     return LinearModel(
-        kind=ModelKind(section["kind"]),
-        class_names=tuple(class_names),
+        kind=kind,
         weights=np.ascontiguousarray(columns[index].T, dtype=np.float64),
         bias=np.array(biases, dtype=np.float64),
         train_config=_train_config_from_json(section["train_config"], k),

@@ -20,7 +20,7 @@ from .errors import Malformed, NoisekitError
 from .features import AnalyzerConfig, AnalyzerMode
 from .metrics import Averaging, ConfusionCounts
 from .reduce import ReduceMethod
-from .textcore import NOISE_CLASSES, Document, NoiseLabelSet, SentimentLabel
+from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +122,7 @@ def cmd_stats(args) -> dict:
 
 def cmd_dedupe(args) -> dict:
     corpus = dataio.load_corpus(args.input, normalize_text=args.normalize)
-    kept, removed = stats.dedupe(corpus.documents, use_raw_text=not args.normalize)
+    kept, removed = stats.dedupe(corpus.documents)
     dataio.save_corpus(kept, args.output)
     return {"input": len(corpus.documents), "kept": len(kept), "removed": removed}
 
@@ -146,7 +146,7 @@ def cmd_train_noise(args) -> dict:
 
 
 def cmd_predict_noise(args) -> dict:
-    tfidf, model = dataio.load_model_bundle(args.model)
+    tfidf, model = dataio.load_model_bundle(args.model, classify.ModelKind.OVR_HINGE)
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
     matrix = features.transform(tfidf, corpus.documents)
     predicted_sets = classify.predict_multilabel(model, matrix)
@@ -197,7 +197,7 @@ def cmd_train_sentiment(args) -> dict:
 
 
 def cmd_predict_sentiment(args) -> dict:
-    tfidf, model = dataio.load_model_bundle(args.model)
+    tfidf, model = dataio.load_model_bundle(args.model, classify.ModelKind.SOFTMAX_WEIGHTED)
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
     matrix = features.transform(tfidf, corpus.documents)
     predicted, probs = classify.predict_sentiment(model, matrix)
@@ -234,7 +234,7 @@ def cmd_import_corpus(args) -> dict:
     if args.sentiment_map:
         for pair in args.sentiment_map.split(","):
             key, sep, value = pair.partition("=")
-            if not sep or value.strip() not in ("neutral", "positive", "negative"):
+            if not sep or value.strip() not in SENTIMENT_CLASSES:
                 raise Malformed(f"bad --sentiment-map entry {pair!r}")
             sentiment_map[key.strip()] = value.strip()
     noise_cols = args.noise_cols.split(",") if args.noise_cols else None
@@ -274,7 +274,7 @@ def cmd_import_corpus(args) -> dict:
             raw = (row.get(args.sentiment_col) or "").strip()
             if raw:
                 mapped = sentiment_map.get(raw, raw.lower())
-                if mapped not in ("neutral", "positive", "negative"):
+                if mapped not in SENTIMENT_CLASSES:
                     raise Malformed(
                         f"unmapped sentiment value {raw!r}", path=args.input, line=lineno
                     )
@@ -317,6 +317,8 @@ def _build_client(args):
 
 
 def cmd_reduce(args) -> dict:
+    import hashlib
+
     method = ReduceMethod(args.method)
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
     dictionary = None
@@ -334,9 +336,10 @@ def cmd_reduce(args) -> dict:
     try:
         reduced_docs = []
         for doc in corpus.documents:
-            # Per-document seeding keeps the masking independent of corpus order.
-            resources.seed = args.seed + len(reduced_docs)
-            text = reduction.reduce_text(doc, method, resources)
+            # Seeding from (seed, id) keeps each document's masks independent of row order.
+            digest = hashlib.blake2b(f"{args.seed}\t{doc.id}".encode(), digest_size=8).digest()
+            resources.seed = int.from_bytes(digest, "big")
+            text = reduction.reduce_text(doc.text, method, resources)
             if not text.strip():
                 # The output file must satisfy the corpus schema (non-empty text).
                 warnings.warn(f"{doc.id}: reduction produced empty text; keeping the original")

@@ -19,7 +19,7 @@ from .agreement import RatingMatrix
 from .errors import BadEncoding, DataError, DimensionMismatch, IoFailure, Malformed
 from .metrics import EmbeddingTable
 from .reduce import Dictionary, FixtureClient, PhoneticTable
-from .textcore import Document, NoiseLabelSet, SentimentLabel, normalize
+from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
 BUNDLE_FORMAT = "noisekit-bundle-v3"
@@ -118,7 +118,7 @@ def load_corpus(path, normalize_text: bool = True) -> CorpusFile:
             raise Malformed("empty text", path=path, line=lineno, column=2)
         sentiment = None
         if fields[2] != "-":
-            if fields[2] not in ("neutral", "positive", "negative"):
+            if fields[2] not in SENTIMENT_CLASSES:
                 raise Malformed(
                     f"sentiment must be neutral/positive/negative/-, got {fields[2]!r}",
                     path=path,
@@ -318,8 +318,8 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def load_model_bundle(path):
-    """Read a v3 bundle and check that featurizer and classifier agree on the dimension."""
+def load_model_bundle(path, kind: classify.ModelKind):
+    """Read a v3 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
     try:
         payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -338,4 +338,6 @@ def load_model_bundle(path):
         raise DimensionMismatch(
             f"{path}: featurizer has {tfidf_model.dim} terms, classifier {linear_model.dim}"
         )
+    if linear_model.kind is not kind:
+        raise Malformed(f"expected model kind {kind.value}, got {linear_model.kind.value}", path=path)
     return tfidf_model, linear_model

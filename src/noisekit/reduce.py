@@ -37,37 +37,21 @@ MASK_TOKEN = "<MASK>"
 class PhoneticTable:
     """Consonant -> articulation-class digit map for one script."""
 
-    def __init__(self, classes: dict[str, str], version: str = "unversioned"):
+    def __init__(self, classes: dict[str, str]):
         for ch, digit in classes.items():
             if len(ch) != 1 or len(digit) != 1 or not digit.isdigit():
                 raise Malformed(f"bad phonetic entry {ch!r} -> {digit!r}")
         self.classes = dict(classes)
-        self.version = version
 
     @classmethod
     def from_file(cls, path) -> "PhoneticTable":
-        from .dataio import read_text  # dataio imports this module
+        return cls(textcore.read_codepoint_table(path, _phonetic_class))
 
-        version = "unversioned"
-        classes = {}
-        for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                if lineno == 1 and raw.startswith("#"):
-                    version = raw.lstrip("#").strip()
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise Malformed("expected CODEPOINT<TAB>digit", path=path, line=lineno)
-            try:
-                ch = textcore._parse_codepoint(fields[0])
-            except ValueError as exc:
-                raise Malformed(str(exc), path=path, line=lineno) from None
-            digit = fields[1].strip()
-            if len(digit) != 1 or not digit.isdigit():
-                raise Malformed(f"class must be one digit, got {digit!r}", path=path, line=lineno)
-            classes[ch] = digit
-        return cls(classes, version=version)
+
+def _phonetic_class(digit: str) -> str:
+    if len(digit) != 1 or not digit.isdigit():
+        raise ValueError(f"class must be one digit, got {digit!r}")
+    return digit
 
 
 def _packaged_table(name: str) -> PhoneticTable:
@@ -174,7 +158,7 @@ class CorrectionResult:
     edits: list[tuple[int, str, str, int]] = field(default_factory=list)
 
 
-def spell_correct(sentence, dictionary: Dictionary, max_dist: int | None = None) -> CorrectionResult:
+def spell_correct(text: str, dictionary: Dictionary, max_dist: int | None = None) -> CorrectionResult:
     """Replace out-of-dictionary words by their phonetically closest dictionary match.
 
     A token is left alone when it is punctuation, digits, non-native script,
@@ -185,7 +169,6 @@ def spell_correct(sentence, dictionary: Dictionary, max_dist: int | None = None)
         raise MissingResource("spell correction needs a non-empty dictionary")
     if max_dist is not None and max_dist < 0:
         raise Malformed(f"edit-distance budget must be >= 0, got {max_dist}")
-    text = sentence.text if isinstance(sentence, textcore.Document) else sentence
     seq = textcore.tokenize(text)
     edits = []
     pieces = []
@@ -239,18 +222,16 @@ def _splice_masks(text: str, seq: textcore.TokenSequence, indices) -> str:
     return "".join(pieces)
 
 
-def mask_oov(sentence, vocab) -> str:
+def mask_oov(text: str, vocab) -> str:
     """Replace every OOV word token by the mask literal; spacing is preserved."""
-    text = sentence.text if isinstance(sentence, textcore.Document) else sentence
     seq = textcore.tokenize(text)
     return _splice_masks(text, seq, detect_oov(seq, vocab))
 
 
-def mask_random(sentence, p: float = 0.2, seed: int = 0) -> str:
+def mask_random(text: str, p: float = 0.2, seed: int = 0) -> str:
     """Mask each word token independently with probability p (seeded, reproducible)."""
     if not 0.0 <= p <= 1.0:
         raise InvalidProbability(f"mask probability must be in [0, 1], got {p}")
-    text = sentence.text if isinstance(sentence, textcore.Document) else sentence
     seq = textcore.tokenize(text)
     rng = random.Random(seed)
     chosen = []
@@ -420,16 +401,15 @@ class SubprocessClient:
         self.close()
 
 
-def back_translate(sentence, client) -> str:
+def back_translate(text: str, client) -> str:
     """Source -> pivot -> source through the client, recorded verbatim."""
-    text = sentence.text if isinstance(sentence, textcore.Document) else sentence
     pivot_text = client.request("translate", client.source, client.pivot, text)
     return client.request("translate", client.pivot, client.source, pivot_text)
 
 
-def paraphrase(sentence, client, dictionary: Dictionary, max_dist: int | None = None) -> str:
+def paraphrase(text: str, client, dictionary: Dictionary, max_dist: int | None = None) -> str:
     """Spell-correct first, then one paraphrase call on the corrected text."""
-    corrected = spell_correct(sentence, dictionary, max_dist=max_dist).corrected
+    corrected = spell_correct(text, dictionary, max_dist=max_dist).corrected
     return client.request("paraphrase", client.source, client.source, corrected)
 
 
@@ -466,9 +446,8 @@ class Resources:
         return value
 
 
-def reduce_text(sentence, method: ReduceMethod, resources: Resources) -> str:
+def reduce_text(text: str, method: ReduceMethod, resources: Resources) -> str:
     """Dispatch one sentence through the chosen reduction method."""
-    text = sentence.text if isinstance(sentence, textcore.Document) else sentence
     if method is ReduceMethod.SPELL:
         dictionary = resources.require("dictionary", method)
         return spell_correct(text, dictionary, max_dist=resources.max_dist).corrected

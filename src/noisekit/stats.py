@@ -14,19 +14,18 @@ from .errors import InsufficientData, Malformed, MissingLabels
 from .textcore import NOISE_CLASSES, Document
 
 
-def dedupe(documents, use_raw_text: bool = False) -> tuple[list[Document], int]:
+def dedupe(documents) -> tuple[list[Document], int]:
     """Drop repeated texts, keeping first occurrences in order.
 
-    By default duplicates are detected on the normalized text; raw-text mode
-    compares texts exactly as loaded.
+    Texts are compared as loaded: a corpus loaded with normalization is
+    deduplicated on normalized text, one loaded raw on raw text.
     """
     seen = set()
     kept = []
     for doc in documents:
-        key = doc.text if use_raw_text else textcore.normalize(doc.text)
-        if key in seen:
+        if doc.text in seen:
             continue
-        seen.add(key)
+        seen.add(doc.text)
         kept.append(doc)
     return kept, len(documents) - len(kept)
 

@@ -61,6 +61,10 @@ class SentimentLabel(enum.IntEnum):
         return self.name.lower()
 
 
+# Sentiment class names in SentimentLabel order, the order of the model's rows.
+SENTIMENT_CLASSES = tuple(label.label for label in SentimentLabel)
+
+
 @dataclass(frozen=True)
 class NoiseLabelSet:
     """Subset of the ten noise categories, stored as a bitmask.
@@ -167,14 +171,13 @@ def char_script(ch: str) -> str | None:
 class PunctuationTable:
     """Single code point -> single code point canonicalization map."""
 
-    def __init__(self, mapping: dict[str, str], version: str = "unversioned"):
+    def __init__(self, mapping: dict[str, str]):
         for src, dst in mapping.items():
             # Idempotence: every target must be a fixed point of the map.
             if mapping.get(dst, dst) != dst:
                 raise Malformed(
                     f"punctuation map is not idempotent: {src!r} -> {dst!r} -> {mapping[dst]!r}"
                 )
-        self.version = version
         self._table = {ord(src): dst for src, dst in mapping.items()}
 
     def apply(self, text: str) -> str:
@@ -182,26 +185,7 @@ class PunctuationTable:
 
     @classmethod
     def from_file(cls, path) -> "PunctuationTable":
-        version = "unversioned"
-        mapping = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    if lineno == 1 and raw.startswith("#"):
-                        version = raw.lstrip("#").strip()
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise Malformed(
-                        "expected FROM<TAB>TO code points", path=path, line=lineno
-                    )
-                try:
-                    src, dst = (_parse_codepoint(f) for f in fields)
-                except ValueError as exc:
-                    raise Malformed(str(exc), path=path, line=lineno) from None
-                mapping[src] = dst
-        return cls(mapping, version=version)
+        return cls(read_codepoint_table(path, _parse_codepoint))
 
 
 def _parse_codepoint(text: str) -> str:
@@ -211,6 +195,28 @@ def _parse_codepoint(text: str) -> str:
     if len(text) == 1:
         return text
     raise ValueError(f"expected U+XXXX or a single character, got {text!r}")
+
+
+def read_codepoint_table(path, parse_value) -> dict:
+    """{character: parse_value(VALUE)} from CODEPOINT<TAB>VALUE lines; '#' starts a comment.
+
+    ``parse_value`` raises ValueError on a bad value; every error names the path and line.
+    """
+    from .dataio import read_text  # dataio imports this module
+
+    table = {}
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise Malformed("expected CODEPOINT<TAB>VALUE", path=path, line=lineno)
+        try:
+            table[_parse_codepoint(fields[0])] = parse_value(fields[1].strip())
+        except ValueError as exc:
+            raise Malformed(str(exc), path=path, line=lineno) from None
+    return table
 
 
 def _load_default_punctuation() -> PunctuationTable:
@@ -229,16 +235,14 @@ def default_punctuation_table() -> PunctuationTable:
     return _DEFAULT_PUNCT
 
 
-def normalize(text: str, table: PunctuationTable | None = None) -> str:
+def normalize(text: str) -> str:
     """Canonicalize a text: NFC, punctuation mapping, whitespace collapse.
 
     Idempotent for every input; empty input yields empty output.
     """
-    if table is None:
-        table = default_punctuation_table()
     s = unicodedata.normalize("NFC", text)
     s = s.replace(NGRAM_JOIN, "")
-    s = table.apply(s)
+    s = default_punctuation_table().apply(s)
     s = " ".join(s.split())
     return unicodedata.normalize("NFC", s)
 

@@ -107,7 +107,7 @@ def test_criterion_3_dataset_statistics():
         need_dataset("sentnob_raw.tsv", "train.tsv", "validation.tsv", "test.tsv")
         start = time.perf_counter()
         raw = load_corpus(DATASET_DIR / "sentnob_raw.tsv", normalize_text=False)
-        _, removed = dedupe(raw.documents, use_raw_text=True)
+        _, removed = dedupe(raw.documents)
         assert removed == 552
 
         documents = []

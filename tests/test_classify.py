@@ -121,7 +121,6 @@ class TestPredictMultilabel:
     def make_model(self, weights, bias):
         return LinearModel(
             kind=ModelKind.OVR_HINGE,
-            class_names=NOISE_CLASSES,
             weights=np.asarray(weights, dtype=float),
             bias=np.asarray(bias, dtype=float),
         )
@@ -265,7 +264,6 @@ class TestPredictSentiment:
     def make_model(self, weights, bias):
         return LinearModel(
             kind=ModelKind.SOFTMAX_WEIGHTED,
-            class_names=("neutral", "positive", "negative"),
             weights=np.asarray(weights, dtype=float),
             bias=np.asarray(bias, dtype=float),
         )
@@ -314,6 +312,14 @@ class TestModelSerialization:
         assert np.array_equal(clone.bias, model.bias)
         assert clone.train_config == model.train_config
 
+    def test_class_names_follow_the_kind(self):
+        assert ModelKind.OVR_HINGE.class_names == NOISE_CLASSES
+        assert ModelKind.SOFTMAX_WEIGHTED.class_names == ("neutral", "positive", "negative")
+        model = LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((3, 2)), np.zeros(3))
+        assert model.class_names == ModelKind.SOFTMAX_WEIGHTED.class_names
+        with pytest.raises(AttributeError):
+            model.class_names = NOISE_CLASSES
+
     def test_serialization_deterministic(self):
         features, labels = separable_points()
         config = TrainConfig(epochs=10, learning_rate=0.2, seed=4)
@@ -346,7 +352,6 @@ class TestCorpusMatrix:
         bias = np.array([-3.0, 0.5, -1.0, -2.0, 0.0, -4.0, -5.0, -6.0, -7.0, -8.0])
         noise = LinearModel(
             kind=ModelKind.OVR_HINGE,
-            class_names=NOISE_CLASSES,
             weights=rng.normal(size=(10, features.dim)),
             bias=bias,
         )
@@ -356,7 +361,6 @@ class TestCorpusMatrix:
         )
         senti = LinearModel(
             kind=ModelKind.SOFTMAX_WEIGHTED,
-            class_names=("neutral", "positive", "negative"),
             weights=rng.normal(size=(3, features.dim)),
             bias=np.array([0.0, -1.0, 2.0]),
         )
@@ -369,7 +373,6 @@ class TestCorpusMatrix:
         _, features = matrix
         model = LinearModel(
             kind=ModelKind.OVR_HINGE,
-            class_names=NOISE_CLASSES,
             weights=np.zeros((10, features.dim + 1)),
             bias=np.zeros(10),
         )

@@ -211,6 +211,22 @@ class TestNoisePipeline:
         error = run_data_error(capsys, f"predict-{task}", str(model), str(small_corpus))
         assert error.startswith(f"ERROR Malformed: {model}: ")
 
+    @pytest.mark.parametrize("task, other", [("noise", "sentiment"), ("sentiment", "noise")])
+    def test_bundle_of_the_other_kind_names_the_file(self, capsys, tmp_path, small_corpus, task, other):
+        model = tmp_path / f"{other}.json"
+        run_json(capsys, f"train-{other}", str(small_corpus), "--epochs", "2", "--out", str(model))
+        error = run_data_error(capsys, f"predict-{task}", str(model), str(small_corpus))
+        assert error.startswith(f"ERROR Malformed: {model}: expected model kind ")
+
+    def test_reversed_class_names_rejected(self, capsys, tmp_path, small_corpus):
+        model = tmp_path / "noise.json"
+        run_json(capsys, "train-noise", str(small_corpus), "--epochs", "2", "--out", str(model))
+        bundle = json.loads(model.read_text(encoding="utf-8"))
+        bundle["linear"]["class_names"].reverse()
+        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+        error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
+        assert error.startswith(f"ERROR Malformed: {model}: class_names must be the ovr_hinge classes")
+
     @pytest.mark.parametrize("task", ["noise", "sentiment"])
     def test_negative_seed_rejected(self, capsys, tmp_path, small_corpus, task):
         model = tmp_path / f"{task}.json"
@@ -375,9 +391,28 @@ class TestReduceCommand:
                 "--dict", str(dict_file), "--seed", "7", "--p", "0.5", "--out", str(out),
             )
         assert a.read_bytes() == b.read_bytes()
+        # Each document is seeded from (seed, id), not from its row position.
         assert hashlib.sha256(a.read_bytes()).hexdigest() == (
-            "76860f17c049af0449910b890c74502e9bf63360e320f61462cfbe57caa7762a"
+            "72d30f68e30afd1c9a01e7a8ac8b12fc9d2d13a91d5bfea331b2ef07cea379d4"
         )
+
+    def test_mask_random_rows_independent_of_row_order(self, capsys, tmp_path):
+        rng = random.Random(3)
+        docs = make_docs([" ".join(rng.choices(WORD_POOL, k=6)) for _ in range(12)])
+        shuffled = docs[:]
+        random.Random(4).shuffle(shuffled)
+        rows = []
+        for name, corpus in (("in", docs), ("shuffled", shuffled)):
+            src, out = tmp_path / f"{name}.tsv", tmp_path / f"{name}-masked.tsv"
+            save_corpus(corpus, src)
+            run_json(
+                capsys, "reduce", str(src), "--method", "mask-random", "--p", "0.5", "--seed", "7",
+                "--dict", str(self.make_dict_file(tmp_path)), "--out", str(out),
+            )
+            rows.append(out.read_text(encoding="utf-8").splitlines()[1:])
+        by_id = {row.split("\t", 1)[0]: row for row in rows[0]}
+        assert rows[1] == [by_id[d.id] for d in shuffled]
+        assert [row.split("\t")[1] for row in rows[0]] != [d.text for d in docs]
 
     def test_mask_oov_output_pinned(self, capsys, tmp_path, small_corpus):
         out = tmp_path / "oov.tsv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from noisekit import dataio
-from noisekit.classify import LinearModel, ModelKind, TrainConfig, train_ovr_hinge
+from noisekit.classify import LinearModel, ModelKind, TrainConfig, to_json, train_ovr_hinge
 from noisekit.dataio import (
     CORPUS_HEADER,
     escape_field,
@@ -259,7 +259,7 @@ def small_bundle():
 
 
 def hand_built_bundle(weights):
-    """A bundle around given (K, D) weights, with one term per column."""
+    """A sentiment bundle around given (3, D) weights, with one term per column."""
     k, d = weights.shape
     tfidf = TfidfModel(
         vocabulary={f"t{i:03d}": i for i in range(d)},
@@ -269,7 +269,6 @@ def hand_built_bundle(weights):
     )
     model = LinearModel(
         kind=ModelKind.SOFTMAX_WEIGHTED,
-        class_names=tuple(f"c{j}" for j in range(k)),
         weights=weights,
         bias=np.array([-0.0] + [0.5] * (k - 1)),
         train_config=TrainConfig(class_weights=(0.5,) * k),
@@ -280,7 +279,11 @@ def hand_built_bundle(weights):
 HAND_BUILT_WEIGHTS = {
     # columns 0, 2 and 4 repeat; columns 1 and 3 differ only in the sign of zero
     "repeated-and-signed-zero": np.array(
-        [[1.5, 0.0, 1.5, -0.0, 1.5, 2.0], [-3.0, 0.0, -3.0, 0.0, -3.0, 1e-300]]
+        [
+            [1.5, 0.0, 1.5, -0.0, 1.5, 2.0],
+            [-3.0, 0.0, -3.0, 0.0, -3.0, 1e-300],
+            [0.5, 0.0, 0.5, 0.0, 0.5, 0.0],
+        ]
     ),
     "one-term": np.array([[0.25], [-0.0], [7.0]]),
 }
@@ -301,6 +304,13 @@ def _recode(linear, key, edit):
     linear[key] = base64.b64encode(raw).decode("ascii")
 
 
+def _sentiment_classifier(bundle, class_names):
+    """Swap in a valid sentiment classifier of the same dimension, then set its class_names."""
+    dim = len(bundle["tfidf"]["terms"])
+    bundle["linear"] = to_json(LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((3, dim)), np.zeros(3)))
+    bundle["linear"]["class_names"] = class_names
+
+
 def _index_past_end(linear):
     columns = len(base64.b64decode(linear["columns"])) // (8 * len(linear["class_names"]))
     _recode(linear, "column_index", lambda raw: np.array([columns], dtype="<u4").tobytes() + raw[4:])
@@ -310,7 +320,7 @@ class TestModelBundle:
     def assert_loads_bit_identical(self, tmp_path, tfidf, model):
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
-        tfidf2, model2 = load_model_bundle(path)
+        tfidf2, model2 = load_model_bundle(path, model.kind)
         assert tfidf2.vocabulary == tfidf.vocabulary
         # tobytes, not array_equal: -0.0 == 0.0 would hide a lost sign
         assert model2.weights.tobytes() == model.weights.tobytes()
@@ -332,7 +342,7 @@ class TestModelBundle:
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
         linear = json.loads(path.read_text(encoding="utf-8"))["linear"]
-        assert len(base64.b64decode(linear["columns"])) == 4 * 2 * 8
+        assert len(base64.b64decode(linear["columns"])) == 4 * 3 * 8
         index = np.frombuffer(base64.b64decode(linear["column_index"]), dtype="<u4")
         assert len(index) == 6 and index[0] == index[2] == index[4] != index[1] != index[3]
 
@@ -340,13 +350,13 @@ class TestModelBundle:
         path = tmp_path / "model.json"
         path.write_text('{"version": "other"}', encoding="utf-8")
         with pytest.raises(Malformed):
-            load_model_bundle(path)
+            load_model_bundle(path, ModelKind.OVR_HINGE)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         tfidf, model = small_bundle()
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         save_model_bundle(first, tfidf, model)
-        tfidf2, model2 = load_model_bundle(first)
+        tfidf2, model2 = load_model_bundle(first, model.kind)
         save_model_bundle(second, tfidf2, model2)
         assert first.read_bytes() == second.read_bytes()
         assert np.array_equal(tfidf2.idf, tfidf.idf)
@@ -392,6 +402,10 @@ class TestModelBundle:
             (lambda b: b["tfidf"]["config"].update(min_df=2.5), Malformed, "min_df must be integers"),
             (lambda b: b["tfidf"]["terms"].__setitem__(-1, 10**6), Malformed, "terms must be a list of strings"),
             (lambda b: b["linear"].update(class_names=list(range(10))), Malformed, "class_names must be"),
+            (lambda b: b["linear"]["class_names"].reverse(), Malformed, "class_names must be the ovr_hinge classes"),
+            (lambda b: b["linear"].update(class_names="local_word"), Malformed, "got 'local_word'"),
+            (lambda b: _sentiment_classifier(b, ["neutral", "neutral", "negative"]), Malformed, "class_names must be the softmax_weighted"),
+            (lambda b: _sentiment_classifier(b, ["a", "b", "c"]), Malformed, r"got \['a', 'b', 'c'\]"),
             (lambda b: b["linear"]["biases"].__setitem__(0, "0.5"), Malformed, "biases must be finite numbers"),
             (lambda b: b["linear"]["biases"].__setitem__(0, float("-inf")), Malformed, "biases must be finite"),
             (lambda b: b["linear"]["train_config"].update(c="1.0"), Malformed, "c and learning_rate must be finite"),
@@ -412,8 +426,19 @@ class TestModelBundle:
         corrupt(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(error, match=message) as excinfo:
-            load_model_bundle(path)
+            load_model_bundle(path, ModelKind.OVR_HINGE)
         assert str(path) in str(excinfo.value)
+
+    def test_swapped_in_sentiment_classifier_loads(self, tmp_path):
+        """Control for the class_names cases above: with the right names the bundle is valid."""
+        tfidf, model = small_bundle()
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        _sentiment_classifier(payload, ["neutral", "positive", "negative"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        _, loaded = load_model_bundle(path, ModelKind.SOFTMAX_WEIGHTED)
+        assert loaded.class_names == ("neutral", "positive", "negative")
 
 
 class TestHumanTalliesLoader:

@@ -14,7 +14,7 @@ from noisekit.stats import (
     label_correlation,
     length_histogram,
 )
-from noisekit.textcore import NOISE_CLASSES
+from noisekit.textcore import NOISE_CLASSES, normalize
 
 from conftest import make_docs
 
@@ -32,10 +32,10 @@ class TestDedupe:
         assert [d.id for d in kept] == ["d0", "d2"]
 
     def test_normalized_mode_catches_whitespace_variants(self):
-        docs = make_docs(["a b", "a  b"])
-        kept_norm, removed_norm = dedupe(docs)
+        texts = ["a b", "a  b"]
+        kept_norm, removed_norm = dedupe(make_docs([normalize(t) for t in texts]))
         assert removed_norm == 1
-        kept_raw, removed_raw = dedupe(docs, use_raw_text=True)
+        kept_raw, removed_raw = dedupe(make_docs(texts))
         assert removed_raw == 0 and len(kept_raw) == 2
 
     def test_idempotent(self):

@@ -4,13 +4,15 @@ import unicodedata
 import pytest
 
 from noisekit import textcore
-from noisekit.errors import Malformed
+from noisekit.errors import BadEncoding, Malformed
+from noisekit.reduce import PhoneticTable
 from noisekit.textcore import (
     NGRAM_JOIN,
     NoiseLabelSet,
     PunctuationTable,
     char_ngrams,
     normalize,
+    read_codepoint_table,
     tokenize,
     word_ngrams,
 )
@@ -65,6 +67,35 @@ class TestNormalize:
     def test_custom_table_rejects_non_fixed_point(self):
         with pytest.raises(Malformed):
             PunctuationTable({"a": "b", "b": "c"})
+
+
+class TestCodepointTable:
+    def test_comments_blank_lines_and_both_codepoint_forms(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# header\n\nU+2018\tU+0027  # quote\nx\ty\n", encoding="utf-8")
+        assert read_codepoint_table(path, str.upper) == {"\u2018": "U+0027", "x": "Y"}
+        assert PunctuationTable.from_file(path).apply("\u2018x") == "'y"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("# c\nU+0062\t1\t2\n", "expected CODEPOINT<TAB>VALUE"),
+            ("# c\nbb\t1\n", "expected U\\+XXXX or a single character"),
+            ("# c\nU+0062\t12\n", "class must be one digit"),
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, content, reason):
+        path = tmp_path / "t.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(Malformed, match=reason) as excinfo:
+            PhoneticTable.from_file(path)
+        assert (excinfo.value.path, excinfo.value.line) == (path, 2)
+
+    def test_read_through_the_checked_text_reader(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"U+2018\tU+0027\n\xff\n")
+        with pytest.raises(BadEncoding, match="t.tsv"):
+            PunctuationTable.from_file(path)
 
 
 class TestTokenize:
