@@ -82,6 +82,17 @@ class LinearModel:
     bias: np.ndarray  # (n_classes,)
     train_config: TrainConfig | None = None
 
+    def __post_init__(self):
+        k = len(self.kind.class_names)
+        if self.weights.ndim != 2 or self.weights.shape[0] != k:
+            raise DimensionMismatch(
+                f"{self.kind.value} weights must be ({k}, D), got shape {self.weights.shape}"
+            )
+        if self.bias.shape != (k,):
+            raise DimensionMismatch(
+                f"{self.kind.value} bias count must be {k}, got shape {self.bias.shape}"
+            )
+
     @property
     def class_names(self) -> tuple[str, ...]:
         return self.kind.class_names
@@ -336,8 +347,6 @@ def from_json(section: dict) -> LinearModel:
     biases = section["biases"]
     if not _finite_numbers(biases):
         raise Malformed("biases must be finite numbers")
-    if len(biases) != k:
-        raise DimensionMismatch("bias count does not match class count")
     if not np.isfinite(columns).all():
         raise Malformed("weights must be finite")
     return LinearModel(

@@ -327,19 +327,15 @@ def cmd_reduce(args) -> dict:
         dictionary = dataio.load_dictionary(args.dict, phonetic_table=table)
     client = _build_client(args)
     resources = reduction.Resources(
-        dictionary=dictionary,
-        client=client,
-        mask_probability=args.p,
-        seed=args.seed,
-        max_dist=args.max_dist,
+        dictionary=dictionary, client=client, mask_probability=args.p, max_dist=args.max_dist
     )
     try:
         reduced_docs = []
         for doc in corpus.documents:
             # Seeding from (seed, id) keeps each document's masks independent of row order.
             digest = hashlib.blake2b(f"{args.seed}\t{doc.id}".encode(), digest_size=8).digest()
-            resources.seed = int.from_bytes(digest, "big")
-            text = reduction.reduce_text(doc.text, method, resources)
+            seed = int.from_bytes(digest, "big")
+            text = reduction.reduce_text(doc.text, method, resources, seed)
             if not text.strip():
                 # The output file must satisfy the corpus schema (non-empty text).
                 warnings.warn(f"{doc.id}: reduction produced empty text; keeping the original")

@@ -232,6 +232,9 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
+_FIXTURE_FIELDS = ("task", "src", "tgt", "text_in", "text_out")
+
+
 def load_fixture(path, source: str = "bn", pivot: str = "en") -> FixtureClient:
     """JSON-lines fixture; on duplicate keys the last entry wins with a warning."""
     content = read_text(path)
@@ -243,11 +246,15 @@ def load_fixture(path, source: str = "bn", pivot: str = "en") -> FixtureClient:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise Malformed(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
-        missing = {"task", "src", "tgt", "text_in", "text_out"} - set(record)
+        if not isinstance(record, dict):
+            raise Malformed("fixture entry must be a JSON object", path=path, line=lineno)
+        missing = set(_FIXTURE_FIELDS) - set(record)
         if missing:
             raise Malformed(
                 f"fixture entry missing {sorted(missing)}", path=path, line=lineno
             )
+        if not all(isinstance(record[f], str) for f in _FIXTURE_FIELDS):
+            raise Malformed("fixture fields must be strings", path=path, line=lineno)
         key = (record["task"], record["src"], record["tgt"], record["text_in"])
         if key in entries:
             warnings.warn(f"{path}, line {lineno}: duplicate fixture key {key!r}; last entry wins")
@@ -260,12 +267,12 @@ def load_rating_matrix(path) -> RatingMatrix:
     from .errors import MalformedMatrix
 
     content = read_text(path)
-    lines = [line for line in content.split("\n") if line.strip()]
+    lines = [(n, line) for n, line in enumerate(content.split("\n"), start=1) if line.strip()]
     if len(lines) < 2:
         raise Malformed("need a header row and at least one item row", path=path, line=1)
-    categories = tuple(lines[0].split("\t"))
+    categories = tuple(lines[0][1].split("\t"))
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != len(categories):
             raise Malformed(

@@ -107,16 +107,15 @@ class Dictionary:
     def __init__(self, freq: dict[str, int], table: PhoneticTable | None = None):
         self.table = table if table is not None else bengali_phonetic_table()
         self.freq = {w: int(c) for w, c in freq.items()}
-        self.words = set(self.freq)
         self.phonetic_index: dict[str, list[str]] = defaultdict(list)
-        for word in sorted(self.words):
+        for word in sorted(self.freq):
             self.phonetic_index[phonetic_encode(word, self.table)].append(word)
         self.phonetic_index = dict(self.phonetic_index)
         self.native_script = self._majority_script()
 
     def _majority_script(self) -> str | None:
         counts = Counter()
-        for word in self.words:
+        for word in self.freq:
             for ch in word:
                 script = textcore.char_script(ch)
                 if script is not None:
@@ -127,10 +126,10 @@ class Dictionary:
         return min(counts, key=lambda s: (-counts[s], s))
 
     def __contains__(self, word: str) -> bool:
-        return word in self.words
+        return word in self.freq
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.freq)
 
 
 def default_max_dist(word: str) -> int:
@@ -165,7 +164,7 @@ def spell_correct(text: str, dictionary: Dictionary, max_dist: int | None = None
     already in the dictionary, or when no same-code candidate lies within the
     edit-distance budget.
     """
-    if not dictionary.words:
+    if not dictionary.freq:
         raise MissingResource("spell correction needs a non-empty dictionary")
     if max_dist is not None and max_dist < 0:
         raise Malformed(f"edit-distance budget must be >= 0, got {max_dist}")
@@ -244,48 +243,22 @@ def mask_random(text: str, p: float = 0.2, seed: int = 0) -> str:
 
 
 class NgramMaskFiller:
-    """Fallback mask predictor: left-bigram argmax with unigram-frequency backoff.
+    """Fallback mask predictor: every mask gets the most frequent word.
 
-    Both argmaxes are fixed at construction (ties: higher count, then lexicographic).
+    The word is fixed at construction (ties: higher count, then lexicographic).
     """
 
-    def __init__(self, bigrams: dict[tuple[str, str], int], unigrams: dict[str, int]):
-        self._next: dict[str, str] = {}
-        for (left, right), _ in sorted(bigrams.items(), key=lambda kv: (-kv[1], kv[0][1])):
-            self._next.setdefault(left, right)
-        self._fallback = min(unigrams, key=lambda w: (-unigrams[w], w)) if unigrams else None
-
-    @classmethod
-    def from_corpus(cls, texts, dictionary: Dictionary | None = None) -> "NgramMaskFiller":
-        bigrams: Counter = Counter()
-        unigrams: Counter = Counter()
-        for text in texts:
-            words = [t for t in textcore.tokenize(text).tokens if not textcore.is_punct_token(t)]
-            unigrams.update(words)
-            bigrams.update(zip(words, words[1:]))
-        if dictionary is not None:
-            unigrams.update(dictionary.freq)
-        return cls(bigrams, unigrams)
+    def __init__(self, unigrams: dict[str, int]):
+        self._word = min(unigrams, key=lambda w: (-unigrams[w], w)) if unigrams else None
 
     @classmethod
     def from_dictionary(cls, dictionary: Dictionary) -> "NgramMaskFiller":
-        return cls({}, dictionary.freq)
-
-    def _predict(self, left: str | None) -> str:
-        if left in self._next:
-            return self._next[left]
-        if self._fallback is None:
-            raise PredictorFailure("mask filler has an empty vocabulary")
-        return self._fallback
+        return cls(dictionary.freq)
 
     def fill(self, masked: str) -> str:
-        parts = masked.split(MASK_TOKEN)
-        out = parts[0]
-        for part in parts[1:]:
-            words = [t for t in textcore.tokenize(out).tokens if not textcore.is_punct_token(t)]
-            left = words[-1] if words else None
-            out += self._predict(left) + part
-        return out
+        if self._word is None:
+            raise PredictorFailure("mask filler has an empty vocabulary")
+        return masked.replace(MASK_TOKEN, self._word)
 
 
 def fill_masks(masked: str, predictor) -> str:
@@ -302,8 +275,6 @@ def fill_masks(masked: str, predictor) -> str:
 
 class FixtureClient:
     """Read-only client answering from recorded (task, src, tgt, text) tuples."""
-
-    kind = "fixture"
 
     def __init__(self, entries: dict[tuple[str, str, str, str], str], source: str = "bn", pivot: str = "en"):
         self.entries = dict(entries)
@@ -325,10 +296,9 @@ class SubprocessClient:
     """One exclusive child process speaking line-oriented JSON.
 
     Request: {"id", "task", "src", "tgt", "text"}; response: {"id", "text"},
-    one per line, in order.
+    one per line, in order. A dead child shows as a failed write or as end of
+    file on read; either raises `ClientUnavailable` with its exit status.
     """
-
-    kind = "subprocess"
 
     def __init__(self, command, source: str = "bn", pivot: str = "en"):
         self.argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -338,10 +308,8 @@ class SubprocessClient:
         self._next_id = 0
 
     def _ensure_started(self):
-        if self._proc is not None and self._proc.poll() is None:
-            return
         if self._proc is not None:
-            raise ClientUnavailable(f"client exited with status {self._proc.returncode}")
+            return
         try:
             self._proc = subprocess.Popen(
                 self.argv,
@@ -366,22 +334,24 @@ class SubprocessClient:
             self._proc.stdin.write(message + "\n")
             self._proc.stdin.flush()
             line = self._proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise ClientUnavailable(f"client pipe failed: {exc}") from exc
+        except OSError:  # BrokenPipeError: the child is gone
+            line = ""
         if not line:
             status = self._proc.wait()
-            raise ClientUnavailable(f"client closed its output (exit status {status})")
+            raise ClientUnavailable(f"client closed its pipes (exit status {status})")
         try:
             response = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ClientUnavailable(f"client sent invalid JSON: {exc}") from exc
+        if not isinstance(response, dict):
+            raise ClientUnavailable(f"client reply is not a JSON object: {line.strip()[:80]}")
         if response.get("id") != rid:
             raise ClientUnavailable(
                 f"client answered out of order (sent id {rid}, got {response.get('id')!r})"
             )
-        if "text" not in response:
-            raise ClientUnavailable("client response carries no text field")
-        return str(response["text"])
+        if not isinstance(response.get("text"), str):
+            raise ClientUnavailable("client reply has no string text field")
+        return response["text"]
 
     def close(self):
         if self._proc is None:
@@ -423,20 +393,19 @@ class ReduceMethod(Enum):
 
 @dataclass
 class Resources:
-    """Everything a reduction method may need; the dispatcher checks presence.
+    """What the reduction methods of one run need; the dispatcher checks presence.
 
-    A missing mask_filler is derived from the dictionary once, at construction.
+    The mask filler is derived from the dictionary once, at construction.
     """
 
     dictionary: Dictionary | None = None
     client: object | None = None
-    mask_filler: object | None = None
     mask_probability: float = 0.2
-    seed: int = 0
     max_dist: int | None = None
+    mask_filler: NgramMaskFiller | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.mask_filler is None and self.dictionary is not None:
+        if self.dictionary is not None:
             self.mask_filler = NgramMaskFiller.from_dictionary(self.dictionary)
 
     def require(self, name: str, method: ReduceMethod):
@@ -446,8 +415,8 @@ class Resources:
         return value
 
 
-def reduce_text(text: str, method: ReduceMethod, resources: Resources) -> str:
-    """Dispatch one sentence through the chosen reduction method."""
+def reduce_text(text: str, method: ReduceMethod, resources: Resources, seed: int = 0) -> str:
+    """Dispatch one sentence through the chosen reduction method; `seed` drives mask-random."""
     if method is ReduceMethod.SPELL:
         dictionary = resources.require("dictionary", method)
         return spell_correct(text, dictionary, max_dist=resources.max_dist).corrected
@@ -461,11 +430,10 @@ def reduce_text(text: str, method: ReduceMethod, resources: Resources) -> str:
     if method is ReduceMethod.MASK_OOV_FILL:
         masked = mask_oov(text, resources.require("dictionary", method))
     elif method is ReduceMethod.MASK_RANDOM_FILL:
-        masked = mask_random(text, p=resources.mask_probability, seed=resources.seed)
+        masked = mask_random(text, p=resources.mask_probability, seed=seed)
     else:
         raise MissingResource(f"unknown reduction method {method!r}")
     if MASK_TOKEN not in masked:
         return masked
-    if resources.mask_filler is None:
-        raise MissingResource(f"method {method.value} needs a mask_filler or dictionary")
+    resources.require("dictionary", method)
     return fill_masks(masked, resources.mask_filler)

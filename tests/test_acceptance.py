@@ -210,7 +210,7 @@ def test_criterion_6_property_suites(tmp_path):
 
         # Spell-correct identity and idempotence on 1,000 dictionary sentences.
         dictionary = Dictionary(dict(BASE_VOCAB), table=latin_test_phonetic_table())
-        words = sorted(dictionary.words)
+        words = sorted(dictionary.freq)
         for _ in range(1_000):
             sentence = " ".join(rng.choice(words) for _ in range(rng.randint(1, 8)))
             once = spell_correct(sentence, dictionary)

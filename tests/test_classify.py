@@ -320,6 +320,21 @@ class TestModelSerialization:
         with pytest.raises(AttributeError):
             model.class_names = NOISE_CLASSES
 
+    @pytest.mark.parametrize(
+        "kind, weights, bias, message",
+        [
+            (ModelKind.SOFTMAX_WEIGHTED, np.zeros((2, 6)), np.zeros(2), r"weights must be \(3, D\)"),
+            (ModelKind.SOFTMAX_WEIGHTED, np.zeros((3, 6)), np.zeros(2), "bias count must be 3"),
+            (ModelKind.OVR_HINGE, np.zeros((3, 6)), np.zeros(3), r"weights must be \(10, D\)"),
+            (ModelKind.OVR_HINGE, np.zeros(10), np.zeros(10), r"got shape \(10,\)"),
+            (ModelKind.OVR_HINGE, np.zeros((10, 6)), np.zeros((10, 1)), "bias count must be 10"),
+        ],
+    )
+    def test_shapes_checked_at_construction(self, kind, weights, bias, message):
+        # A model that could not be loaded back is never built, so never saved.
+        with pytest.raises(DimensionMismatch, match=message):
+            LinearModel(kind, weights, bias)
+
     def test_serialization_deterministic(self):
         features, labels = separable_points()
         config = TrainConfig(epochs=10, learning_rate=0.2, seed=4)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -474,6 +475,22 @@ class TestReduceCommand:
         assert code == 3
         assert err.startswith("ERROR FixtureMiss:")
 
+    @pytest.mark.parametrize("reply", ["5", "{'id': json.loads(line)['id'], 'text': None}"])
+    def test_bad_client_reply_exits_3(self, capsys, tmp_path, small_corpus, reply):
+        script = tmp_path / "client.py"
+        script.write_text(
+            f"import sys, json\nfor line in sys.stdin:\n    print(json.dumps({reply}), flush=True)\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "bt.tsv"
+        code, _, err = run_cli(
+            capsys, "reduce", str(small_corpus), "--method", "backtranslate",
+            "--client", shlex.join([sys.executable, str(script)]), "--out", str(out),
+        )
+        assert code == 3, err
+        assert err.startswith("ERROR ClientUnavailable:")
+        assert not out.exists()
+
     def test_missing_phonetic_table(self, capsys, tmp_path, small_corpus):
         table = tmp_path / "missing.tsv"
         error = run_data_error(
@@ -798,6 +815,8 @@ MALFORMED_INPUT_CASES = {
     "reduce-bad-phonetic-table": ["reduce", "{corpus}", "--method", "spell", "--dict", "{dict}", "--phonetic-table", "{wrong_header}", "--out", "{out}"],
     "reduce-non-json-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{corpus}", "--out", "{out}"],
     "reduce-empty-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{empty}", "--out", "{out}"],
+    "reduce-scalar-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{scalar_fixture}", "--out", "{out}"],
+    "reduce-int-text-fixture": ["reduce", "{corpus}", "--method", "paraphrase", "--dict", "{dict}", "--fixture", "{int_text_fixture}", "--out", "{out}"],
     "reduce-bad-probability": ["reduce", "{corpus}", "--method", "mask-random", "--p", "nan", "--dict", "{dict}", "--out", "{out}"],
     "eval-missing-truth": ["eval-reduction", "{corpus}", "--truth", "{missing}"],
     "eval-header-only-output": ["eval-reduction", "{header_only}", "--truth", "{corpus}"],
@@ -816,7 +835,7 @@ class TestMalformedInputSweep:
     def sweep_files(self, tmp_path, small_corpus):
         files = {name: tmp_path / name for name in (
             "missing", "binary", "header_only", "wrong_header", "empty", "csv", "dict",
-            "inf_embeddings", "bundle", "nan_bundle", "model", "out",
+            "inf_embeddings", "bundle", "nan_bundle", "model", "out", "scalar_fixture", "int_text_fixture",
         )}
         files["binary"].write_bytes(b"id\ttext\tsentiment\tnoise\nd0\t\xff\xfe\t-\t-\n")
         files["header_only"].write_text(CORPUS_HEADER + "\n", encoding="utf-8")
@@ -825,6 +844,11 @@ class TestMalformedInputSweep:
         files["csv"].write_text("text,label\nkhub bhalo,1\n", encoding="utf-8")
         files["dict"].write_text("khub\t10\nbhalo\t8\n", encoding="utf-8")
         files["inf_embeddings"].write_text("2 2\nkhub 1.0 inf\nbhalo 0.0 1.0\n", encoding="utf-8")
+        files["scalar_fixture"].write_text("5\n", encoding="utf-8")
+        files["int_text_fixture"].write_text("".join(
+            json.dumps({"task": "paraphrase", "src": "bn", "tgt": "bn", "text_in": d.text, "text_out": 5}) + "\n"
+            for d in load_corpus(small_corpus).documents
+        ), encoding="utf-8")
         assert main(["train-noise", str(small_corpus), "--epochs", "2", "--out", str(files["bundle"])]) == 0
         bundle = json.loads(files["bundle"].read_text(encoding="utf-8"))
         bundle["linear"]["biases"][0] = float("nan")

@@ -234,6 +234,18 @@ class TestFixtureLoader:
         with pytest.raises(Malformed):
             load_fixture(write(tmp_path, "f.jsonl", "{not json}\n"))
 
+    @pytest.mark.parametrize("line, message", [
+        ("5", "must be a JSON object"),
+        ('["task"]', "must be a JSON object"),
+        ('{"task": "translate", "src": "bn", "tgt": "en", "text_in": "a", "text_out": 5}', "must be strings"),
+        ('{"task": "translate", "src": "bn", "tgt": "en", "text_in": ["a"], "text_out": "b"}', "must be strings"),
+    ])
+    def test_entry_shape_rejected_with_line(self, tmp_path, line, message):
+        good = '{"task": "translate", "src": "bn", "tgt": "en", "text_in": "x", "text_out": "y"}'
+        with pytest.raises(Malformed, match=message) as excinfo:
+            load_fixture(write(tmp_path, "f.jsonl", f"{good}\n\n{line}\n"))
+        assert excinfo.value.line == 3
+
 
 class TestRatingMatrixLoader:
     def test_load(self, tmp_path):
@@ -245,6 +257,11 @@ class TestRatingMatrixLoader:
     def test_ragged_row(self, tmp_path):
         with pytest.raises(Malformed):
             load_rating_matrix(write(tmp_path, "m.tsv", "a\tb\n1\n"))
+
+    def test_error_names_file_line_past_blank_lines(self, tmp_path):
+        with pytest.raises(Malformed, match="counts must be integers") as excinfo:
+            load_rating_matrix(write(tmp_path, "m.tsv", "a\tb\n\n3\t1\n\nx\t1\n"))
+        assert excinfo.value.line == 5
 
     def test_invariant_violation_reported(self, tmp_path):
         with pytest.raises(MalformedMatrix):
