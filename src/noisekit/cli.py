@@ -8,9 +8,11 @@ with 1 for usage problems, 2 for data errors, 3 for client failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -132,9 +134,10 @@ def cmd_train_noise(args) -> dict:
     labeled = [d for d in corpus.documents if d.noise is not None]
     if not labeled:
         raise Malformed(f"{args.train}: no noise-labeled rows to train on")
-    tfidf = features.fit_tfidf(labeled, _analyzer_config(args))
+    texts = [d.text for d in labeled]
+    tfidf = features.fit_tfidf(texts, _analyzer_config(args))
     model = classify.train_ovr_hinge(
-        features.transform(tfidf, labeled), [d.noise for d in labeled], _train_config(args)
+        features.transform(tfidf, texts), [d.noise for d in labeled], _train_config(args)
     )
     dataio.save_model_bundle(args.out, tfidf, model)
     return {
@@ -148,7 +151,7 @@ def cmd_train_noise(args) -> dict:
 def cmd_predict_noise(args) -> dict:
     tfidf, model = dataio.load_model_bundle(args.model, classify.ModelKind.OVR_HINGE)
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
-    matrix = features.transform(tfidf, corpus.documents)
+    matrix = features.transform(tfidf, [d.text for d in corpus.documents])
     predicted_sets = classify.predict_multilabel(model, matrix)
     predictions = [
         {"id": d.id, "noise": p.to_bits(), "labels": list(p.names())}
@@ -181,9 +184,10 @@ def cmd_train_sentiment(args) -> dict:
         for doc in labeled:
             counts[int(doc.sentiment)] += 1
         weights = classify.compute_class_weights(counts)
-    tfidf = features.fit_tfidf(labeled, _analyzer_config(args))
+    texts = [d.text for d in labeled]
+    tfidf = features.fit_tfidf(texts, _analyzer_config(args))
     model = classify.train_softmax_weighted(
-        features.transform(tfidf, labeled),
+        features.transform(tfidf, texts),
         [d.sentiment for d in labeled],
         _train_config(args, class_weights=weights),
     )
@@ -199,7 +203,7 @@ def cmd_train_sentiment(args) -> dict:
 def cmd_predict_sentiment(args) -> dict:
     tfidf, model = dataio.load_model_bundle(args.model, classify.ModelKind.SOFTMAX_WEIGHTED)
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
-    matrix = features.transform(tfidf, corpus.documents)
+    matrix = features.transform(tfidf, [d.text for d in corpus.documents])
     predicted, probs = classify.predict_sentiment(model, matrix)
     predictions = [
         {
@@ -259,13 +263,16 @@ def cmd_import_corpus(args) -> dict:
         raise Malformed(f"{args.input}: no data rows")
     for i, row in enumerate(rows):
         lineno = i + 2
-        if row[args.text_col] is None:
-            raise Malformed(f"missing column {args.text_col!r}", path=args.input, line=lineno)
+        for col in (args.text_col, args.id_col):
+            if col is not None and row[col] is None:
+                raise Malformed(f"missing column {col!r}", path=args.input, line=lineno)
         text = row[args.text_col]
         if not text or not text.strip():
             skipped_empty += 1
             continue
         doc_id = row[args.id_col] if args.id_col else f"r{i + 1}"
+        if not doc_id:
+            raise Malformed("empty id", path=args.input, line=lineno)
         if doc_id in seen_ids:
             raise Malformed(f"duplicate id {doc_id!r}", path=args.input, line=lineno)
         seen_ids.add(doc_id)
@@ -307,10 +314,10 @@ def cmd_import_corpus(args) -> dict:
 
 
 def _build_client(args):
-    if args.client and args.fixture:
-        raise Malformed("--client and --fixture are mutually exclusive")
     if args.client:
-        return reduction.SubprocessClient(args.client, source=args.src_lang, pivot=args.pivot_lang)
+        return reduction.SubprocessClient(
+            shlex.split(args.client), source=args.src_lang, pivot=args.pivot_lang
+        )
     if args.fixture:
         return dataio.load_fixture(args.fixture, source=args.src_lang, pivot=args.pivot_lang)
     return None
@@ -350,13 +357,16 @@ def cmd_reduce(args) -> dict:
     return {"method": method.value, "documents": len(reduced_docs), "out": str(args.out)}
 
 
-def _texts_in_id_order(path, ids: list[str], normalize_text: bool) -> list[str]:
-    """A corpus's texts in the order of `ids`, which must be exactly its id set."""
-    by_id = {d.id: d.text for d in dataio.load_corpus(path, normalize_text=normalize_text)}
+def _documents_in_id_order(path, ids: list[str], normalize_text: bool, reference: str):
+    """A corpus's documents in the order of `ids`, which must be exactly its id set.
+
+    `reference` names the file that `ids` come from, for the error message.
+    """
+    by_id = {d.id: d for d in dataio.load_corpus(path, normalize_text=normalize_text).documents}
     unmatched = sorted(by_id.keys() ^ set(ids))
     if unmatched:
         raise Malformed(
-            f"{len(unmatched)} ids not shared with the truth file, first {unmatched[0]!r}",
+            f"{len(unmatched)} ids not shared with {reference}, first {unmatched[0]!r}",
             path=path,
         )
     return [by_id[i] for i in ids]
@@ -366,15 +376,15 @@ def cmd_eval_reduction(args) -> dict:
     truth = dataio.load_corpus(args.truth, normalize_text=args.normalize)
     truth_ids = [d.id for d in truth.documents]
     truth_texts = [d.text for d in truth.documents]
-    resources = metrics.EvalResources()
-    if args.inputs:
-        resources.inputs = _texts_in_id_order(args.inputs, truth_ids, args.normalize)
-    if args.embeddings:
-        resources.embeddings = dataio.load_embeddings(args.embeddings)
-    if args.dict:
-        resources.coverage_vocab = dataio.load_dictionary(args.dict)
-    if args.human_tallies:
-        resources.human_tallies = dataio.load_human_tallies(args.human_tallies)
+
+    def texts_in_truth_order(path):
+        docs = _documents_in_id_order(path, truth_ids, args.normalize, "the truth file")
+        return [d.text for d in docs]
+
+    inputs = texts_in_truth_order(args.inputs) if args.inputs else None
+    embeddings = dataio.load_embeddings(args.embeddings) if args.embeddings else None
+    coverage_vocab = dataio.load_dictionary(args.dict) if args.dict else None
+    tallies = dataio.load_human_tallies(args.human_tallies) if args.human_tallies else None
     # A report is named by its file stem, so two outputs must not share one.
     paths = {}
     for output_path in args.outputs:
@@ -384,11 +394,12 @@ def cmd_eval_reduction(args) -> dict:
                 f"outputs {paths[name]} and {output_path} share the method name {name!r}"
             )
         paths[name] = output_path
-    outputs = {
-        name: _texts_in_id_order(path, truth_ids, args.normalize) for name, path in paths.items()
-    }
-    reports = metrics.evaluate_reduction(outputs, truth_texts, resources)
-    return {"reports": [r.as_dict() for r in reports]}
+    outputs = {name: texts_in_truth_order(path) for name, path in paths.items()}
+    reports = metrics.evaluate_reduction(
+        outputs, truth_texts, inputs=inputs, embeddings=embeddings,
+        coverage_vocab=coverage_vocab, human_tallies=tallies,
+    )
+    return {"reports": [dataclasses.asdict(r) for r in reports]}
 
 
 def cmd_agreement(args) -> dict:
@@ -399,17 +410,16 @@ def cmd_agreement(args) -> dict:
             "items": matrix.n_items,
             "raters_per_item": matrix.raters_per_item,
         }
-    annotator = dataio.load_corpus(args.annotator, normalize_text=args.normalize)
-    gold = dataio.load_corpus(args.gold, normalize_text=args.normalize)
-    by_id = {d.id: d for d in gold.documents}
-    if set(by_id) != {d.id for d in annotator.documents}:
-        raise Malformed("annotator and gold files carry different ids")
+    annotator = dataio.load_corpus(args.annotator, normalize_text=args.normalize).documents
+    gold = _documents_in_id_order(
+        args.gold, [d.id for d in annotator], args.normalize, "the annotator file"
+    )
     ann_labels, gold_labels = [], []
-    for doc in annotator.documents:
-        if doc.noise is None or by_id[doc.id].noise is None:
-            raise Malformed(f"row {doc.id}: both files need noise labels")
-        ann_labels.append(doc.noise)
-        gold_labels.append(by_id[doc.id].noise)
+    for ann, ref in zip(annotator, gold):
+        if ann.noise is None or ref.noise is None:
+            raise Malformed(f"row {ann.id}: both files need noise labels")
+        ann_labels.append(ann.noise)
+        gold_labels.append(ref.noise)
     mode = "jaccard" if args.jaccard else "exact"
     score, passed = agreement.trustworthiness(
         ann_labels, gold_labels, threshold=args.threshold, mode=mode
@@ -516,8 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=[m.value for m in ReduceMethod])
     p.add_argument("--dict", help="dictionary file (word<TAB>frequency)")
     p.add_argument("--phonetic-table", help="override the packaged phonetic class table")
-    p.add_argument("--client", help="subprocess translator command line")
-    p.add_argument("--fixture", help="JSONL fixture file answering client requests")
+    translator = p.add_mutually_exclusive_group()
+    translator.add_argument("--client", help="subprocess translator command line")
+    translator.add_argument("--fixture", help="JSONL fixture file answering client requests")
     p.add_argument("--src-lang", default="bn")
     p.add_argument("--pivot-lang", default="en")
     p.add_argument("--p", type=float, default=0.2, help="random masking probability")

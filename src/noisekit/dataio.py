@@ -32,12 +32,6 @@ _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 class CorpusFile:
     documents: list[Document] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
-
 
 def escape_field(text: str) -> str:
     return "".join(_ESCAPES.get(ch, ch) for ch in text)
@@ -143,9 +137,8 @@ def load_corpus(path, normalize_text: bool = True) -> CorpusFile:
     return CorpusFile(documents=documents)
 
 
-def save_corpus(corpus, path) -> None:
+def save_corpus(documents: list[Document], path) -> None:
     """Write rows in order, LF endings; output is bit-deterministic."""
-    documents = corpus.documents if isinstance(corpus, CorpusFile) else corpus
     lines = [CORPUS_HEADER]
     for doc in documents:
         sentiment = doc.sentiment.label if doc.sentiment is not None else "-"

@@ -78,9 +78,9 @@ def analyzer_terms(text: str, config: AnalyzerConfig) -> list[str]:
     if config.mode is AnalyzerMode.CHAR:
         return textcore.char_ngrams(text, config.n_min, config.n_max)
     if config.mode is AnalyzerMode.WORD:
-        return textcore.word_ngrams(textcore.tokenize(text), config.n_min, config.n_max)
+        return textcore.word_ngrams(textcore.tokenize(text).tokens, config.n_min, config.n_max)
     chars = textcore.char_ngrams(text, config.n_min, config.n_max)
-    words = textcore.word_ngrams(textcore.tokenize(text), config.n_min, config.n_max)
+    words = textcore.word_ngrams(textcore.tokenize(text).tokens, config.n_min, config.n_max)
     return [_CHAR_TAG + g for g in chars] + [_WORD_TAG + g for g in words]
 
 
@@ -111,8 +111,8 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-def fit_tfidf(corpus, config: AnalyzerConfig | None = None) -> TfidfModel:
-    """Build vocabulary and document frequencies from a corpus of Documents.
+def fit_tfidf(texts: list[str], config: AnalyzerConfig | None = None) -> TfidfModel:
+    """Build vocabulary and document frequencies from a corpus of texts.
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1; indices are assigned by
     lexicographic term order, so shuffling the corpus yields an identical
@@ -120,17 +120,15 @@ def fit_tfidf(corpus, config: AnalyzerConfig | None = None) -> TfidfModel:
     """
     if config is None:
         config = AnalyzerConfig()
-    docs = list(corpus)
-    if not docs:
+    if not texts:
         raise EmptyCorpus("cannot fit a TF-IDF model on an empty corpus")
     df: dict[str, int] = {}
-    for doc in docs:
-        text = doc.text if isinstance(doc, textcore.Document) else doc
+    for text in texts:
         for term in set(analyzer_terms(text, config)):
             df[term] = df.get(term, 0) + 1
     if config.min_df > 1:
         df = {t: c for t, c in df.items() if c >= config.min_df}
-    n = len(docs)
+    n = len(texts)
     if not df:
         raise InsufficientData(
             f"no term occurs in at least min_df={config.min_df} of {n} documents"
@@ -144,12 +142,11 @@ def fit_tfidf(corpus, config: AnalyzerConfig | None = None) -> TfidfModel:
     )
 
 
-def transform(model: TfidfModel, docs) -> FeatureMatrix:
-    """Featurize Documents or strings, one row each: tf * idf, then L2-normalized."""
+def transform(model: TfidfModel, texts: list[str]) -> FeatureMatrix:
+    """Featurize texts, one row each: tf * idf, then L2-normalized."""
     vocab = model.vocabulary
     indptr, indices, values = array("q", [0]), array("q"), array("d")
-    for doc in docs:
-        text = doc.text if isinstance(doc, textcore.Document) else doc
+    for text in texts:
         counts: dict[int, int] = {}
         for term in analyzer_terms(text, model.config):
             idx = vocab.get(term)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +29,16 @@ from .errors import (
 EPSILON = 1e-9
 
 
-def _tokens(value) -> list[str]:
-    """Accept a TokenSequence, a list of tokens, or a raw string."""
-    if isinstance(value, textcore.TokenSequence):
-        return list(value.tokens)
-    if isinstance(value, str):
-        return list(textcore.tokenize(value).tokens)
-    return list(value)
-
-
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate, reference, max_n: int = 4) -> float:
+def bleu(cand: list[str], ref: list[str], max_n: int = 4) -> float:
     """Geometric mean of clipped n-gram precisions times the brevity penalty.
 
     Zero precisions are floored at a tiny epsilon instead of zeroing the
     whole score; an empty candidate scores 0.
     """
-    cand = _tokens(candidate)
-    ref = _tokens(reference)
     if not ref:
         raise EmptyReference("BLEU needs a non-empty reference")
     if not cand:
@@ -82,10 +71,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return previous[len(b)]
 
 
-def rouge_l(candidate, reference) -> float:
+def rouge_l(cand: list[str], ref: list[str]) -> float:
     """LCS-based F-score over word tokens."""
-    cand = _tokens(candidate)
-    ref = _tokens(reference)
     lcs = _lcs_length(cand, ref)
     precision = lcs / len(cand) if cand else 0.0
     recall = lcs / len(ref) if ref else 0.0
@@ -94,9 +81,9 @@ def rouge_l(candidate, reference) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def word_coverage(tokens, vocab) -> float:
+def word_coverage(tokens: list[str], vocab) -> float:
     """Percentage of word tokens found in the vocabulary; punctuation excluded."""
-    words = [t for t in _tokens(tokens) if not textcore.is_punct_token(t)]
+    words = [t for t in tokens if not textcore.is_punct_token(t)]
     if not words:
         raise EmptyInput("word coverage needs at least one word token")
     known = sum(1 for t in words if t in vocab)
@@ -124,11 +111,11 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def sentence_similarity(candidate, reference, table: EmbeddingTable) -> float:
+def sentence_similarity(cand: list[str], ref: list[str], table: EmbeddingTable) -> float:
     """Cosine of mean word vectors, skipping OOV words; 0 when a side is fully OOV."""
     sides = []
-    for value in (candidate, reference):
-        vecs = [table.vectors[t] for t in _tokens(value) if t in table]
+    for tokens in (cand, ref):
+        vecs = [table.vectors[t] for t in tokens if t in table]
         if not vecs:
             return 0.0
         sides.append(np.mean(vecs, axis=0))
@@ -263,46 +250,34 @@ class ReductionReport:
             if value is not None and not low - EPSILON <= value <= high + EPSILON:
                 raise InvalidCounts(f"{name} score {value} outside [{low}, {high}]")
 
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "word_coverage": self.word_coverage,
-            "embedding_similarity": self.embedding_similarity,
-            "composite": self.composite,
-            "human_eval": self.human_eval,
-        }
+
+def _token_lists(texts: list[str]) -> list[list[str]]:
+    return [textcore.tokenize(t).tokens for t in texts]
 
 
-@dataclass
-class EvalResources:
-    """Optional inputs for reduction scoring.
+def evaluate_reduction(
+    outputs: dict[str, list[str]],
+    ground_truth: list[str],
+    *,
+    inputs: list[str] | None = None,
+    embeddings: EmbeddingTable | None = None,
+    coverage_vocab=None,
+    human_tallies: dict[str, tuple[int, int]] | None = None,
+) -> list[ReductionReport]:
+    """Score each method's outputs against the manually corrected references.
 
     ``inputs`` are the original noisy sentences (needed for the composite
     self-overlap penalty); ``coverage_vocab`` falls back to the embedding
     table when unset; ``human_tallies`` maps method -> (accurate, total).
     """
-
-    inputs: list[str] | None = None
-    embeddings: EmbeddingTable | None = None
-    coverage_vocab: object | None = None
-    human_tallies: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-
-def evaluate_reduction(outputs: dict[str, list[str]], ground_truth: list[str], resources: EvalResources | None = None) -> list[ReductionReport]:
-    """Score each method's outputs against the manually corrected references."""
-    if resources is None:
-        resources = EvalResources()
-    truth_tokens = [_tokens(t) for t in ground_truth]
+    truth_tokens = _token_lists(ground_truth)
     input_tokens = None
-    if resources.inputs is not None:
-        if len(resources.inputs) != len(ground_truth):
-            raise LengthMismatch(
-                f"{len(resources.inputs)} inputs vs {len(ground_truth)} references"
-            )
-        input_tokens = [_tokens(t) for t in resources.inputs]
-    vocab = resources.coverage_vocab if resources.coverage_vocab is not None else resources.embeddings
+    if inputs is not None:
+        if len(inputs) != len(ground_truth):
+            raise LengthMismatch(f"{len(inputs)} inputs vs {len(ground_truth)} references")
+        input_tokens = _token_lists(inputs)
+    vocab = coverage_vocab if coverage_vocab is not None else embeddings
+    human_tallies = human_tallies or {}
 
     reports = []
     for method in sorted(outputs):
@@ -313,13 +288,12 @@ def evaluate_reduction(outputs: dict[str, list[str]], ground_truth: list[str], r
             )
         bleu_scores, rouge_scores, semantic_scores, composite_scores = [], [], [], []
         all_tokens: list[str] = []
-        for i, sentence in enumerate(sentences):
-            out_tokens = _tokens(sentence)
+        for i, out_tokens in enumerate(_token_lists(sentences)):
             all_tokens.extend(out_tokens)
             bleu_scores.append(bleu(out_tokens, truth_tokens[i]))
             rouge_scores.append(rouge_l(out_tokens, truth_tokens[i]))
-            if resources.embeddings is not None:
-                semantic = sentence_similarity(out_tokens, truth_tokens[i], resources.embeddings)
+            if embeddings is not None:
+                semantic = sentence_similarity(out_tokens, truth_tokens[i], embeddings)
                 semantic_scores.append(semantic)
                 if input_tokens is not None:
                     surface = bleu(out_tokens, input_tokens[i])
@@ -328,8 +302,8 @@ def evaluate_reduction(outputs: dict[str, list[str]], ground_truth: list[str], r
         if vocab is not None and any(not textcore.is_punct_token(t) for t in all_tokens):
             coverage = word_coverage(all_tokens, vocab)
         human = None
-        if method in resources.human_tallies:
-            accurate, total = resources.human_tallies[method]
+        if method in human_tallies:
+            accurate, total = human_tallies[method]
             human = human_eval_score(accurate, total)
         reports.append(
             ReductionReport(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import shlex
 import subprocess
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -300,8 +299,8 @@ class SubprocessClient:
     file on read; either raises `ClientUnavailable` with its exit status.
     """
 
-    def __init__(self, command, source: str = "bn", pivot: str = "en"):
-        self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+    def __init__(self, argv: list[str], source: str = "bn", pivot: str = "en"):
+        self.argv = list(argv)
         self.source = source
         self.pivot = pivot
         self._proc: subprocess.Popen | None = None

@@ -134,15 +134,6 @@ class TokenSequence:
     tokens: list[str] = field(default_factory=list)
     spans: list[tuple[int, int]] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
-
 
 def _is_separator_char(ch: str) -> bool:
     """Punctuation or symbol code points become their own tokens."""
@@ -289,13 +280,12 @@ def char_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
     return grams
 
 
-def word_ngrams(tokens, n_min: int, n_max: int) -> list[str]:
+def word_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
     """Contiguous token windows joined by the reserved separator character."""
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}, {n_max}")
-    toks = list(tokens)
     grams = []
     for n in range(n_min, n_max + 1):
-        for i in range(len(toks) - n + 1):
-            grams.append(NGRAM_JOIN.join(toks[i : i + n]))
+        for i in range(len(tokens) - n + 1):
+            grams.append(NGRAM_JOIN.join(tokens[i : i + n]))
     return grams

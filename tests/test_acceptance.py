@@ -26,7 +26,6 @@ from noisekit.metrics import (
     Averaging,
     ConfusionCounts,
     EmbeddingTable,
-    EvalResources,
     bleu,
     evaluate_reduction,
     human_eval_score,
@@ -129,13 +128,14 @@ def test_criterion_3_dataset_statistics():
 
 def _train_and_score(documents, test_documents, mode):
     config = AnalyzerConfig(mode=mode, n_min=1, n_max=4)
-    tfidf = fit_tfidf(documents, config)
+    texts = [d.text for d in documents]
+    tfidf = fit_tfidf(texts, config)
     model = train_ovr_hinge(
-        transform(tfidf, documents),
+        transform(tfidf, texts),
         [d.noise for d in documents],
         TrainConfig(c=1.0, epochs=20, learning_rate=0.5, seed=0),
     )
-    predicted = predict_multilabel(model, transform(tfidf, test_documents))
+    predicted = predict_multilabel(model, transform(tfidf, [d.text for d in test_documents]))
     counts = ConfusionCounts.from_multilabel([d.noise for d in test_documents], predicted)
     _, _, f1 = prf(counts, Averaging.MICRO)
     return f1
@@ -175,8 +175,9 @@ def test_criterion_5_identity_fixture_reduction():
             dim=4,
             vectors={w: np.array([1.0 + i, i % 3, (i * 7) % 5, 1.0]) for i, w in enumerate(words)},
         )
-        resources = EvalResources(inputs=sentences, embeddings=table)
-        report = evaluate_reduction({"identity": outputs}, sentences, resources)[0]
+        report = evaluate_reduction(
+            {"identity": outputs}, sentences, inputs=sentences, embeddings=table
+        )[0]
         assert report.bleu == 1.0
         assert report.rouge_l == 1.0
         assert report.composite < report.embedding_similarity
@@ -271,7 +272,7 @@ def test_criterion_6_property_suites(tmp_path):
             first = path.read_bytes()
             loaded = load_corpus(path, normalize_text=False)
             assert loaded.documents == docs
-            save_corpus(loaded, path)
+            save_corpus(loaded.documents, path)
             assert path.read_bytes() == first
 
 

@@ -114,7 +114,7 @@ class TestStatsAndDedupe:
         save_corpus(docs, src)
         result = run_json(capsys, "dedupe", str(src), str(dst))
         assert result == {"input": 3, "kept": 2, "removed": 1}
-        assert len(load_corpus(dst)) == 2
+        assert len(load_corpus(dst).documents) == 2
 
     def test_dedupe_raw_mode(self, capsys, tmp_path):
         docs = make_docs(["a b", "a  b", "c"])
@@ -371,7 +371,7 @@ class TestReduceCommand:
             "--phonetic-table", "src/noisekit/data/phonetic_bn.tsv",
             "--out", str(out),
         )
-        assert len(load_corpus(out)) == 3
+        assert len(load_corpus(out).documents) == 3
 
     def test_negative_max_dist_rejected(self, capsys, tmp_path, small_corpus):
         out = tmp_path / "reduced.tsv"
@@ -446,7 +446,8 @@ class TestReduceCommand:
             capsys, "reduce", str(small_corpus), "--method", "mask-random", "--p", "0",
             "--out", str(out),
         )
-        assert [d.text for d in load_corpus(out)] == [d.text for d in load_corpus(small_corpus)]
+        texts = [d.text for d in load_corpus(out).documents]
+        assert texts == [d.text for d in load_corpus(small_corpus).documents]
 
     def test_backtranslate_with_fixture(self, capsys, tmp_path, small_corpus):
         corpus = load_corpus(small_corpus)
@@ -490,6 +491,17 @@ class TestReduceCommand:
         assert code == 3, err
         assert err.startswith("ERROR ClientUnavailable:")
         assert not out.exists()
+
+    def test_client_and_fixture_are_mutually_exclusive(self, capsys, tmp_path, small_corpus):
+        out = tmp_path / "bt.tsv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reduce", str(small_corpus), "--method", "backtranslate", "--client", "translator",
+                  "--fixture", str(tmp_path / "fx.jsonl"), "--out", str(out)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+        assert errors == ["ERROR Usage: argument --fixture: not allowed with argument --client"]
+        assert captured.out == "" and not out.exists()
 
     def test_missing_phonetic_table(self, capsys, tmp_path, small_corpus):
         table = tmp_path / "missing.tsv"
@@ -641,6 +653,34 @@ class TestAgreementCommands:
                 "score": 90.0, "pass": passed, "threshold": float(threshold), "mode": "exact"
             }
 
+    def trust_files(self, tmp_path, ann_docs):
+        gold_docs = make_docs(["t" + str(i) for i in range(4)], noises=["1000000000"] * 4)
+        gold, ann = tmp_path / "gold.tsv", tmp_path / "ann.tsv"
+        save_corpus(gold_docs, gold)
+        save_corpus(ann_docs(gold_docs), ann)
+        return str(ann), str(gold)
+
+    def test_trust_rows_matched_by_id(self, capsys, tmp_path):
+        ann, gold = self.trust_files(tmp_path, lambda docs: docs[::-1])
+        result = run_json(capsys, "agreement", "trust", ann, gold)
+        assert result["score"] == 100.0
+
+    def test_trust_ids_must_match(self, capsys, tmp_path):
+        ann, gold = self.trust_files(
+            tmp_path, lambda docs: docs[:-1] + [Document(id="x", text="t", noise=docs[0].noise)]
+        )
+        error = run_data_error(capsys, "agreement", "trust", ann, gold)
+        assert error == (
+            f"ERROR Malformed: {gold}: 2 ids not shared with the annotator file, first 'd3'"
+        )
+
+    def test_trust_row_without_noise_labels(self, capsys, tmp_path):
+        ann, gold = self.trust_files(
+            tmp_path, lambda docs: docs[:2] + [Document(id="d2", text="t2")] + docs[3:]
+        )
+        error = run_data_error(capsys, "agreement", "trust", ann, gold)
+        assert error == "ERROR Malformed: row d2: both files need noise labels"
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "100.5"])
     def test_trust_threshold_outside_percent_range_is_usage_error(self, capsys, small_corpus, threshold):
         corpus = str(small_corpus)
@@ -726,6 +766,21 @@ class TestImportCorpus:
         assert "ERROR Usage: argument --delimiter" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "row,reason",
+        [("khub bhalo", "missing column 'Id'"), ("khub bhalo,", "empty id")],
+        ids=["short-row", "empty-id"],
+    )
+    def test_bad_id_cell_rejected(self, capsys, tmp_path, row, reason):
+        src = tmp_path / "up.csv"
+        src.write_text(f"Data,Id\nonek sundor,r1\n{row}\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        error = run_data_error(
+            capsys, "import-corpus", str(src), str(out), "--text-col", "Data", "--id-col", "Id"
+        )
+        assert error == f"ERROR Malformed: {src}, line 3: {reason}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flag,value,column",
         [
             ("--id-col", "nope", "nope"),
@@ -779,6 +834,16 @@ class TestErrorsAndUx:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["documents"] == 3
+
+
+def test_reduce_and_textcore_import_without_numpy():
+    src = str(Path(noisekit.__file__).resolve().parents[1])
+    code = "import sys, noisekit.reduce, noisekit.textcore; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # Each case runs one subcommand on a malformed input; placeholders name files of `sweep_files`.

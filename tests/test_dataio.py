@@ -52,7 +52,7 @@ class TestLoadCorpus:
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "c.tsv", CORPUS_HEADER + "\n")
         corpus = load_corpus(path)
-        assert len(corpus) == 0
+        assert corpus.documents == []
 
     def test_schema_application(self, tmp_path):
         path = write(tmp_path, "c.tsv", CORPUS_HEADER + "\nr1\tsome text\tpositive\t0100000000\n")
@@ -140,7 +140,7 @@ class TestRoundTrip:
             loaded = load_corpus(path, normalize_text=False)
             assert loaded.documents == docs
             first_bytes = path.read_bytes()
-            save_corpus(loaded, path)
+            save_corpus(loaded.documents, path)
             assert path.read_bytes() == first_bytes
 
     def test_tab_escaped(self, tmp_path):
@@ -155,7 +155,7 @@ class TestRoundTrip:
         path = write(tmp_path, "c.tsv", body)
         loaded = load_corpus(path)
         out = tmp_path / "again.tsv"
-        save_corpus(loaded, out)
+        save_corpus(loaded.documents, out)
         assert out.read_bytes() == path.read_bytes()
 
 
@@ -270,8 +270,9 @@ class TestRatingMatrixLoader:
 
 def small_bundle():
     docs = make_docs(["aab x", "bba y", "abab z"], noises=["1000000000", "0100000000", "1100000000"])
-    tfidf = fit_tfidf(docs, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=2))
-    model = train_ovr_hinge(transform(tfidf, docs), [d.noise for d in docs], TrainConfig(epochs=5))
+    texts = [d.text for d in docs]
+    tfidf = fit_tfidf(texts, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=2))
+    model = train_ovr_hinge(transform(tfidf, texts), [d.noise for d in docs], TrainConfig(epochs=5))
     return tfidf, model
 
 

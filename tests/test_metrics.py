@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from functools import lru_cache
@@ -10,7 +11,6 @@ from noisekit.metrics import (
     Averaging,
     ConfusionCounts,
     EmbeddingTable,
-    EvalResources,
     ReductionReport,
     bleu,
     composite_similarity,
@@ -21,7 +21,7 @@ from noisekit.metrics import (
     sentence_similarity,
     word_coverage,
 )
-from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet
+from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, tokenize
 
 from conftest import random_word
 
@@ -51,8 +51,9 @@ class TestBleu:
         with pytest.raises(EmptyReference):
             bleu(["a"], [])
 
-    def test_accepts_strings(self):
-        assert bleu("the cat", "the cat") == pytest.approx(1.0)
+    def test_tokenized_sentence(self):
+        tokens = tokenize("the cat").tokens
+        assert bleu(tokens, list(tokens)) == pytest.approx(1.0)
 
     def test_bounds_and_relabeling_fuzz(self):
         rng = random.Random(73)
@@ -268,8 +269,7 @@ class TestEvaluateReduction:
         table = small_table()
         inputs = ["cat dog", "pet cat"]
         truth = ["cat dog", "pet cat"]
-        resources = EvalResources(inputs=inputs, embeddings=table)
-        reports = evaluate_reduction({"noisy": list(inputs)}, truth, resources)
+        reports = evaluate_reduction({"noisy": list(inputs)}, truth, inputs=inputs, embeddings=table)
         report = reports[0]
         assert report.embedding_similarity == pytest.approx(1.0)
         assert report.composite < report.embedding_similarity
@@ -278,23 +278,22 @@ class TestEvaluateReduction:
         truth = ["a b", "c d"]
         outputs = {"m": ["a b", "c x"]}
         reports = evaluate_reduction(outputs, truth)
-        per_sentence = [bleu("a b", "a b"), bleu("c x", "c d")]
+        per_sentence = [bleu(["a", "b"], ["a", "b"]), bleu(["c", "x"], ["c", "d"])]
         assert reports[0].bleu == pytest.approx(sum(per_sentence) / 2)
-        rouge_per_sentence = [rouge_l("a b", "a b"), rouge_l("c x", "c d")]
+        rouge_per_sentence = [rouge_l(["a", "b"], ["a", "b"]), rouge_l(["c", "x"], ["c", "d"])]
         assert reports[0].rouge_l == pytest.approx(sum(rouge_per_sentence) / 2)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             evaluate_reduction({"m": ["a"]}, ["a", "b"])
         with pytest.raises(LengthMismatch):
-            evaluate_reduction({"m": ["a", "b"]}, ["a", "b"], EvalResources(inputs=["a"]))
+            evaluate_reduction({"m": ["a", "b"]}, ["a", "b"], inputs=["a"])
 
     def test_human_tallies_and_coverage(self, latin_dict):
         truth = ["the cat"]
-        resources = EvalResources(
-            coverage_vocab=latin_dict, human_tallies={"m": (379, 1000)}
-        )
-        report = evaluate_reduction({"m": ["the zz"]}, truth, resources)[0]
+        report = evaluate_reduction(
+            {"m": ["the zz"]}, truth, coverage_vocab=latin_dict, human_tallies={"m": (379, 1000)}
+        )[0]
         assert report.word_coverage == pytest.approx(50.0)
         assert report.human_eval == pytest.approx(37.90)
 
@@ -313,4 +312,4 @@ class TestReductionReportValidation:
 
     def test_valid_report(self):
         report = ReductionReport(method="m", bleu=0.5, embedding_similarity=-0.2)
-        assert report.as_dict()["bleu"] == 0.5
+        assert dataclasses.asdict(report)["bleu"] == 0.5

@@ -155,10 +155,6 @@ class TestWordNgrams:
         assert word_ngrams(["a", "b"], 1, 2) == ["a", "b", f"a{NGRAM_JOIN}b"]
         assert word_ngrams(["a"], 2, 2) == []
 
-    def test_accepts_token_sequence(self):
-        seq = tokenize("a b")
-        assert word_ngrams(seq, 1, 1) == ["a", "b"]
-
     def test_count_formula(self):
         rng = random.Random(4)
         for n_tokens in range(0, 12):
