@@ -15,16 +15,11 @@ class RatingMatrix:
     """items x categories count matrix with a fixed number of raters per item."""
 
     counts: np.ndarray
-    category_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.size == 0:
             raise MalformedMatrix("rating matrix must be 2-dimensional and non-empty")
-        if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == counts.astype(np.int64)):
-                raise MalformedMatrix("rating counts must be integers")
-            counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise MalformedMatrix("rating counts must be non-negative")
         row_sums = counts.sum(axis=1)
@@ -93,13 +88,13 @@ def trustworthiness(
     annotator: list[NoiseLabelSet],
     control_gold: list[NoiseLabelSet],
     threshold: float = 90.0,
-    mode: str = "exact",
+    jaccard: bool = False,
 ) -> tuple[float, bool]:
     """Score an annotator against hidden control samples.
 
-    ``exact`` counts items whose label set equals gold exactly; ``jaccard``
-    averages per-item label overlap instead. Passing is inclusive at the
-    threshold.
+    By default an item earns credit when its label set equals gold exactly;
+    with ``jaccard`` it earns its per-item label overlap instead. Passing is
+    inclusive at the threshold.
     """
     if len(annotator) != len(control_gold):
         raise LengthMismatch(
@@ -107,9 +102,7 @@ def trustworthiness(
         )
     if not annotator:
         raise LengthMismatch("no control samples")
-    if mode == "exact":
-        credit = sum(1.0 for a, g in zip(annotator, control_gold) if a == g)
-    elif mode == "jaccard":
+    if jaccard:
         credit = 0.0
         for a, g in zip(annotator, control_gold):
             union = a.mask | g.mask
@@ -118,6 +111,6 @@ def trustworthiness(
             else:
                 credit += bin(a.mask & g.mask).count("1") / bin(union).count("1")
     else:
-        raise MalformedMatrix(f"unknown trustworthiness mode {mode!r}")
+        credit = sum(1.0 for a, g in zip(annotator, control_gold) if a == g)
     score = 100.0 * credit / len(annotator)
     return score, score >= threshold

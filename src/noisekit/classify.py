@@ -178,16 +178,6 @@ def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> Lin
     return LinearModel(ModelKind.OVR_HINGE, weights, bias, train_config=config)
 
 
-def hinge_objective(w: np.ndarray, b: float, features: FeatureMatrix, y, c: float) -> float:
-    """Primal objective of one binary hinge classifier (used as a test oracle too)."""
-    total = 0.5 * float(np.dot(w, w))
-    for i, yi in enumerate(y):
-        idx, val = features.row(i)
-        margin = yi * ((float(w[idx] @ val) if len(idx) else 0.0) + b)
-        total += c * max(0.0, 1.0 - margin)
-    return total
-
-
 def predict_multilabel(model: LinearModel, features: FeatureMatrix) -> list[NoiseLabelSet]:
     """Per row, every class with a non-negative decision value, else the argmax class."""
     if model.kind is not ModelKind.OVR_HINGE:
@@ -201,29 +191,6 @@ def predict_multilabel(model: LinearModel, features: FeatureMatrix) -> list[Nois
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - np.max(z, axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):
-    """Weighted cross-entropy loss with L2 term, plus its analytic gradient.
-
-    loss = sum_i cw[y_i] * (-ln softmax(W x_i + b)_{y_i}) + ||W||^2 / (2c)
-    """
-    k, _ = weights.shape
-    loss = float(np.sum(weights * weights)) / (2.0 * c)
-    grad_w = weights / c
-    grad_b = np.zeros(k, dtype=np.float64)
-    for i, yi in enumerate(label_idx):
-        idx, val = features.row(i)
-        z = (weights[:, idx] @ val if len(idx) else np.zeros(k)) + bias
-        p = _softmax(z)
-        cw = class_weights[yi]
-        loss -= cw * float(np.log(p[yi]))
-        delta = cw * p
-        delta[yi] -= cw
-        if len(idx):
-            grad_w[:, idx] += delta[:, None] * val[None, :]
-        grad_b += delta
-    return loss, grad_w, grad_b
 
 
 def train_softmax_weighted(features: FeatureMatrix, labels, config: TrainConfig) -> LinearModel:

@@ -17,10 +17,10 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import agreement, classify, dataio, features, metrics, reduce as reduction, stats
+from . import agreement, classify, dataio, features, metrics, reduce as reduction, stats, textcore
 from .errors import Malformed, NoisekitError
 from .features import AnalyzerConfig, AnalyzerMode
-from .metrics import Averaging, ConfusionCounts
+from .metrics import ConfusionCounts
 from .reduce import ReduceMethod
 from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel
 
@@ -97,28 +97,15 @@ def _train_config(args, class_weights=None) -> classify.TrainConfig:
     )
 
 
-def _prf_block(counts: ConfusionCounts) -> dict:
-    block = {}
-    for avg in Averaging:
-        p, r, f1 = metrics.prf(counts, avg)
-        block[avg.value] = {"precision": round(p, 6), "recall": round(r, 6), "f1": round(f1, 6)}
-    per_class = {}
-    for j, name in enumerate(counts.class_names):
-        p, r, f1 = metrics._prf_one(counts.tp[j], counts.fp[j], counts.fn[j])
-        per_class[name] = {"precision": round(p, 6), "recall": round(r, 6), "f1": round(f1, 6)}
-    block["per_class"] = per_class
-    return block
-
-
 def cmd_stats(args) -> dict:
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
     summary = stats.corpus_summary(corpus.documents, bin_width=args.bin_width)
     if args.hist_tsv:
         hist = stats.length_histogram(corpus.documents, bin_width=args.bin_width)
-        dataio.write_text(args.hist_tsv, stats.histogram_tsv(hist))
+        textcore.write_text(args.hist_tsv, stats.histogram_tsv(hist))
     if args.corr_tsv:
         matrix = stats.label_correlation(corpus.documents)
-        dataio.write_text(args.corr_tsv, stats.correlation_tsv(matrix))
+        textcore.write_text(args.corr_tsv, stats.correlation_tsv(matrix))
     return summary
 
 
@@ -163,7 +150,7 @@ def cmd_predict_noise(args) -> dict:
     ]
     if scored:
         counts = ConfusionCounts.from_multilabel(*map(list, zip(*scored)))
-        result["metrics"] = _prf_block(counts)
+        result["metrics"] = metrics.prf_report(counts)
     if args.out:
         out_docs = [
             Document(id=d.id, text=d.text, sentiment=d.sentiment, noise=p)
@@ -220,7 +207,7 @@ def cmd_predict_sentiment(args) -> dict:
     if scored:
         gold, labels = map(list, zip(*scored))
         counts = ConfusionCounts.from_multiclass(gold, labels, model.class_names)
-        result["metrics"] = _prf_block(counts)
+        result["metrics"] = metrics.prf_report(counts)
     if args.out:
         out_docs = [
             Document(id=d.id, text=d.text, sentiment=p, noise=d.noise)
@@ -245,14 +232,15 @@ def cmd_import_corpus(args) -> dict:
     if noise_cols is not None and len(noise_cols) != len(NOISE_CLASSES):
         raise Malformed(f"--noise-cols needs {len(NOISE_CLASSES)} names, got {len(noise_cols)}")
 
-    content = io.StringIO(dataio.read_text(args.input), newline="")
+    content = io.StringIO(textcore.read_text(args.input), newline="")
     reader = csv.DictReader(content, delimiter=args.delimiter)
     try:
         header = reader.fieldnames or []
         for col in (args.text_col, args.id_col, args.sentiment_col, *(noise_cols or ())):
             if col is not None and col not in header:
                 raise Malformed(f"no column {col!r} in the header", path=args.input, line=1)
-        rows = list(reader)
+        # reader.line_num is the file line a row ends on; quoted fields may span lines.
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise Malformed(str(exc), path=args.input, line=reader.line_num) from None
     documents = []
@@ -261,8 +249,7 @@ def cmd_import_corpus(args) -> dict:
     unlabeled_noise = 0
     if not rows and noise_cols:
         raise Malformed(f"{args.input}: no data rows")
-    for i, row in enumerate(rows):
-        lineno = i + 2
+    for i, (lineno, row) in enumerate(rows):
         for col in (args.text_col, args.id_col):
             if col is not None and row[col] is None:
                 raise Malformed(f"missing column {col!r}", path=args.input, line=lineno)
@@ -374,6 +361,8 @@ def _documents_in_id_order(path, ids: list[str], normalize_text: bool, reference
 
 def cmd_eval_reduction(args) -> dict:
     truth = dataio.load_corpus(args.truth, normalize_text=args.normalize)
+    if not truth.documents:
+        raise Malformed(f"{args.truth}: no data rows")
     truth_ids = [d.id for d in truth.documents]
     truth_texts = [d.text for d in truth.documents]
 
@@ -422,7 +411,7 @@ def cmd_agreement(args) -> dict:
         gold_labels.append(ref.noise)
     mode = "jaccard" if args.jaccard else "exact"
     score, passed = agreement.trustworthiness(
-        ann_labels, gold_labels, threshold=args.threshold, mode=mode
+        ann_labels, gold_labels, threshold=args.threshold, jaccard=args.jaccard
     )
     return {"score": score, "pass": passed, "threshold": args.threshold, "mode": mode}
 

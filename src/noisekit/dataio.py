@@ -16,10 +16,11 @@ import numpy as np
 
 from . import classify, features
 from .agreement import RatingMatrix
-from .errors import BadEncoding, DataError, DimensionMismatch, IoFailure, Malformed
+from .errors import DataError, DimensionMismatch, IoFailure, Malformed
 from .metrics import EmbeddingTable
 from .reduce import Dictionary, FixtureClient, PhoneticTable
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
+from .textcore import read_text, write_text
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
 BUNDLE_FORMAT = "noisekit-bundle-v3"
@@ -53,27 +54,6 @@ def unescape_field(text: str, path=None, line=None, column=None) -> str:
             out.append(ch)
             i += 1
     return "".join(out)
-
-
-def read_text(path) -> str:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise BadEncoding(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
-
-
-def write_text(path, content: str) -> None:
-    """Write UTF-8 text with LF line endings; an OS error becomes IoFailure naming the path."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def load_corpus(path, normalize_text: bool = True) -> CorpusFile:
@@ -263,20 +243,20 @@ def load_rating_matrix(path) -> RatingMatrix:
     lines = [(n, line) for n, line in enumerate(content.split("\n"), start=1) if line.strip()]
     if len(lines) < 2:
         raise Malformed("need a header row and at least one item row", path=path, line=1)
-    categories = tuple(lines[0][1].split("\t"))
+    n_categories = len(lines[0][1].split("\t"))
     rows = []
     for lineno, line in lines[1:]:
         parts = line.split("\t")
-        if len(parts) != len(categories):
+        if len(parts) != n_categories:
             raise Malformed(
-                f"expected {len(categories)} counts, got {len(parts)}", path=path, line=lineno
+                f"expected {n_categories} counts, got {len(parts)}", path=path, line=lineno
             )
         try:
             rows.append([int(v) for v in parts])
         except ValueError:
             raise Malformed("counts must be integers", path=path, line=lineno) from None
     try:
-        return RatingMatrix(np.asarray(rows, dtype=np.int64), category_names=categories)
+        return RatingMatrix(np.asarray(rows, dtype=np.int64))
     except MalformedMatrix as exc:
         raise MalformedMatrix(f"{path}: {exc}") from None
 

@@ -111,15 +111,13 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-def fit_tfidf(texts: list[str], config: AnalyzerConfig | None = None) -> TfidfModel:
+def fit_tfidf(texts: list[str], config: AnalyzerConfig) -> TfidfModel:
     """Build vocabulary and document frequencies from a corpus of texts.
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1; indices are assigned by
     lexicographic term order, so shuffling the corpus yields an identical
     model.
     """
-    if config is None:
-        config = AnalyzerConfig()
     if not texts:
         raise EmptyCorpus("cannot fit a TF-IDF model on an empty corpus")
     df: dict[str, int] = {}

@@ -107,9 +107,6 @@ class EmbeddingTable:
     def __contains__(self, word: str) -> bool:
         return word in self.vectors
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def sentence_similarity(cand: list[str], ref: list[str], table: EmbeddingTable) -> float:
     """Cosine of mean word vectors, skipping OOV words; 0 when a side is fully OOV."""
@@ -221,6 +218,21 @@ def prf(counts: ConfusionCounts, averaging: Averaging) -> tuple[float, float, fl
     return tuple(
         sum(s * scores[i] for s, scores in zip(support, per_class)) / total for i in range(3)
     )
+
+
+def prf_report(counts: ConfusionCounts) -> dict:
+    """P/R/F1 under each averaging plus per class, every score rounded to 6 places."""
+
+    def rounded(scores):
+        p, r, f1 = scores
+        return {"precision": round(p, 6), "recall": round(r, 6), "f1": round(f1, 6)}
+
+    report = {avg.value: rounded(prf(counts, avg)) for avg in Averaging}
+    report["per_class"] = {
+        name: rounded(_prf_one(t, f, n))
+        for name, t, f, n in zip(counts.class_names, counts.tp, counts.fp, counts.fn)
+    }
+    return report
 
 
 @dataclass

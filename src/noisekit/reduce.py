@@ -10,6 +10,7 @@ JSON protocol; a fixture client answers from a file so tests stay hermetic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -17,7 +18,6 @@ import subprocess
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources as importlib_resources
 
 from . import textcore
 from .errors import (
@@ -53,18 +53,10 @@ def _phonetic_class(digit: str) -> str:
     return digit
 
 
-def _packaged_table(name: str) -> PhoneticTable:
-    ref = importlib_resources.files("noisekit").joinpath(f"data/{name}")
-    with importlib_resources.as_file(ref) as path:
-        return PhoneticTable.from_file(path)
-
-
+@functools.cache
 def bengali_phonetic_table() -> PhoneticTable:
-    return _packaged_table("phonetic_bn.tsv")
-
-
-def latin_test_phonetic_table() -> PhoneticTable:
-    return _packaged_table("phonetic_latin_test.tsv")
+    with textcore.packaged_data("phonetic_bn.tsv") as path:
+        return PhoneticTable.from_file(path)
 
 
 def phonetic_encode(word: str, table: PhoneticTable) -> str:
@@ -126,9 +118,6 @@ class Dictionary:
 
     def __contains__(self, word: str) -> bool:
         return word in self.freq
-
-    def __len__(self) -> int:
-        return len(self.freq)
 
 
 def default_max_dist(word: str) -> int:

@@ -10,17 +10,19 @@ here are deliberately small and fixed:
 * n-grams = contiguous runs of Unicode scalar values (not grapheme clusters).
 
 The punctuation canonicalization table is a versioned data file shipped with
-the package (``data/punctuation.tsv``) so the mapping stays auditable.
+the package (``data/punctuation.tsv``) so the mapping stays auditable. Text
+files are read and written here too; this module imports no numpy.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import Malformed
+from .errors import BadEncoding, IoFailure, Malformed
 
 # Joiner used to build word n-grams. It is stripped from every input during
 # normalization, so it can never occur inside a token.
@@ -107,14 +109,8 @@ class NoiseLabelSet:
     def has(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.names()
-
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def __iter__(self):
-        return iter(self.names())
 
 
 @dataclass
@@ -133,6 +129,32 @@ class TokenSequence:
 
     tokens: list[str] = field(default_factory=list)
     spans: list[tuple[int, int]] = field(default_factory=list)
+
+
+def read_text(path) -> str:
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
+
+
+def write_text(path, content: str) -> None:
+    """Write UTF-8 text with LF line endings; an OS error becomes IoFailure naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def packaged_data(name: str):
+    """Context manager yielding a filesystem path to the package's ``data/<name>``."""
+    return resources.as_file(resources.files("noisekit").joinpath(f"data/{name}"))
 
 
 def _is_separator_char(ch: str) -> bool:
@@ -193,8 +215,6 @@ def read_codepoint_table(path, parse_value) -> dict:
 
     ``parse_value`` raises ValueError on a bad value; every error names the path and line.
     """
-    from .dataio import read_text  # dataio imports this module
-
     table = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -210,20 +230,10 @@ def read_codepoint_table(path, parse_value) -> dict:
     return table
 
 
-def _load_default_punctuation() -> PunctuationTable:
-    ref = resources.files("noisekit").joinpath("data/punctuation.tsv")
-    with resources.as_file(ref) as path:
-        return PunctuationTable.from_file(path)
-
-
-_DEFAULT_PUNCT: PunctuationTable | None = None
-
-
+@functools.cache
 def default_punctuation_table() -> PunctuationTable:
-    global _DEFAULT_PUNCT
-    if _DEFAULT_PUNCT is None:
-        _DEFAULT_PUNCT = _load_default_punctuation()
-    return _DEFAULT_PUNCT
+    with packaged_data("punctuation.tsv") as path:
+        return PunctuationTable.from_file(path)
 
 
 def normalize(text: str) -> str:

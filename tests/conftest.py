@@ -1,10 +1,11 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noisekit.features import FeatureMatrix
-from noisekit.reduce import Dictionary, latin_test_phonetic_table
+from noisekit.reduce import Dictionary, PhoneticTable
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
 # Latin-script corpus words used across the reduction and metric tests.
@@ -25,6 +26,11 @@ BASE_VOCAB = {
     "good": 14,
     "bad": 13,
 }
+
+
+def latin_test_phonetic_table() -> PhoneticTable:
+    """Small Latin consonant-class table, so reduction tests can use English words."""
+    return PhoneticTable.from_file(Path(__file__).parent / "phonetic_latin_test.tsv")
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +76,37 @@ def csr(rows, dim=None):
         values=np.array(values, dtype=np.float64),
         dim=dim,
     )
+
+
+def hinge_objective(w: np.ndarray, b: float, features: FeatureMatrix, y, c: float) -> float:
+    """Primal objective of one binary hinge classifier: 0.5*||w||^2 + c * sum_i hinge_i."""
+    total = 0.5 * float(np.dot(w, w))
+    for i, yi in enumerate(y):
+        idx, val = features.row(i)
+        margin = yi * ((float(w[idx] @ val) if len(idx) else 0.0) + b)
+        total += c * max(0.0, 1.0 - margin)
+    return total
+
+
+def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):
+    """Weighted cross-entropy loss with L2 term, plus its analytic gradient.
+
+    loss = sum_i cw[y_i] * (-ln softmax(W x_i + b)_{y_i}) + ||W||^2 / (2c)
+    """
+    k, _ = weights.shape
+    loss = float(np.sum(weights * weights)) / (2.0 * c)
+    grad_w = weights / c
+    grad_b = np.zeros(k, dtype=np.float64)
+    for i, yi in enumerate(label_idx):
+        idx, val = features.row(i)
+        z = (weights[:, idx] @ val if len(idx) else np.zeros(k)) + bias
+        e = np.exp(z - np.max(z))
+        p = e / e.sum()
+        cw = class_weights[yi]
+        loss -= cw * float(np.log(p[yi]))
+        delta = cw * p
+        delta[yi] -= cw
+        if len(idx):
+            grad_w[:, idx] += delta[:, None] * val[None, :]
+        grad_b += delta
+    return loss, grad_w, grad_b

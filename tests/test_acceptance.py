@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from noisekit.agreement import RatingMatrix, fleiss_kappa
-from noisekit.classify import compute_class_weights, softmax_loss_grad, train_ovr_hinge, TrainConfig, predict_multilabel
+from noisekit.classify import compute_class_weights, train_ovr_hinge, TrainConfig, predict_multilabel
 from noisekit.cli import main
 from noisekit.dataio import load_corpus, save_corpus
 from noisekit.errors import EmptyReference
@@ -32,11 +32,11 @@ from noisekit.metrics import (
     prf,
     rouge_l,
 )
-from noisekit.reduce import Dictionary, FixtureClient, back_translate, latin_test_phonetic_table, levenshtein, mask_random, spell_correct
+from noisekit.reduce import Dictionary, FixtureClient, back_translate, levenshtein, mask_random, spell_correct
 from noisekit.stats import class_stats, dedupe, label_correlation, length_histogram
 from noisekit.textcore import NOISE_CLASSES
 
-from conftest import BASE_VOCAB, csr, make_docs
+from conftest import BASE_VOCAB, csr, latin_test_phonetic_table, make_docs, softmax_loss_grad
 from test_cli import synth_noise_corpus
 
 DATASET_DIR = Path(os.environ.get("NOISEKIT_DATASET_DIR", Path(__file__).parent / "data" / "nc_sentnob"))

@@ -110,7 +110,7 @@ class TestTrustworthiness:
     def test_jaccard_mode_gives_partial_credit(self):
         gold = self.bits("1100000000")
         near = self.bits("1000000000")
-        score, _ = trustworthiness(near, gold, mode="jaccard")
+        score, _ = trustworthiness(near, gold, jaccard=True)
         assert score == pytest.approx(50.0)
 
     def test_length_mismatch(self):

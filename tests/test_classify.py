@@ -10,10 +10,8 @@ from noisekit.classify import (
     TrainConfig,
     compute_class_weights,
     from_json,
-    hinge_objective,
     predict_multilabel,
     predict_sentiment,
-    softmax_loss_grad,
     to_json,
     train_ovr_hinge,
     train_softmax_weighted,
@@ -22,7 +20,7 @@ from noisekit.errors import DimensionMismatch, EmptyTrainingSet, Malformed, Zero
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
-from conftest import csr
+from conftest import csr, hinge_objective, softmax_loss_grad
 
 
 def vec(*pairs):

@@ -616,6 +616,20 @@ class TestEvalReduction:
         )
         assert error.startswith("ERROR Malformed:") and f"{emb}, line 3" in error
 
+    def test_header_only_truth_rejected(self, tmp_path):
+        # A subprocess, so that numpy warnings printed before the error would show on stderr.
+        truth = tmp_path / "truth.tsv"
+        output = tmp_path / "spell.tsv"
+        save_corpus([], truth)
+        save_corpus([], output)
+        src = str(Path(noisekit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisekit.cli", "eval-reduction", str(output), "--truth", str(truth)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"ERROR Malformed: {truth}: no data rows\n"
+
     def test_outputs_with_same_stem_rejected(self, capsys, tmp_path, eval_files):
         truth, output = eval_files
         other = tmp_path / "other" / "spell.tsv"
@@ -766,18 +780,23 @@ class TestImportCorpus:
         assert "ERROR Usage: argument --delimiter" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "row,reason",
-        [("khub bhalo", "missing column 'Id'"), ("khub bhalo,", "empty id")],
-        ids=["short-row", "empty-id"],
+        "rows,reason,line",
+        [
+            ("khub bhalo", "missing column 'Id'", 3),
+            ("khub bhalo,", "empty id", 3),
+            # The quoted text spans lines 3-4, so the empty id sits on file line 5.
+            ('"khub\nbhalo",r2\nkhub bhalo,', "empty id", 5),
+        ],
+        ids=["short-row", "empty-id", "empty-id-after-two-line-field"],
     )
-    def test_bad_id_cell_rejected(self, capsys, tmp_path, row, reason):
+    def test_bad_id_cell_rejected(self, capsys, tmp_path, rows, reason, line):
         src = tmp_path / "up.csv"
-        src.write_text(f"Data,Id\nonek sundor,r1\n{row}\n", encoding="utf-8")
+        src.write_text(f"Data,Id\nonek sundor,r1\n{rows}\n", encoding="utf-8")
         out = tmp_path / "o.tsv"
         error = run_data_error(
             capsys, "import-corpus", str(src), str(out), "--text-col", "Data", "--id-col", "Id"
         )
-        assert error == f"ERROR Malformed: {src}, line 3: {reason}"
+        assert error == f"ERROR Malformed: {src}, line {line}: {reason}"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -838,7 +857,13 @@ class TestErrorsAndUx:
 
 def test_reduce_and_textcore_import_without_numpy():
     src = str(Path(noisekit.__file__).resolve().parents[1])
-    code = "import sys, noisekit.reduce, noisekit.textcore; print('numpy' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from noisekit import reduce, textcore\n"
+        "textcore.default_punctuation_table()\n"
+        "reduce.bengali_phonetic_table()\n"
+        "print('numpy' in sys.modules)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
     )

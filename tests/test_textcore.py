@@ -170,7 +170,6 @@ class TestNoiseLabelSet:
         labels = NoiseLabelSet.from_bits(bits)
         assert labels.to_bits() == bits
         assert labels.names() == ("word_misuse", "others")
-        assert "word_misuse" in labels
 
     def test_bad_bits(self):
         with pytest.raises(Malformed):
