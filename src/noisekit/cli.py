@@ -120,7 +120,7 @@ def cmd_train_noise(args) -> dict:
     corpus = dataio.load_corpus(args.train, normalize_text=args.normalize)
     labeled = [d for d in corpus.documents if d.noise is not None]
     if not labeled:
-        raise Malformed(f"{args.train}: no noise-labeled rows to train on")
+        raise Malformed("no noise-labeled rows to train on", path=args.train)
     texts = [d.text for d in labeled]
     tfidf = features.fit_tfidf(texts, _analyzer_config(args))
     model = classify.train_ovr_hinge(
@@ -153,8 +153,7 @@ def cmd_predict_noise(args) -> dict:
         result["metrics"] = metrics.prf_report(counts)
     if args.out:
         out_docs = [
-            Document(id=d.id, text=d.text, sentiment=d.sentiment, noise=p)
-            for d, p in zip(corpus.documents, predicted_sets)
+            dataclasses.replace(d, noise=p) for d, p in zip(corpus.documents, predicted_sets)
         ]
         dataio.save_corpus(out_docs, args.out)
     return result
@@ -164,7 +163,7 @@ def cmd_train_sentiment(args) -> dict:
     corpus = dataio.load_corpus(args.train, normalize_text=args.normalize)
     labeled = [d for d in corpus.documents if d.sentiment is not None]
     if not labeled:
-        raise Malformed(f"{args.train}: no sentiment-labeled rows to train on")
+        raise Malformed("no sentiment-labeled rows to train on", path=args.train)
     weights = None
     if args.auto_weights:
         counts = [0, 0, 0]
@@ -210,8 +209,7 @@ def cmd_predict_sentiment(args) -> dict:
         result["metrics"] = metrics.prf_report(counts)
     if args.out:
         out_docs = [
-            Document(id=d.id, text=d.text, sentiment=p, noise=d.noise)
-            for d, p in zip(corpus.documents, predicted)
+            dataclasses.replace(d, sentiment=p) for d, p in zip(corpus.documents, predicted)
         ]
         dataio.save_corpus(out_docs, args.out)
     return result
@@ -234,10 +232,12 @@ def cmd_import_corpus(args) -> dict:
 
     content = io.StringIO(textcore.read_text(args.input), newline="")
     reader = csv.DictReader(content, delimiter=args.delimiter)
+    optional = (args.id_col, args.sentiment_col, *(noise_cols or ()))
+    columns = [args.text_col, *(col for col in optional if col is not None)]
     try:
         header = reader.fieldnames or []
-        for col in (args.text_col, args.id_col, args.sentiment_col, *(noise_cols or ())):
-            if col is not None and col not in header:
+        for col in columns:
+            if col not in header:
                 raise Malformed(f"no column {col!r} in the header", path=args.input, line=1)
         # reader.line_num is the file line a row ends on; quoted fields may span lines.
         rows = [(reader.line_num, row) for row in reader]
@@ -248,10 +248,13 @@ def cmd_import_corpus(args) -> dict:
     skipped_empty = 0
     unlabeled_noise = 0
     if not rows and noise_cols:
-        raise Malformed(f"{args.input}: no data rows")
+        raise Malformed("no data rows", path=args.input)
     for i, (lineno, row) in enumerate(rows):
-        for col in (args.text_col, args.id_col):
-            if col is not None and row[col] is None:
+        if None in row:  # DictReader files the cells beyond the header under None
+            reason = f"expected {len(header)} fields, got {len(header) + len(row[None])}"
+            raise Malformed(reason, path=args.input, line=lineno)
+        for col in columns:
+            if row[col] is None:  # DictReader fills a short row with None
                 raise Malformed(f"missing column {col!r}", path=args.input, line=lineno)
         text = row[args.text_col]
         if not text or not text.strip():
@@ -265,7 +268,7 @@ def cmd_import_corpus(args) -> dict:
         seen_ids.add(doc_id)
         sentiment = None
         if args.sentiment_col:
-            raw = (row.get(args.sentiment_col) or "").strip()
+            raw = row[args.sentiment_col].strip()
             if raw:
                 mapped = sentiment_map.get(raw, raw.lower())
                 if mapped not in SENTIMENT_CLASSES:
@@ -277,7 +280,7 @@ def cmd_import_corpus(args) -> dict:
         if noise_cols:
             bits = []
             for col in noise_cols:
-                value = (row.get(col) or "0").strip()
+                value = (row[col] or "0").strip()
                 if value not in ("0", "1"):
                     raise Malformed(
                         f"noise column {col!r} must be 0/1, got {value!r}",
@@ -302,11 +305,9 @@ def cmd_import_corpus(args) -> dict:
 
 def _build_client(args):
     if args.client:
-        return reduction.SubprocessClient(
-            shlex.split(args.client), source=args.src_lang, pivot=args.pivot_lang
-        )
+        return reduction.SubprocessClient(shlex.split(args.client))
     if args.fixture:
-        return dataio.load_fixture(args.fixture, source=args.src_lang, pivot=args.pivot_lang)
+        return dataio.load_fixture(args.fixture)
     return None
 
 
@@ -334,9 +335,7 @@ def cmd_reduce(args) -> dict:
                 # The output file must satisfy the corpus schema (non-empty text).
                 warnings.warn(f"{doc.id}: reduction produced empty text; keeping the original")
                 text = doc.text
-            reduced_docs.append(
-                Document(id=doc.id, text=text, sentiment=doc.sentiment, noise=doc.noise)
-            )
+            reduced_docs.append(dataclasses.replace(doc, text=text))
     finally:
         if client is not None:
             client.close()
@@ -362,7 +361,7 @@ def _documents_in_id_order(path, ids: list[str], normalize_text: bool, reference
 def cmd_eval_reduction(args) -> dict:
     truth = dataio.load_corpus(args.truth, normalize_text=args.normalize)
     if not truth.documents:
-        raise Malformed(f"{args.truth}: no data rows")
+        raise Malformed("no data rows", path=args.truth)
     truth_ids = [d.id for d in truth.documents]
     truth_texts = [d.text for d in truth.documents]
 
@@ -518,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     translator = p.add_mutually_exclusive_group()
     translator.add_argument("--client", help="subprocess translator command line")
     translator.add_argument("--fixture", help="JSONL fixture file answering client requests")
-    p.add_argument("--src-lang", default="bn")
-    p.add_argument("--pivot-lang", default="en")
     p.add_argument("--p", type=float, default=0.2, help="random masking probability")
     p.add_argument("--max-dist", type=int, help="fixed edit-distance budget for spell correction")
     p.add_argument("--seed", type=int, default=0)

@@ -9,6 +9,7 @@ structure satisfying its invariants or raises with a file location.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import classify, features
 from .agreement import RatingMatrix
-from .errors import DataError, DimensionMismatch, IoFailure, Malformed
+from .errors import DataError, DimensionMismatch, IoFailure, Malformed, MalformedMatrix
 from .metrics import EmbeddingTable
 from .reduce import Dictionary, FixtureClient, PhoneticTable
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
@@ -25,8 +26,9 @@ from .textcore import read_text, write_text
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
 BUNDLE_FORMAT = "noisekit-bundle-v3"
 
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 @dataclass
@@ -35,25 +37,17 @@ class CorpusFile:
 
 
 def escape_field(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPES)
 
 
 def unescape_field(text: str, path=None, line=None, column=None) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                raise Malformed(
-                    f"bad escape sequence at offset {i}", path=path, line=line, column=column
-                )
-            out.append(_UNESCAPES[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def unescape(match):
+        if match.group(1) not in _UNESCAPES:  # unknown, or a backslash ending the field
+            reason = f"bad escape sequence at offset {match.start()}"
+            raise Malformed(reason, path=path, line=line, column=column)
+        return _UNESCAPES[match.group(1)]
+
+    return _ESCAPE_SEQUENCE.sub(unescape, text)
 
 
 def load_corpus(path, normalize_text: bool = True) -> CorpusFile:
@@ -186,7 +180,7 @@ def load_embeddings(path) -> EmbeddingTable:
         parts = line.split(" ")
         if len(parts) != dim + 1:
             raise DimensionMismatch(
-                f"{path}, line {lineno}: expected {dim} components, got {len(parts) - 1}"
+                f"expected {dim} components, got {len(parts) - 1}", path=path, line=lineno
             )
         word = parts[0]
         if word in vectors:
@@ -208,7 +202,7 @@ def load_embeddings(path) -> EmbeddingTable:
 _FIXTURE_FIELDS = ("task", "src", "tgt", "text_in", "text_out")
 
 
-def load_fixture(path, source: str = "bn", pivot: str = "en") -> FixtureClient:
+def load_fixture(path) -> FixtureClient:
     """JSON-lines fixture; on duplicate keys the last entry wins with a warning."""
     content = read_text(path)
     entries: dict[tuple[str, str, str, str], str] = {}
@@ -232,13 +226,11 @@ def load_fixture(path, source: str = "bn", pivot: str = "en") -> FixtureClient:
         if key in entries:
             warnings.warn(f"{path}, line {lineno}: duplicate fixture key {key!r}; last entry wins")
         entries[key] = record["text_out"]
-    return FixtureClient(entries, source=source, pivot=pivot)
+    return FixtureClient(entries)
 
 
 def load_rating_matrix(path) -> RatingMatrix:
     """TSV with a header row of category names and one count row per item."""
-    from .errors import MalformedMatrix
-
     content = read_text(path)
     lines = [(n, line) for n, line in enumerate(content.split("\n"), start=1) if line.strip()]
     if len(lines) < 2:
@@ -258,7 +250,7 @@ def load_rating_matrix(path) -> RatingMatrix:
     try:
         return RatingMatrix(np.asarray(rows, dtype=np.int64))
     except MalformedMatrix as exc:
-        raise MalformedMatrix(f"{path}: {exc}") from None
+        raise MalformedMatrix(exc.reason, path=path) from None
 
 
 def load_human_tallies(path) -> dict[str, tuple[int, int]]:
@@ -311,12 +303,12 @@ def load_model_bundle(path, kind: classify.ModelKind):
         tfidf_model = features.from_json(payload["tfidf"])
         linear_model = classify.from_json(payload["linear"])
     except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise type(exc)(exc.reason, path=path, line=exc.line, column=exc.column) from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"bad bundle entry ({type(exc).__name__}: {exc})", path=path) from None
     if tfidf_model.dim != linear_model.dim:
         raise DimensionMismatch(
-            f"{path}: featurizer has {tfidf_model.dim} terms, classifier {linear_model.dim}"
+            f"featurizer has {tfidf_model.dim} terms, classifier {linear_model.dim}", path=path
         )
     if linear_model.kind is not kind:
         raise Malformed(f"expected model kind {kind.value}, got {linear_model.kind.value}", path=path)

@@ -6,25 +6,9 @@ subclasses exit 2, ``ClientError`` subclasses exit 3.
 
 
 class NoisekitError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of this package's errors; prefixes ``path, line N, column M: `` if given."""
 
     exit_code = 2
-
-
-class DataError(NoisekitError):
-    """Invalid input data or arguments."""
-
-    exit_code = 2
-
-
-class ClientError(NoisekitError):
-    """External translator/predictor client failure."""
-
-    exit_code = 3
-
-
-class Malformed(DataError):
-    """A file does not follow its schema. Carries a location."""
 
     def __init__(self, reason, path=None, line=None, column=None):
         self.reason = reason
@@ -40,6 +24,22 @@ class Malformed(DataError):
             loc.append(f"column {column}")
         prefix = ", ".join(loc)
         super().__init__(f"{prefix}: {reason}" if prefix else reason)
+
+
+class DataError(NoisekitError):
+    """Invalid input data or arguments."""
+
+    exit_code = 2
+
+
+class ClientError(NoisekitError):
+    """External translator/predictor client failure."""
+
+    exit_code = 3
+
+
+class Malformed(DataError):
+    """A file does not follow its schema."""
 
 
 class BadEncoding(DataError):

@@ -10,7 +10,6 @@ Corpus-level overlap scores are means of sentence-level scores.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,14 +26,17 @@ from .errors import (
 )
 
 EPSILON = 1e-9
+# BLEU-4, and beta, the composite score's weight on the semantic term.
+BLEU_MAX_N = 4
+COMPOSITE_BETA = 4.0
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(cand: list[str], ref: list[str], max_n: int = 4) -> float:
-    """Geometric mean of clipped n-gram precisions times the brevity penalty.
+def bleu(cand: list[str], ref: list[str]) -> float:
+    """Geometric mean of clipped 1..BLEU_MAX_N-gram precisions times the brevity penalty.
 
     Zero precisions are floored at a tiny epsilon instead of zeroing the
     whole score; an empty candidate scores 0.
@@ -44,7 +46,7 @@ def bleu(cand: list[str], ref: list[str], max_n: int = 4) -> float:
     if not cand:
         return 0.0
     log_sum = 0.0
-    orders = range(1, min(max_n, len(cand)) + 1)
+    orders = range(1, min(BLEU_MAX_N, len(cand)) + 1)
     for n in orders:
         cand_counts = _ngram_counts(cand, n)
         ref_counts = _ngram_counts(ref, n)
@@ -123,7 +125,7 @@ def sentence_similarity(cand: list[str], ref: list[str], table: EmbeddingTable) 
     return float(np.dot(a, b) / norm)
 
 
-def composite_similarity(semantic: float, surface_bleu: float, beta: float = 4.0) -> float:
+def composite_similarity(semantic: float, surface_bleu: float) -> float:
     """Weighted harmonic mean of semantic similarity and (1 - surface overlap).
 
     High surface overlap with the noisy input drags the score down even when
@@ -132,7 +134,7 @@ def composite_similarity(semantic: float, surface_bleu: float, beta: float = 4.0
     """
     semantic = min(max(semantic, EPSILON), 1.0)
     inverse_overlap = max(1.0 - surface_bleu, EPSILON)
-    return (beta + 1.0) / (beta / semantic + 1.0 / inverse_overlap)
+    return (COMPOSITE_BETA + 1.0) / (COMPOSITE_BETA / semantic + 1.0 / inverse_overlap)
 
 
 def human_eval_score(accurate: int, total: int) -> float:
@@ -190,12 +192,6 @@ class ConfusionCounts:
         return cls(tuple(class_names), tp, fp, fn)
 
 
-class Averaging(enum.Enum):
-    MICRO = "micro"
-    MACRO = "macro"
-    WEIGHTED = "weighted"
-
-
 def _prf_one(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -203,36 +199,27 @@ def _prf_one(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def prf(counts: ConfusionCounts, averaging: Averaging) -> tuple[float, float, float]:
-    """Precision, recall and F1 under the chosen averaging; 0/0 counts as 0."""
-    if averaging is Averaging.MICRO:
-        return _prf_one(sum(counts.tp), sum(counts.fp), sum(counts.fn))
-    per_class = [_prf_one(t, f, n) for t, f, n in zip(counts.tp, counts.fp, counts.fn)]
-    if averaging is Averaging.MACRO:
-        k = len(per_class)
-        return tuple(sum(scores[i] for scores in per_class) / k for i in range(3))
-    support = [t + n for t, n in zip(counts.tp, counts.fn)]
-    total = sum(support)
-    if total == 0:
-        return 0.0, 0.0, 0.0
-    return tuple(
-        sum(s * scores[i] for s, scores in zip(support, per_class)) / total for i in range(3)
-    )
-
-
 def prf_report(counts: ConfusionCounts) -> dict:
-    """P/R/F1 under each averaging plus per class, every score rounded to 6 places."""
+    """P/R/F1 micro, macro, support-weighted and per class; 0/0 is 0, scores rounded to 6 places."""
 
     def rounded(scores):
-        p, r, f1 = scores
-        return {"precision": round(p, 6), "recall": round(r, 6), "f1": round(f1, 6)}
+        return {name: round(v, 6) for name, v in zip(("precision", "recall", "f1"), scores)}
 
-    report = {avg.value: rounded(prf(counts, avg)) for avg in Averaging}
-    report["per_class"] = {
-        name: rounded(_prf_one(t, f, n))
-        for name, t, f, n in zip(counts.class_names, counts.tp, counts.fp, counts.fn)
+    per_class = [_prf_one(t, f, n) for t, f, n in zip(counts.tp, counts.fp, counts.fn)]
+    support = [t + n for t, n in zip(counts.tp, counts.fn)]
+    total = sum(support)
+    micro = _prf_one(sum(counts.tp), sum(counts.fp), sum(counts.fn))
+    macro = [sum(scores[i] for scores in per_class) / len(per_class) for i in range(3)]
+    weighted = [
+        sum(s * scores[i] for s, scores in zip(support, per_class)) / total if total else 0.0
+        for i in range(3)
+    ]
+    return {
+        "micro": rounded(micro),
+        "macro": rounded(macro),
+        "weighted": rounded(weighted),
+        "per_class": {name: rounded(scores) for name, scores in zip(counts.class_names, per_class)},
     }
-    return report
 
 
 @dataclass

@@ -31,6 +31,9 @@ from .errors import (
 )
 
 MASK_TOKEN = "<MASK>"
+# Every client request's language pair: Bangla texts, English the back-translation pivot.
+SOURCE_LANG = "bn"
+PIVOT_LANG = "en"
 
 
 class PhoneticTable:
@@ -106,11 +109,10 @@ class Dictionary:
 
     def _majority_script(self) -> str | None:
         counts = Counter()
-        for word in self.freq:
-            for ch in word:
-                script = textcore.char_script(ch)
-                if script is not None:
-                    counts[script] += 1
+        for ch, n in Counter("".join(self.freq)).items():
+            script = textcore.char_script(ch)
+            if script is not None:
+                counts[script] += n
         if not counts:
             return None
         # Deterministic tie-break: highest count, then name.
@@ -158,9 +160,7 @@ def spell_correct(text: str, dictionary: Dictionary, max_dist: int | None = None
         raise Malformed(f"edit-distance budget must be >= 0, got {max_dist}")
     seq = textcore.tokenize(text)
     edits = []
-    pieces = []
-    cursor = 0
-    for i, (token, (start, end)) in enumerate(zip(seq.tokens, seq.spans)):
+    for i, token in enumerate(seq.tokens):
         if not _token_is_correctable(token, dictionary):
             continue
         candidates = dictionary.phonetic_index.get(phonetic_encode(token, dictionary.table))
@@ -179,11 +179,21 @@ def spell_correct(text: str, dictionary: Dictionary, max_dist: int | None = None
             continue
         _, replacement, dist = best
         edits.append((i, token, replacement, dist))
+    corrected = _splice(text, seq, [(i, replacement) for i, _, replacement, _ in edits])
+    return CorrectionResult(original=text, corrected=corrected, edits=edits)
+
+
+def _splice(text: str, seq: textcore.TokenSequence, replacements) -> str:
+    """`text` with the span of each (token index, word) pair, in ascending order, replaced."""
+    pieces = []
+    cursor = 0
+    for i, word in replacements:
+        start, end = seq.spans[i]
         pieces.append(text[cursor:start])
-        pieces.append(replacement)
+        pieces.append(word)
         cursor = end
     pieces.append(text[cursor:])
-    return CorrectionResult(original=text, corrected="".join(pieces), edits=edits)
+    return "".join(pieces)
 
 
 def detect_oov(tokens: textcore.TokenSequence, vocab) -> list[int]:
@@ -197,22 +207,10 @@ def detect_oov(tokens: textcore.TokenSequence, vocab) -> list[int]:
     return flagged
 
 
-def _splice_masks(text: str, seq: textcore.TokenSequence, indices) -> str:
-    pieces = []
-    cursor = 0
-    for i in indices:
-        start, end = seq.spans[i]
-        pieces.append(text[cursor:start])
-        pieces.append(MASK_TOKEN)
-        cursor = end
-    pieces.append(text[cursor:])
-    return "".join(pieces)
-
-
 def mask_oov(text: str, vocab) -> str:
     """Replace every OOV word token by the mask literal; spacing is preserved."""
     seq = textcore.tokenize(text)
-    return _splice_masks(text, seq, detect_oov(seq, vocab))
+    return _splice(text, seq, [(i, MASK_TOKEN) for i in detect_oov(seq, vocab)])
 
 
 def mask_random(text: str, p: float = 0.2, seed: int = 0) -> str:
@@ -226,8 +224,8 @@ def mask_random(text: str, p: float = 0.2, seed: int = 0) -> str:
         if textcore.is_punct_token(token):
             continue
         if rng.random() < p:
-            chosen.append(i)
-    return _splice_masks(text, seq, chosen)
+            chosen.append((i, MASK_TOKEN))
+    return _splice(text, seq, chosen)
 
 
 class NgramMaskFiller:
@@ -264,10 +262,8 @@ def fill_masks(masked: str, predictor) -> str:
 class FixtureClient:
     """Read-only client answering from recorded (task, src, tgt, text) tuples."""
 
-    def __init__(self, entries: dict[tuple[str, str, str, str], str], source: str = "bn", pivot: str = "en"):
+    def __init__(self, entries: dict[tuple[str, str, str, str], str]):
         self.entries = dict(entries)
-        self.source = source
-        self.pivot = pivot
 
     def request(self, task: str, src: str, tgt: str, text: str) -> str:
         key = (task, src, tgt, text)
@@ -288,10 +284,8 @@ class SubprocessClient:
     file on read; either raises `ClientUnavailable` with its exit status.
     """
 
-    def __init__(self, argv: list[str], source: str = "bn", pivot: str = "en"):
+    def __init__(self, argv: list[str]):
         self.argv = list(argv)
-        self.source = source
-        self.pivot = pivot
         self._proc: subprocess.Popen | None = None
         self._next_id = 0
 
@@ -361,14 +355,14 @@ class SubprocessClient:
 
 def back_translate(text: str, client) -> str:
     """Source -> pivot -> source through the client, recorded verbatim."""
-    pivot_text = client.request("translate", client.source, client.pivot, text)
-    return client.request("translate", client.pivot, client.source, pivot_text)
+    pivot_text = client.request("translate", SOURCE_LANG, PIVOT_LANG, text)
+    return client.request("translate", PIVOT_LANG, SOURCE_LANG, pivot_text)
 
 
 def paraphrase(text: str, client, dictionary: Dictionary, max_dist: int | None = None) -> str:
     """Spell-correct first, then one paraphrase call on the corrected text."""
     corrected = spell_correct(text, dictionary, max_dist=max_dist).corrected
-    return client.request("paraphrase", client.source, client.source, corrected)
+    return client.request("paraphrase", SOURCE_LANG, SOURCE_LANG, corrected)
 
 
 class ReduceMethod(Enum):

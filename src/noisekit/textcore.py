@@ -140,7 +140,7 @@ def read_text(path) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise BadEncoding(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
+        raise BadEncoding(f"not valid UTF-8 at byte {exc.start}", path=path) from exc
 
 
 def write_text(path, content: str) -> None:

@@ -23,13 +23,12 @@ from noisekit.dataio import load_corpus, save_corpus
 from noisekit.errors import EmptyReference
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.metrics import (
-    Averaging,
     ConfusionCounts,
     EmbeddingTable,
     bleu,
     evaluate_reduction,
     human_eval_score,
-    prf,
+    prf_report,
     rouge_l,
 )
 from noisekit.reduce import Dictionary, FixtureClient, back_translate, levenshtein, mask_random, spell_correct
@@ -137,8 +136,7 @@ def _train_and_score(documents, test_documents, mode):
     )
     predicted = predict_multilabel(model, transform(tfidf, [d.text for d in test_documents]))
     counts = ConfusionCounts.from_multilabel([d.noise for d in test_documents], predicted)
-    _, _, f1 = prf(counts, Averaging.MICRO)
-    return f1
+    return prf_report(counts)["micro"]["f1"]
 
 
 def test_criterion_4_noise_identification_f1():

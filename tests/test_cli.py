@@ -15,7 +15,6 @@ import pytest
 import noisekit
 from noisekit.cli import main
 from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
-from noisekit.metrics import prf, Averaging, ConfusionCounts
 from noisekit.reduce import NgramMaskFiller
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
@@ -797,6 +796,29 @@ class TestImportCorpus:
             capsys, "import-corpus", str(src), str(out), "--text-col", "Data", "--id-col", "Id"
         )
         assert error == f"ERROR Malformed: {src}, line {line}: {reason}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            # A short row must not import as a row without labels.
+            ("tumi kharap,2\n", "line 5: missing column 'local'"),
+            # A long row must not shift the id into the next cell.
+            ("ami, tumi,2,0,0,0,0,0,0,0,1,0,0\n", "line 5: expected 12 fields, got 13"),
+        ],
+        ids=["short-row", "long-row"],
+    )
+    def test_row_width_must_match_header(self, capsys, tmp_path, content, reason):
+        src = tmp_path / "up.csv"
+        src.write_text(self.CSV + content, encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        error = run_data_error(
+            capsys, "import-corpus", str(src), str(out),
+            "--text-col", "Data", "--sentiment-col", "Label",
+            "--sentiment-map", "0=neutral,1=positive,2=negative",
+            "--noise-cols", self.NOISE_COLS,
+        )
+        assert error == f"ERROR Malformed: {src}, {reason}"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -42,10 +42,12 @@ class TestEscaping:
             assert unescape_field(escape_field(text)) == text
 
     def test_bad_escape(self):
-        with pytest.raises(Malformed):
-            unescape_field("bad\\x")
-        with pytest.raises(Malformed):
-            unescape_field("trailing\\")
+        # The offset is the backslash's index; an escaped backslash is skipped whole.
+        for text, offset in (("bad\\x", 3), ("trailing\\", 8), ("\\\\x\\", 3)):
+            with pytest.raises(Malformed) as excinfo:
+                unescape_field(text, path="c.tsv", line=7, column=2)
+            message = f"c.tsv, line 7, column 2: bad escape sequence at offset {offset}"
+            assert str(excinfo.value) == message
 
 
 class TestLoadCorpus:
@@ -192,8 +194,10 @@ class TestEmbeddingLoader:
 
     def test_dimension_mismatch(self, tmp_path):
         path = write(tmp_path, "e.txt", "2 3\ncat 1.0 0.0\ndog 0.0 1.0 -0.5\n")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch) as excinfo:
             load_embeddings(path)
+        assert (excinfo.value.path, excinfo.value.line) == (path, 2)
+        assert str(excinfo.value) == f"{path}, line 2: expected 3 components, got 2"
 
     def test_row_count_mismatch(self, tmp_path):
         with pytest.raises(Malformed):
@@ -446,6 +450,7 @@ class TestModelBundle:
         with pytest.raises(error, match=message) as excinfo:
             load_model_bundle(path, ModelKind.OVR_HINGE)
         assert str(path) in str(excinfo.value)
+        assert excinfo.value.path == path
 
     def test_swapped_in_sentiment_classifier_loads(self, tmp_path):
         """Control for the class_names cases above: with the right names the bundle is valid."""

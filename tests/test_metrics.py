@@ -8,7 +8,6 @@ import pytest
 
 from noisekit.errors import EmptyInput, EmptyReference, InvalidCounts, LengthMismatch, Malformed
 from noisekit.metrics import (
-    Averaging,
     ConfusionCounts,
     EmbeddingTable,
     ReductionReport,
@@ -16,7 +15,7 @@ from noisekit.metrics import (
     composite_similarity,
     evaluate_reduction,
     human_eval_score,
-    prf,
+    prf_report,
     rouge_l,
     sentence_similarity,
     word_coverage,
@@ -34,8 +33,10 @@ class TestBleu:
     def test_clipped_unigram_precision(self):
         candidate = ["the"] * 7
         reference = ["the", "cat", "is", "on", "the", "mat"]
-        # Unigram-only score isolates clipping: 2/7, brevity penalty is 1.
-        assert bleu(candidate, reference, max_n=1) == pytest.approx(2 / 7)
+        # Clipped unigram precision 2/7; no bigram or longer matches, so each of
+        # orders 2-4 is floored at epsilon. The brevity penalty is 1.
+        expected = math.exp((math.log(2 / 7) + 3 * math.log(1e-9)) / 4)
+        assert bleu(candidate, reference) == pytest.approx(expected)
 
     def test_brevity_penalty(self):
         assert bleu(["a", "b"], ["a", "b", "c", "d"]) == pytest.approx(math.exp(-1.0), abs=1e-4)
@@ -175,11 +176,11 @@ class TestSentenceSimilarity:
 
 class TestCompositeSimilarity:
     def test_perfect_case(self):
-        for beta in (1.0, 4.0, 10.0):
-            assert composite_similarity(1.0, 0.0, beta) == pytest.approx(1.0)
+        assert composite_similarity(1.0, 0.0) == pytest.approx(1.0)
 
     def test_formula_evaluation(self):
-        assert composite_similarity(0.8, 0.5, 4.0) == pytest.approx(5 / 7)
+        # beta = 4: 5 / (4 / 0.8 + 1 / 0.5) = 5 / 7.
+        assert composite_similarity(0.8, 0.5) == pytest.approx(5 / 7)
 
     def test_monotonicity_fuzz(self):
         rng = random.Random(97)
@@ -222,29 +223,29 @@ class TestHumanEval:
 class TestPrf:
     def test_micro_pooled(self):
         counts = ConfusionCounts(("a", "b"), tp=[5, 3], fp=[1, 1], fn=[1, 1])
-        p, r, f1 = prf(counts, Averaging.MICRO)
-        assert (p, r, f1) == (pytest.approx(0.8), pytest.approx(0.8), pytest.approx(0.8))
+        micro = prf_report(counts)["micro"]
+        assert micro == {"precision": 0.8, "recall": 0.8, "f1": 0.8}
 
     def test_perfect_predictions(self):
         counts = ConfusionCounts(("a", "b"), tp=[4, 2], fp=[0, 0], fn=[0, 0])
-        for avg in Averaging:
-            assert prf(counts, avg) == (1.0, 1.0, 1.0)
+        for avg in ("micro", "macro", "weighted"):
+            assert prf_report(counts)[avg] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
 
     def test_no_positive_predictions(self):
         counts = ConfusionCounts(("a",), tp=[0], fp=[0], fn=[5])
-        p, r, f1 = prf(counts, Averaging.MICRO)
-        assert (p, r, f1) == (0.0, 0.0, 0.0)
+        assert prf_report(counts)["micro"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
     def test_micro_equals_macro_for_identical_classes(self):
         counts = ConfusionCounts(("a", "b", "c"), tp=[3, 3, 3], fp=[1, 1, 1], fn=[2, 2, 2])
-        assert prf(counts, Averaging.MICRO) == pytest.approx(prf(counts, Averaging.MACRO))
+        report = prf_report(counts)
+        assert report["micro"] == pytest.approx(report["macro"])
 
     def test_weighted_uses_support(self):
         counts = ConfusionCounts(("a", "b"), tp=[9, 0], fp=[0, 1], fn=[0, 1])
-        p_w, r_w, _ = prf(counts, Averaging.WEIGHTED)
+        weighted = prf_report(counts)["weighted"]
         # Class a: support 9, perfect. Class b: support 1, zero scores.
-        assert p_w == pytest.approx(0.9)
-        assert r_w == pytest.approx(0.9)
+        assert weighted["precision"] == pytest.approx(0.9)
+        assert weighted["recall"] == pytest.approx(0.9)
 
     def test_from_multilabel(self):
         gold = [NoiseLabelSet.from_bits("1100000000"), NoiseLabelSet.from_bits("0100000000")]

@@ -288,13 +288,13 @@ class TestFillMasks:
             fill_masks(MASK_TOKEN, filler)
 
 
-def identity_fixture(texts, source="bn", pivot="en"):
+def identity_fixture(texts):
     entries = {}
     for text in texts:
-        entries[("translate", source, pivot, text)] = text
-        entries[("translate", pivot, source, text)] = text
-        entries[("paraphrase", source, source, text)] = text
-    return FixtureClient(entries, source=source, pivot=pivot)
+        entries[("translate", "bn", "en", text)] = text
+        entries[("translate", "en", "bn", text)] = text
+        entries[("paraphrase", "bn", "bn", text)] = text
+    return FixtureClient(entries)
 
 
 class TestClients:
