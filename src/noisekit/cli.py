@@ -321,16 +321,14 @@ def cmd_reduce(args) -> dict:
         table = reduction.PhoneticTable.from_file(args.phonetic_table) if args.phonetic_table else None
         dictionary = dataio.load_dictionary(args.dict, phonetic_table=table)
     client = _build_client(args)
-    resources = reduction.Resources(
-        dictionary=dictionary, client=client, mask_probability=args.p, max_dist=args.max_dist
-    )
     try:
+        reduce_one = reduction.reducer(method, dictionary, client, mask_probability=args.p)
         reduced_docs = []
         for doc in corpus.documents:
             # Seeding from (seed, id) keeps each document's masks independent of row order.
             digest = hashlib.blake2b(f"{args.seed}\t{doc.id}".encode(), digest_size=8).digest()
             seed = int.from_bytes(digest, "big")
-            text = reduction.reduce_text(doc.text, method, resources, seed)
+            text = reduce_one(doc.text, seed)
             if not text.strip():
                 # The output file must satisfy the corpus schema (non-empty text).
                 warnings.warn(f"{doc.id}: reduction produced empty text; keeping the original")
@@ -518,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     translator.add_argument("--client", help="subprocess translator command line")
     translator.add_argument("--fixture", help="JSONL fixture file answering client requests")
     p.add_argument("--p", type=float, default=0.2, help="random masking probability")
-    p.add_argument("--max-dist", type=int, help="fixed edit-distance budget for spell correction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)

@@ -8,6 +8,7 @@ structure satisfying its invariants or raises with a file location.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import warnings
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import classify, features
 from .agreement import RatingMatrix
-from .errors import DataError, DimensionMismatch, IoFailure, Malformed, MalformedMatrix
+from .errors import DataError, DimensionMismatch, Malformed, MalformedMatrix
 from .metrics import EmbeddingTable
 from .reduce import Dictionary, FixtureClient, PhoneticTable
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
@@ -282,12 +283,9 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
         "tfidf": features.to_json(tfidf_model),
         "linear": classify.to_json(linear_model),
     }
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    # Streamed chunk by chunk, as json.dump writes them: one whole-document string costs memory.
+    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    write_text(path, itertools.chain(encoder.iterencode(payload), ("\n",)))
 
 
 def load_model_bundle(path, kind: classify.ModelKind):

@@ -147,17 +147,15 @@ class CorrectionResult:
     edits: list[tuple[int, str, str, int]] = field(default_factory=list)
 
 
-def spell_correct(text: str, dictionary: Dictionary, max_dist: int | None = None) -> CorrectionResult:
+def spell_correct(text: str, dictionary: Dictionary) -> CorrectionResult:
     """Replace out-of-dictionary words by their phonetically closest dictionary match.
 
     A token is left alone when it is punctuation, digits, non-native script,
     already in the dictionary, or when no same-code candidate lies within the
-    edit-distance budget.
+    edit-distance budget `default_max_dist`.
     """
     if not dictionary.freq:
         raise MissingResource("spell correction needs a non-empty dictionary")
-    if max_dist is not None and max_dist < 0:
-        raise Malformed(f"edit-distance budget must be >= 0, got {max_dist}")
     seq = textcore.tokenize(text)
     edits = []
     for i, token in enumerate(seq.tokens):
@@ -166,7 +164,7 @@ def spell_correct(text: str, dictionary: Dictionary, max_dist: int | None = None
         candidates = dictionary.phonetic_index.get(phonetic_encode(token, dictionary.table))
         if not candidates:
             continue
-        limit = max_dist if max_dist is not None else default_max_dist(token)
+        limit = default_max_dist(token)
         best = None
         for cand in candidates:
             dist = levenshtein(token, cand)
@@ -213,10 +211,14 @@ def mask_oov(text: str, vocab) -> str:
     return _splice(text, seq, [(i, MASK_TOKEN) for i in detect_oov(seq, vocab)])
 
 
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # false for nan too
+        raise InvalidProbability(f"mask probability must be in [0, 1], got {p}")
+
+
 def mask_random(text: str, p: float = 0.2, seed: int = 0) -> str:
     """Mask each word token independently with probability p (seeded, reproducible)."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidProbability(f"mask probability must be in [0, 1], got {p}")
+    _check_probability(p)
     seq = textcore.tokenize(text)
     rng = random.Random(seed)
     chosen = []
@@ -251,8 +253,6 @@ def fill_masks(masked: str, predictor) -> str:
     """Replace every mask literal via the predictor; the output carries no mask."""
     if MASK_TOKEN not in masked:
         return masked
-    if predictor is None:
-        raise MissingResource("mask filling needs a predictor")
     filled = predictor.fill(masked)
     if MASK_TOKEN in filled:
         raise PredictorFailure("predictor left mask tokens in its output")
@@ -359,9 +359,9 @@ def back_translate(text: str, client) -> str:
     return client.request("translate", PIVOT_LANG, SOURCE_LANG, pivot_text)
 
 
-def paraphrase(text: str, client, dictionary: Dictionary, max_dist: int | None = None) -> str:
+def paraphrase(text: str, client, dictionary: Dictionary) -> str:
     """Spell-correct first, then one paraphrase call on the corrected text."""
-    corrected = spell_correct(text, dictionary, max_dist=max_dist).corrected
+    corrected = spell_correct(text, dictionary).corrected
     return client.request("paraphrase", SOURCE_LANG, SOURCE_LANG, corrected)
 
 
@@ -373,49 +373,29 @@ class ReduceMethod(Enum):
     MASK_RANDOM_FILL = "mask-random"
 
 
-@dataclass
-class Resources:
-    """What the reduction methods of one run need; the dispatcher checks presence.
+def reducer(method: ReduceMethod, dictionary: Dictionary | None = None, client=None,
+            mask_probability: float = 0.2):
+    """The `(text, seed) -> str` function that applies `method` to one document.
 
-    The mask filler is derived from the dictionary once, at construction.
+    It checks the method's inputs once, here: a missing dictionary or client raises
+    MissingResource, a mask-random probability outside [0, 1] InvalidProbability.
+    Only the mask methods build a filler; `seed` drives mask-random alone.
     """
-
-    dictionary: Dictionary | None = None
-    client: object | None = None
-    mask_probability: float = 0.2
-    max_dist: int | None = None
-    mask_filler: NgramMaskFiller | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        if self.dictionary is not None:
-            self.mask_filler = NgramMaskFiller.from_dictionary(self.dictionary)
-
-    def require(self, name: str, method: ReduceMethod):
-        value = getattr(self, name)
-        if value is None:
-            raise MissingResource(f"method {method.value} needs a {name}")
-        return value
-
-
-def reduce_text(text: str, method: ReduceMethod, resources: Resources, seed: int = 0) -> str:
-    """Dispatch one sentence through the chosen reduction method; `seed` drives mask-random."""
+    if method is ReduceMethod.MASK_RANDOM_FILL:
+        _check_probability(mask_probability)
+        if mask_probability == 0.0:
+            return lambda text, seed: text
+    if dictionary is None and method is not ReduceMethod.BACK_TRANSLATE:
+        raise MissingResource(f"method {method.value} needs a dictionary")
+    if client is None and method in (ReduceMethod.SPELL_PARAPHRASE, ReduceMethod.BACK_TRANSLATE):
+        raise MissingResource(f"method {method.value} needs a client")
     if method is ReduceMethod.SPELL:
-        dictionary = resources.require("dictionary", method)
-        return spell_correct(text, dictionary, max_dist=resources.max_dist).corrected
+        return lambda text, seed: spell_correct(text, dictionary).corrected
     if method is ReduceMethod.SPELL_PARAPHRASE:
-        dictionary = resources.require("dictionary", method)
-        client = resources.require("client", method)
-        return paraphrase(text, client, dictionary, max_dist=resources.max_dist)
+        return lambda text, seed: paraphrase(text, client, dictionary)
     if method is ReduceMethod.BACK_TRANSLATE:
-        client = resources.require("client", method)
-        return back_translate(text, client)
+        return lambda text, seed: back_translate(text, client)
+    filler = NgramMaskFiller.from_dictionary(dictionary)
     if method is ReduceMethod.MASK_OOV_FILL:
-        masked = mask_oov(text, resources.require("dictionary", method))
-    elif method is ReduceMethod.MASK_RANDOM_FILL:
-        masked = mask_random(text, p=resources.mask_probability, seed=seed)
-    else:
-        raise MissingResource(f"unknown reduction method {method!r}")
-    if MASK_TOKEN not in masked:
-        return masked
-    resources.require("dictionary", method)
-    return fill_masks(masked, resources.mask_filler)
+        return lambda text, seed: fill_masks(mask_oov(text, dictionary), filler)
+    return lambda text, seed: fill_masks(mask_random(text, mask_probability, seed), filler)

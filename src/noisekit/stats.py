@@ -39,9 +39,10 @@ def class_stats(documents) -> dict[str, dict]:
     labeled = [d for d in documents if d.noise is not None]
     if not labeled:
         raise MissingLabels("no document carries noise labels")
+    word_counts = [_word_count(d.text) for d in labeled]
     out = {}
     for j, name in enumerate(NOISE_CLASSES):
-        words = [_word_count(d.text) for d in labeled if d.noise.has(j)]
+        words = [n for d, n in zip(labeled, word_counts) if d.noise.has(j)]
         out[name] = {
             "count": len(words),
             "mean_words": sum(words) / len(words) if words else 0.0,

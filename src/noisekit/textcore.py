@@ -16,8 +16,11 @@ files are read and written here too; this module imports no numpy.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
+import os
+import stat
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
@@ -143,13 +146,32 @@ def read_text(path) -> str:
         raise BadEncoding(f"not valid UTF-8 at byte {exc.start}", path=path) from exc
 
 
-def write_text(path, content: str) -> None:
-    """Write UTF-8 text with LF line endings; an OS error becomes IoFailure naming the path."""
+def write_text(path, content) -> None:
+    """Write UTF-8 text (a string or string chunks) with LF endings; OS errors become IoFailure.
+
+    A regular file is replaced by a temporary file written beside it, so a failed write
+    leaves the old file, or none, and no temporary file; a device or FIFO is written in place.
+    """
+    target = os.path.realpath(path)
+    old = os.stat(target) if os.path.exists(target) else None
+    tmp = None
+    if old is None or stat.S_ISREG(old.st_mode):
+        head, name = os.path.split(target)
+        tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        with open(tmp or target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines((content,) if isinstance(content, str) else content)
+        if tmp:
+            if old is not None:  # keep the mode, as writing in place would
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def packaged_data(name: str):

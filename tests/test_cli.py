@@ -372,15 +372,6 @@ class TestReduceCommand:
         )
         assert len(load_corpus(out).documents) == 3
 
-    def test_negative_max_dist_rejected(self, capsys, tmp_path, small_corpus):
-        out = tmp_path / "reduced.tsv"
-        error = run_data_error(
-            capsys, "reduce", str(small_corpus), "--method", "spell",
-            "--dict", str(self.make_dict_file(tmp_path)), "--max-dist", "-1", "--out", str(out),
-        )
-        assert error == "ERROR Malformed: edit-distance budget must be >= 0, got -1"
-        assert not out.exists()
-
     def test_mask_random_deterministic(self, capsys, tmp_path, small_corpus):
         dict_file = self.make_dict_file(tmp_path)
         a = tmp_path / "a.tsv"
@@ -447,6 +438,29 @@ class TestReduceCommand:
         )
         texts = [d.text for d in load_corpus(out).documents]
         assert texts == [d.text for d in load_corpus(small_corpus).documents]
+
+    def test_mask_random_p_zero_keeps_mask_literal(self, capsys, tmp_path):
+        src, out = tmp_path / "in.tsv", tmp_path / "o.tsv"
+        save_corpus(make_docs(["ami <MASK> bhalo"]), src)
+        run_json(
+            capsys, "reduce", str(src), "--method", "mask-random", "--p", "0",
+            "--dict", str(self.make_dict_file(tmp_path)), "--out", str(out),
+        )
+        assert [d.text for d in load_corpus(out).documents] == ["ami <MASK> bhalo"]
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--method", "spell"], "ERROR MissingResource: method spell needs a dictionary"),
+        (["--method", "mask-random", "--p", "1.5"],
+         "ERROR InvalidProbability: mask probability must be in [0, 1], got 1.5"),
+        (["--method", "mask-oov"], "ERROR MissingResource: method mask-oov needs a dictionary"),
+        (["--method", "backtranslate"], "ERROR MissingResource: method backtranslate needs a client"),
+    ], ids=["spell-without-dict", "mask-random-p-1.5", "mask-oov-without-dict", "backtranslate-without-client"])
+    def test_inputs_checked_before_any_document(self, capsys, tmp_path, flags, error):
+        # A header-only corpus has no document to reduce, so only the up-front check can fail.
+        src, out = tmp_path / "empty.tsv", tmp_path / "o.tsv"
+        src.write_text(CORPUS_HEADER + "\n", encoding="utf-8")
+        assert run_data_error(capsys, "reduce", str(src), *flags, "--out", str(out)) == error
+        assert not out.exists()
 
     def test_backtranslate_with_fixture(self, capsys, tmp_path, small_corpus):
         corpus = load_corpus(small_corpus)

@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import random
 
 import numpy as np
@@ -367,6 +368,18 @@ class TestModelBundle:
         assert len(base64.b64decode(linear["columns"])) == 4 * 3 * 8
         index = np.frombuffer(base64.b64decode(linear["column_index"]), dtype="<u4")
         assert len(index) == 6 and index[0] == index[2] == index[4] != index[1] != index[3]
+
+    def test_failed_save_keeps_the_old_bundle(self, tmp_path, monkeypatch):
+        tfidf, model = small_bundle()
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+        old = path.read_bytes()
+        # The featurizer's entry is encoded after the classifier's, so the write fails part-way.
+        monkeypatch.setattr(dataio.features, "to_json", lambda tfidf: {"idf": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_model_bundle(path, tfidf, model)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "model.json"

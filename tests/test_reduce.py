@@ -18,7 +18,6 @@ from noisekit.reduce import (
     MASK_TOKEN,
     NgramMaskFiller,
     ReduceMethod,
-    Resources,
     SubprocessClient,
     back_translate,
     default_max_dist,
@@ -29,7 +28,7 @@ from noisekit.reduce import (
     mask_random,
     paraphrase,
     phonetic_encode,
-    reduce_text,
+    reducer,
     spell_correct,
 )
 from noisekit.textcore import is_punct_token, tokenize
@@ -137,7 +136,7 @@ class TestSpellCorrect:
 
     def test_no_candidate_within_budget_unchanged(self, latin_table):
         d = Dictionary({"hello": 10}, table=latin_table)
-        result = spell_correct("haaaaaaaaaaaaaloo", d, max_dist=2)
+        result = spell_correct("haaaaaaaaaaaaaloo", d)
         assert result.corrected == "haaaaaaaaaaaaaloo"
 
     def test_digits_and_punct_exempt(self, latin_dict):
@@ -368,40 +367,62 @@ class TestClients:
 
 class TestDispatcher:
     def test_spell(self, latin_dict):
-        resources = Resources(dictionary=latin_dict)
+        reduce_one = reducer(ReduceMethod.SPELL, dictionary=latin_dict)
         clean = "the cat"
-        assert reduce_text(clean, ReduceMethod.SPELL, resources) == clean
-        assert reduce_text("helo", ReduceMethod.SPELL, resources) == spell_correct("helo", latin_dict).corrected
+        assert reduce_one(clean, 0) == clean
+        assert reduce_one("helo", 0) == spell_correct("helo", latin_dict).corrected
 
     def test_mask_random_p_zero_identity(self, latin_dict):
-        resources = Resources(dictionary=latin_dict, mask_probability=0.0)
-        assert reduce_text("any text here", ReduceMethod.MASK_RANDOM_FILL, resources, 5) == "any text here"
+        reduce_one = reducer(ReduceMethod.MASK_RANDOM_FILL, dictionary=latin_dict, mask_probability=0.0)
+        assert reduce_one("any text here", 5) == "any text here"
+        # A mask literal already in the text is not filled: p = 0 is the identity.
+        assert reduce_one(f"ami {MASK_TOKEN} bhalo", 5) == f"ami {MASK_TOKEN} bhalo"
 
-    def test_mask_random_p_zero_needs_no_filler(self):
-        resources = Resources(mask_probability=0.0)
-        assert reduce_text("any text", ReduceMethod.MASK_RANDOM_FILL, resources) == "any text"
+    def test_mask_random_p_zero_needs_no_filler(self, monkeypatch):
+        def no_filler(cls, dictionary):
+            raise AssertionError("p = 0 built a mask filler")
+
+        monkeypatch.setattr(NgramMaskFiller, "from_dictionary", classmethod(no_filler))
+        reduce_one = reducer(ReduceMethod.MASK_RANDOM_FILL, mask_probability=0.0)
+        assert reduce_one("any text", 0) == "any text"
 
     def test_each_method_matches_direct_call(self, latin_dict):
         text = "helo world"
         client = identity_fixture([text, "hello world"])
-        resources = Resources(dictionary=latin_dict, client=client, mask_probability=0.3)
         filler = NgramMaskFiller.from_dictionary(latin_dict)
-        assert reduce_text(text, ReduceMethod.SPELL, resources) == spell_correct(text, latin_dict).corrected
-        assert reduce_text(text, ReduceMethod.SPELL_PARAPHRASE, resources) == paraphrase(
-            text, client, latin_dict
-        )
-        assert reduce_text(text, ReduceMethod.BACK_TRANSLATE, resources) == back_translate(text, client)
-        assert reduce_text(text, ReduceMethod.MASK_OOV_FILL, resources) == fill_masks(
-            mask_oov(text, latin_dict), filler
-        )
-        assert reduce_text(text, ReduceMethod.MASK_RANDOM_FILL, resources, 7) == fill_masks(
+
+        def reduce_one(method, seed=0):
+            return reducer(method, latin_dict, client, mask_probability=0.3)(text, seed)
+
+        assert reduce_one(ReduceMethod.SPELL) == spell_correct(text, latin_dict).corrected
+        assert reduce_one(ReduceMethod.SPELL_PARAPHRASE) == paraphrase(text, client, latin_dict)
+        assert reduce_one(ReduceMethod.BACK_TRANSLATE) == back_translate(text, client)
+        assert reduce_one(ReduceMethod.MASK_OOV_FILL) == fill_masks(mask_oov(text, latin_dict), filler)
+        assert reduce_one(ReduceMethod.MASK_RANDOM_FILL, 7) == fill_masks(
             mask_random(text, p=0.3, seed=7), filler
         )
 
+    def test_filler_built_only_for_mask_methods(self, latin_dict, monkeypatch):
+        calls = []
+        build = NgramMaskFiller.from_dictionary.__func__
+
+        def counting(cls, dictionary):
+            calls.append(dictionary)
+            return build(cls, dictionary)
+
+        monkeypatch.setattr(NgramMaskFiller, "from_dictionary", classmethod(counting))
+        client = identity_fixture([])
+        for method in ReduceMethod:
+            reducer(method, latin_dict, client)
+        assert len(calls) == 2
+
     def test_missing_resources(self):
-        with pytest.raises(MissingResource):
-            reduce_text("x", ReduceMethod.SPELL, Resources())
-        with pytest.raises(MissingResource):
-            reduce_text("x", ReduceMethod.BACK_TRANSLATE, Resources())
-        with pytest.raises(MissingResource):
-            reduce_text(MASK_TOKEN + " x", ReduceMethod.MASK_RANDOM_FILL, Resources(mask_probability=1.0))
+        # Raised when the reducer is built, before any text; mask-random at its default p needs a filler.
+        for method in ReduceMethod:
+            with pytest.raises(MissingResource, match=f"method {method.value} needs a "):
+                reducer(method)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_bad_probability_raised_when_built(self, latin_dict, p):
+        with pytest.raises(InvalidProbability):
+            reducer(ReduceMethod.MASK_RANDOM_FILL, latin_dict, mask_probability=p)

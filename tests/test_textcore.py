@@ -1,10 +1,12 @@
+import os
 import random
+import stat
 import unicodedata
 
 import pytest
 
 from noisekit import textcore
-from noisekit.errors import BadEncoding, Malformed
+from noisekit.errors import BadEncoding, IoFailure, Malformed
 from noisekit.reduce import PhoneticTable
 from noisekit.textcore import (
     NGRAM_JOIN,
@@ -15,6 +17,7 @@ from noisekit.textcore import (
     read_codepoint_table,
     tokenize,
     word_ngrams,
+    write_text,
 )
 
 # Characters a fuzzer should mix: Latin, Bengali letters and signs, combining
@@ -96,6 +99,68 @@ class TestCodepointTable:
         path.write_bytes(b"U+2018\tU+0027\n\xff\n")
         with pytest.raises(BadEncoding, match="t.tsv"):
             PunctuationTable.from_file(path)
+
+
+def failing_after(chunks, exc):
+    yield from chunks
+    raise exc
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("old", [b"old\n", None], ids=["existing", "absent"])
+    @pytest.mark.parametrize("exc, error", [
+        (RuntimeError("stop"), RuntimeError),
+        (OSError(28, "No space left on device"), IoFailure),
+    ], ids=["runtime-error", "os-error"])
+    def test_failure_part_way_keeps_old_target(self, tmp_path, old, exc, error):
+        target = tmp_path / "out.tsv"
+        if old is not None:
+            target.write_bytes(old)
+        with pytest.raises(error) as excinfo:
+            write_text(target, failing_after(["new", " rows\n"], exc))
+        if error is IoFailure:
+            assert str(excinfo.value) == f"cannot write {target}: No space left on device"
+        assert os.listdir(tmp_path) == ([] if old is None else ["out.tsv"])
+        if old is not None:
+            assert target.read_bytes() == old
+
+    def test_chunks_and_string_write_the_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_text(a, "x\ty\nযে\n")
+        write_text(b, iter(["x\t", "y\n", "যে", "\n"]))
+        assert a.read_bytes() == b.read_bytes() == "x\ty\nযে\n".encode("utf-8")
+
+    def test_new_file_has_the_mode_open_gives(self, tmp_path):
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+        write_text(tmp_path / "out", "x")
+        assert stat.S_IMODE(os.stat(tmp_path / "out").st_mode) == stat.S_IMODE(os.stat(reference).st_mode)
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "out"
+        target.write_text("old", encoding="utf-8")
+        target.chmod(0o640)
+        write_text(target, "new")
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o640 and target.read_text(encoding="utf-8") == "new"
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+        real.write_text("old\n", encoding="utf-8")
+        link.symlink_to(real)
+        write_text(link, "new\n")
+        assert link.is_symlink() and real.read_text(encoding="utf-8") == "new\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_text(fifo, "through the pipe\n")
+            assert os.read(reader, 100) == b"through the pipe\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["pipe"]
 
 
 class TestTokenize:
