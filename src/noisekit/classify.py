@@ -21,7 +21,7 @@ import base64
 import binascii
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class LinearModel:
     kind: ModelKind
     weights: np.ndarray  # (n_classes, dim)
     bias: np.ndarray  # (n_classes,)
-    train_config: TrainConfig | None = None
 
     def __post_init__(self):
         k = len(self.kind.class_names)
@@ -175,7 +174,7 @@ def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> Lin
         return y[i] * (y[i] * decision < 1.0)
 
     weights, bias = _sgd(features, labels, k, config, direction, config.c, len(features))
-    return LinearModel(ModelKind.OVR_HINGE, weights, bias, train_config=config)
+    return LinearModel(ModelKind.OVR_HINGE, weights, bias)
 
 
 def predict_multilabel(model: LinearModel, features: FeatureMatrix) -> list[NoiseLabelSet]:
@@ -215,7 +214,7 @@ def train_softmax_weighted(features: FeatureMatrix, labels, config: TrainConfig)
         return g
 
     weights, bias = _sgd(features, labels, k, config, direction, 1.0, config.c * len(features))
-    return LinearModel(ModelKind.SOFTMAX_WEIGHTED, weights, bias, train_config=config)
+    return LinearModel(ModelKind.SOFTMAX_WEIGHTED, weights, bias)
 
 
 def predict_sentiment(model: LinearModel, features: FeatureMatrix):
@@ -242,7 +241,6 @@ def to_json(model: LinearModel) -> dict:
         "kind": model.kind.value,
         "class_names": list(model.class_names),
         "biases": model.bias.tolist(),
-        "train_config": asdict(model.train_config) if model.train_config is not None else None,
         "columns": _b64encode(by_term[first]),
         "column_index": _b64encode(inverse.astype("<u4")),
     }
@@ -262,29 +260,6 @@ def _b64decode(section: dict, key: str) -> bytes:
 def _finite_numbers(values) -> bool:
     return isinstance(values, list) and all(
         type(v) in (int, float) and math.isfinite(v) for v in values
-    )
-
-
-def _train_config_from_json(cfg, k: int) -> TrainConfig | None:
-    if cfg is None:
-        return None
-    if not _finite_numbers([cfg["c"], cfg["learning_rate"]]):
-        raise Malformed("train_config c and learning_rate must be finite numbers")
-    if not (type(cfg["epochs"]) is int and type(cfg["seed"]) is int):
-        raise Malformed("train_config epochs and seed must be integers")
-    class_weights = cfg["class_weights"]
-    if class_weights is not None and not (
-        isinstance(class_weights, list)
-        and all(type(v) in (int, float) for v in class_weights)
-        and len(class_weights) == k
-    ):
-        raise Malformed(f"train_config class_weights must be null or {k} numbers")
-    return TrainConfig(
-        c=cfg["c"],
-        epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"],
-        seed=cfg["seed"],
-        class_weights=tuple(class_weights) if class_weights is not None else None,
     )
 
 
@@ -320,5 +295,4 @@ def from_json(section: dict) -> LinearModel:
         kind=kind,
         weights=np.ascontiguousarray(columns[index].T, dtype=np.float64),
         bias=np.array(biases, dtype=np.float64),
-        train_config=_train_config_from_json(section["train_config"], k),
     )

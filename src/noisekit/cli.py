@@ -63,12 +63,7 @@ def _emit_pretty(payload, indent: int = 0):
 
 
 def _analyzer_config(args) -> AnalyzerConfig:
-    return AnalyzerConfig(
-        mode=AnalyzerMode(args.analyzer),
-        n_min=args.nmin,
-        n_max=args.nmax,
-        min_df=args.min_df,
-    )
+    return AnalyzerConfig(mode=AnalyzerMode(args.analyzer), n_min=args.nmin, n_max=args.nmax)
 
 
 def _csv_delimiter(value: str) -> str:
@@ -101,11 +96,9 @@ def cmd_stats(args) -> dict:
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
     summary = stats.corpus_summary(corpus.documents, bin_width=args.bin_width)
     if args.hist_tsv:
-        hist = stats.length_histogram(corpus.documents, bin_width=args.bin_width)
-        textcore.write_text(args.hist_tsv, stats.histogram_tsv(hist))
+        textcore.write_text(args.hist_tsv, stats.histogram_tsv(summary))
     if args.corr_tsv:
-        matrix = stats.label_correlation(corpus.documents)
-        textcore.write_text(args.corr_tsv, stats.correlation_tsv(matrix))
+        textcore.write_text(args.corr_tsv, stats.correlation_tsv(summary))
     return summary
 
 
@@ -122,7 +115,7 @@ def cmd_train_noise(args) -> dict:
     if not labeled:
         raise Malformed("no noise-labeled rows to train on", path=args.train)
     texts = [d.text for d in labeled]
-    tfidf = features.fit_tfidf(texts, _analyzer_config(args))
+    tfidf = features.fit_tfidf(texts, _analyzer_config(args), args.min_df)
     model = classify.train_ovr_hinge(
         features.transform(tfidf, texts), [d.noise for d in labeled], _train_config(args)
     )
@@ -171,7 +164,7 @@ def cmd_train_sentiment(args) -> dict:
             counts[int(doc.sentiment)] += 1
         weights = classify.compute_class_weights(counts)
     texts = [d.text for d in labeled]
-    tfidf = features.fit_tfidf(texts, _analyzer_config(args))
+    tfidf = features.fit_tfidf(texts, _analyzer_config(args), args.min_df)
     model = classify.train_softmax_weighted(
         features.transform(tfidf, texts),
         [d.sentiment for d in labeled],
@@ -231,16 +224,15 @@ def cmd_import_corpus(args) -> dict:
         raise Malformed(f"--noise-cols needs {len(NOISE_CLASSES)} names, got {len(noise_cols)}")
 
     content = io.StringIO(textcore.read_text(args.input), newline="")
-    reader = csv.DictReader(content, delimiter=args.delimiter)
+    reader = csv.reader(content, delimiter=args.delimiter)
     optional = (args.id_col, args.sentiment_col, *(noise_cols or ()))
-    columns = [args.text_col, *(col for col in optional if col is not None)]
     try:
-        header = reader.fieldnames or []
-        for col in columns:
+        header = next(reader, [])
+        for col in (args.text_col, *(col for col in optional if col is not None)):
             if col not in header:
                 raise Malformed(f"no column {col!r} in the header", path=args.input, line=1)
         # reader.line_num is the file line a row ends on; quoted fields may span lines.
-        rows = [(reader.line_num, row) for row in reader]
+        rows = [(reader.line_num, cells) for cells in reader if cells]  # blank lines are skipped
     except csv.Error as exc:
         raise Malformed(str(exc), path=args.input, line=reader.line_num) from None
     documents = []
@@ -249,15 +241,13 @@ def cmd_import_corpus(args) -> dict:
     unlabeled_noise = 0
     if not rows and noise_cols:
         raise Malformed("no data rows", path=args.input)
-    for i, (lineno, row) in enumerate(rows):
-        if None in row:  # DictReader files the cells beyond the header under None
-            reason = f"expected {len(header)} fields, got {len(header) + len(row[None])}"
+    for i, (lineno, cells) in enumerate(rows):
+        if len(cells) != len(header):
+            reason = f"expected {len(header)} fields, got {len(cells)}"
             raise Malformed(reason, path=args.input, line=lineno)
-        for col in columns:
-            if row[col] is None:  # DictReader fills a short row with None
-                raise Malformed(f"missing column {col!r}", path=args.input, line=lineno)
+        row = dict(zip(header, cells))
         text = row[args.text_col]
-        if not text or not text.strip():
+        if not text.strip():
             skipped_empty += 1
             continue
         doc_id = row[args.id_col] if args.id_col else f"r{i + 1}"

@@ -25,7 +25,7 @@ from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel
 from .textcore import read_text, write_text
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
-BUNDLE_FORMAT = "noisekit-bundle-v3"
+BUNDLE_FORMAT = "noisekit-bundle-v4"
 
 _ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
@@ -277,7 +277,7 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
 
 
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
-    """Write featurizer + classifier as one `noisekit-bundle-v3` JSON document."""
+    """Write featurizer + classifier as one `noisekit-bundle-v4` JSON document."""
     payload = {
         "version": BUNDLE_FORMAT,
         "tfidf": features.to_json(tfidf_model),
@@ -289,7 +289,7 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
 
 
 def load_model_bundle(path, kind: classify.ModelKind):
-    """Read a v3 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
+    """Read a v4 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
     try:
         payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:

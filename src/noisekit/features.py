@@ -40,13 +40,10 @@ class AnalyzerConfig:
     mode: AnalyzerMode = AnalyzerMode.CHAR
     n_min: int = 1
     n_max: int = 4
-    min_df: int = 1
 
     def __post_init__(self):
         if not 1 <= self.n_min <= self.n_max <= 8:
             raise Malformed(f"need 1 <= n_min <= n_max <= 8, got {self.n_min}, {self.n_max}")
-        if self.min_df < 1:
-            raise Malformed(f"min_df must be >= 1, got {self.min_df}")
 
 
 @dataclass(frozen=True)
@@ -111,26 +108,26 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-def fit_tfidf(texts: list[str], config: AnalyzerConfig) -> TfidfModel:
+def fit_tfidf(texts: list[str], config: AnalyzerConfig, min_df: int = 1) -> TfidfModel:
     """Build vocabulary and document frequencies from a corpus of texts.
 
-    idf(t) = ln((1 + N) / (1 + df(t))) + 1; indices are assigned by
-    lexicographic term order, so shuffling the corpus yields an identical
-    model.
+    Terms found in fewer than `min_df` texts are dropped. idf(t) =
+    ln((1 + N) / (1 + df(t))) + 1; indices are assigned by lexicographic
+    term order, so shuffling the corpus yields an identical model.
     """
+    if min_df < 1:
+        raise Malformed(f"min_df must be >= 1, got {min_df}")
     if not texts:
         raise EmptyCorpus("cannot fit a TF-IDF model on an empty corpus")
     df: dict[str, int] = {}
     for text in texts:
         for term in set(analyzer_terms(text, config)):
             df[term] = df.get(term, 0) + 1
-    if config.min_df > 1:
-        df = {t: c for t, c in df.items() if c >= config.min_df}
+    if min_df > 1:
+        df = {t: c for t, c in df.items() if c >= min_df}
     n = len(texts)
     if not df:
-        raise InsufficientData(
-            f"no term occurs in at least min_df={config.min_df} of {n} documents"
-        )
+        raise InsufficientData(f"no term occurs in at least min_df={min_df} of {n} documents")
     terms = sorted(df)
     return TfidfModel(
         vocabulary={term: i for i, term in enumerate(terms)},
@@ -174,7 +171,6 @@ def to_json(model: TfidfModel) -> dict:
             "mode": model.config.mode.value,
             "n_min": model.config.n_min,
             "n_max": model.config.n_max,
-            "min_df": model.config.min_df,
         },
         "corpus_size": model.corpus_size,
         "terms": sorted(model.vocabulary, key=model.vocabulary.__getitem__),
@@ -186,18 +182,13 @@ def from_json(section: dict) -> TfidfModel:
     """Inverse of `to_json`.
 
     Terms must be strings in strictly increasing order, and each term's df an
-    integer in [max(1, min_df), corpus_size].
+    integer in [1, corpus_size].
     """
     cfg = section["config"]
     # `type(...) is int` because JSON true/false load as bool, a subclass of int.
-    if not all(type(cfg[key]) is int for key in ("n_min", "n_max", "min_df")):
-        raise Malformed("n_min, n_max and min_df must be integers")
-    config = AnalyzerConfig(
-        mode=AnalyzerMode(cfg["mode"]),
-        n_min=cfg["n_min"],
-        n_max=cfg["n_max"],
-        min_df=cfg["min_df"],
-    )
+    if not (type(cfg["n_min"]) is int and type(cfg["n_max"]) is int):
+        raise Malformed("n_min and n_max must be integers")
+    config = AnalyzerConfig(mode=AnalyzerMode(cfg["mode"]), n_min=cfg["n_min"], n_max=cfg["n_max"])
     n = section["corpus_size"]
     if not (type(n) is int and n > 0):
         raise Malformed(f"corpus_size must be a positive integer, got {n!r}")
@@ -210,9 +201,8 @@ def from_json(section: dict) -> TfidfModel:
         raise Malformed("df must be a list of integers")
     if len(df) != len(terms):
         raise DimensionMismatch(f"{len(df)} df values for {len(terms)} terms")
-    lo = max(1, config.min_df)
-    if not (set(map(type, df)) <= {int} and lo <= min(df, default=lo) and max(df, default=n) <= n):
-        raise Malformed(f"df values must be integers in [{lo}, {n}]")
+    if not (set(map(type, df)) <= {int} and 1 <= min(df, default=1) and max(df, default=n) <= n):
+        raise Malformed(f"df values must be integers in [1, {n}]")
     return TfidfModel(
         vocabulary={term: i for i, term in enumerate(terms)},
         df=np.array(df, dtype=np.int64),

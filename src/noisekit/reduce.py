@@ -142,7 +142,6 @@ def _token_is_correctable(token: str, dictionary: Dictionary) -> bool:
 
 @dataclass
 class CorrectionResult:
-    original: str
     corrected: str
     edits: list[tuple[int, str, str, int]] = field(default_factory=list)
 
@@ -178,7 +177,7 @@ def spell_correct(text: str, dictionary: Dictionary) -> CorrectionResult:
         _, replacement, dist = best
         edits.append((i, token, replacement, dist))
     corrected = _splice(text, seq, [(i, replacement) for i, _, replacement, _ in edits])
-    return CorrectionResult(original=text, corrected=corrected, edits=edits)
+    return CorrectionResult(corrected=corrected, edits=edits)
 
 
 def _splice(text: str, seq: textcore.TokenSequence, replacements) -> str:

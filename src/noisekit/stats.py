@@ -80,6 +80,9 @@ def length_histogram(documents, bin_width: int = 10) -> LengthStats:
     )
 
 
+_CORRELATION_NEEDS = "label correlation needs at least 2 labeled documents"
+
+
 def label_correlation(documents) -> np.ndarray:
     """Pearson correlation between the ten 0/1 noise indicator columns.
 
@@ -88,7 +91,7 @@ def label_correlation(documents) -> np.ndarray:
     """
     labeled = [d for d in documents if d.noise is not None]
     if len(labeled) < 2:
-        raise InsufficientData("label correlation needs at least 2 labeled documents")
+        raise InsufficientData(_CORRELATION_NEEDS)
     k = len(NOISE_CLASSES)
     x = np.zeros((len(labeled), k), dtype=np.float64)
     for row, doc in enumerate(labeled):
@@ -110,17 +113,23 @@ def label_correlation(documents) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def histogram_tsv(stats: LengthStats) -> str:
-    """bin<TAB>count lines, plot-ready."""
-    return "".join(f"{start}\t{count}\n" for start, count in stats.bins)
+def histogram_tsv(summary: dict) -> str:
+    """The length histogram of a `corpus_summary` as bin<TAB>count lines, plot-ready."""
+    return "".join(f"{start}\t{count}\n" for start, count in summary["length"]["histogram"])
 
 
-def correlation_tsv(matrix: np.ndarray) -> str:
-    """rowlabel<TAB>collabel<TAB>value lines, plot-ready."""
+def correlation_tsv(summary: dict) -> str:
+    """The label correlation of a `corpus_summary` as rowlabel<TAB>collabel<TAB>value lines.
+
+    The summary's values are rounded to 6 places, which ``.6f`` prints unchanged.
+    """
+    if "label_correlation" not in summary:
+        raise InsufficientData(_CORRELATION_NEEDS)
+    matrix = summary["label_correlation"]["matrix"]
     lines = []
     for i, row_name in enumerate(NOISE_CLASSES):
         for j, col_name in enumerate(NOISE_CLASSES):
-            lines.append(f"{row_name}\t{col_name}\t{matrix[i, j]:.6f}\n")
+            lines.append(f"{row_name}\t{col_name}\t{matrix[i][j]:.6f}\n")
     return "".join(lines)
 
 

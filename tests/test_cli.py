@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,21 @@ class TestStatsAndDedupe:
         run_json(capsys, "stats", str(small_corpus), "--hist-tsv", str(hist), "--corr-tsv", str(corr))
         assert hist.read_text(encoding="utf-8").count("\n") >= 1
         assert len(corr.read_text(encoding="utf-8").strip().split("\n")) == 100
+
+    def test_stats_corr_tsv_of_constant_columns_warns_nothing(self, capsys, tmp_path, small_corpus):
+        # small_corpus flags three classes, so the other seven columns are constant.
+        corr = tmp_path / "corr.tsv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_json(capsys, "stats", str(small_corpus), "--corr-tsv", str(corr))
+        assert caught == []
+        assert "local_word\tword_misuse\t0.000000\n" in corr.read_text(encoding="utf-8")
+
+    def test_stats_corr_tsv_needs_two_labeled_rows(self, capsys, tmp_path):
+        src = tmp_path / "in.tsv"
+        save_corpus(make_docs(["a b", "c"], noises=["1000000000", None]), src)
+        error = run_data_error(capsys, "stats", str(src), "--corr-tsv", str(tmp_path / "corr.tsv"))
+        assert error == "ERROR InsufficientData: label correlation needs at least 2 labeled documents"
 
     @pytest.mark.parametrize("flag", ["--hist-tsv", "--corr-tsv"])
     def test_stats_tsv_into_missing_directory(self, capsys, tmp_path, small_corpus, flag):
@@ -205,8 +221,8 @@ class TestNoisePipeline:
         bundle = json.loads(model.read_text(encoding="utf-8"))
         if task == "noise":  # integer terms, still strictly increasing
             bundle["tfidf"]["terms"] = list(range(len(bundle["tfidf"]["terms"])))
-        else:  # a string once loaded as the class weights ('a', 'b', 'c')
-            bundle["linear"]["train_config"]["class_weights"] = "abc"
+        else:  # a string of three characters, one per class
+            bundle["linear"]["biases"] = "abc"
         model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
         error = run_data_error(capsys, f"predict-{task}", str(model), str(small_corpus))
         assert error.startswith(f"ERROR Malformed: {model}: ")
@@ -254,6 +270,15 @@ class TestNoisePipeline:
         assert error.startswith("ERROR InsufficientData:") and "min_df=1000" in error
         assert not model.exists()
 
+    def test_v3_bundle_must_be_retrained(self, capsys, tmp_path, small_corpus):
+        model = tmp_path / "noise.json"
+        run_json(capsys, "train-noise", str(small_corpus), "--epochs", "2", "--out", str(model))
+        bundle = json.loads(model.read_text(encoding="utf-8"))
+        bundle["version"] = "noisekit-bundle-v3"
+        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+        error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
+        assert error == f"ERROR Malformed: {model}: unsupported bundle version 'noisekit-bundle-v3'"
+
     def test_train_noise_deterministic(self, capsys, tmp_path, small_corpus):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -267,12 +292,12 @@ class TestGoldenPredictions:
 
     NOISE_SHA256 = "d492be4f6ef4b54238ce5b4245461823bf9982a1c17f49d014d2759f9c4c9ad9"
     SENTIMENT_SHA256 = "f688a2639c4881dcb5a6f8add68ec45f053664ec798d4659e3f40d8b1c070d62"
-    # The noisekit-bundle-v3 file of the noise training run; moves when the format drifts.
-    NOISE_BUNDLE_SHA256 = "c211e34c19045ee1d0fb3a9542807c89ff08c8d4588165bc227773b04888d8bc"
+    # The noisekit-bundle-v4 file of the noise training run; moves when the format drifts.
+    NOISE_BUNDLE_SHA256 = "0d9ec4bbe8c12f983380ef5fde246161b5da897ed466be5641e91ad0d1d23623"
     # Full-precision bundles; with c != 1 they move if the SGD arithmetic is re-associated.
-    SENTIMENT_BUNDLE_SHA256 = "4721726ad04a84f4cb00418a83e13805948b8fa8a5713e40724d9b77bb9687b7"
-    NOISE_BUNDLE_C_SHA256 = "85a9b98c1303f059e5b7d808192c8f4f6d7476e4e67cbfd71cfe6c4b9df1b23a"
-    SENTIMENT_BUNDLE_C_SHA256 = "fab6989467e5acbbfee48ad60577fb3363cfa02c9013267832ce63cfe2f9be18"
+    SENTIMENT_BUNDLE_SHA256 = "d77034286898164ed230573fc240d467215c1673e854065fd7a831441a3abe53"
+    NOISE_BUNDLE_C_SHA256 = "15be3f97750b22d5c072df9acf80d383a0517de2b5e811fa6e29a956fce82608"
+    SENTIMENT_BUNDLE_C_SHA256 = "363c056098433262a02059960ab4a7f559b0080d4854e02501c2e18e5090e7e9"
     SENTIMENT_FLAGS = (
         "--analyzer", "char+word", "--nmax", "2", "--auto-weights", "--epochs", "8", "--seed", "4",
     )
@@ -795,7 +820,7 @@ class TestImportCorpus:
     @pytest.mark.parametrize(
         "rows,reason,line",
         [
-            ("khub bhalo", "missing column 'Id'", 3),
+            ("khub bhalo", "expected 2 fields, got 1", 3),
             ("khub bhalo,", "empty id", 3),
             # The quoted text spans lines 3-4, so the empty id sits on file line 5.
             ('"khub\nbhalo",r2\nkhub bhalo,', "empty id", 5),
@@ -816,7 +841,7 @@ class TestImportCorpus:
         "content,reason",
         [
             # A short row must not import as a row without labels.
-            ("tumi kharap,2\n", "line 5: missing column 'local'"),
+            ("tumi kharap,2\n", "line 5: expected 12 fields, got 2"),
             # A long row must not shift the id into the next cell.
             ("ami, tumi,2,0,0,0,0,0,0,0,1,0,0\n", "line 5: expected 12 fields, got 13"),
         ],
@@ -833,6 +858,14 @@ class TestImportCorpus:
             "--noise-cols", self.NOISE_COLS,
         )
         assert error == f"ERROR Malformed: {src}, {reason}"
+        assert not out.exists()
+
+    def test_row_short_of_an_unread_column_rejected(self, capsys, tmp_path):
+        src = tmp_path / "up.csv"
+        src.write_text("Data,Extra,More\nonek sundor,x,y\nhello\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        error = run_data_error(capsys, "import-corpus", str(src), str(out), "--text-col", "Data")
+        assert error == f"ERROR Malformed: {src}, line 3: expected 3 fields, got 1"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -294,7 +294,6 @@ def hand_built_bundle(weights):
         kind=ModelKind.SOFTMAX_WEIGHTED,
         weights=weights,
         bias=np.array([-0.0] + [0.5] * (k - 1)),
-        train_config=TrainConfig(class_weights=(0.5,) * k),
     )
     return tfidf, model
 
@@ -351,7 +350,6 @@ class TestModelBundle:
         assert model2.bias.tobytes() == model.bias.tobytes()
         assert tfidf2.idf.tobytes() == tfidf.idf.tobytes()
         assert np.array_equal(tfidf2.df, tfidf.df)
-        assert model2.train_config == model.train_config
 
     def test_round_trip(self, tmp_path):
         self.assert_loads_bit_identical(tmp_path, *small_bundle())
@@ -397,19 +395,28 @@ class TestModelBundle:
         assert np.array_equal(tfidf2.idf, tfidf.idf)
         assert np.array_equal(model2.weights, model.weights)
         assert np.array_equal(model2.bias, model.bias)
-        assert model2.train_config == model.train_config
 
     def test_one_document_with_sorted_terms_and_packed_weights(self, tmp_path):
         tfidf, model = small_bundle()
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == "noisekit-bundle-v3"
+        assert payload["version"] == "noisekit-bundle-v4"
         assert payload["tfidf"]["terms"] == sorted(tfidf.vocabulary)
         assert payload["tfidf"]["df"] == [int(v) for v in tfidf.df]
         assert "idf" not in payload["tfidf"] and "weights" not in payload["linear"]
         assert isinstance(payload["linear"]["columns"], str)
         assert isinstance(payload["linear"]["column_index"], str)
+
+    def test_bundle_stores_only_what_loading_reads(self, tmp_path):
+        tfidf, model = small_bundle()
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert set(payload) == {"version", "tfidf", "linear"}
+        assert set(payload["tfidf"]) == {"config", "corpus_size", "terms", "df"}
+        assert set(payload["tfidf"]["config"]) == {"mode", "n_min", "n_max"}
+        assert set(payload["linear"]) == {"kind", "class_names", "biases", "columns", "column_index"}
 
     @pytest.mark.parametrize(
         "corrupt, error, message",
@@ -434,7 +441,7 @@ class TestModelBundle:
             (lambda b: b["tfidf"].update(corpus_size=10**400), Malformed, "OverflowError"),
             (lambda b: b["tfidf"].update(corpus_size=float("inf")), Malformed, "corpus_size must be a positive integer"),
             (lambda b: b["tfidf"].update(corpus_size=0), Malformed, "corpus_size must be"),
-            (lambda b: b["tfidf"]["config"].update(min_df=2.5), Malformed, "min_df must be integers"),
+            (lambda b: b["tfidf"]["config"].update(n_max=True), Malformed, "n_min and n_max must be integers"),
             (lambda b: b["tfidf"]["terms"].__setitem__(-1, 10**6), Malformed, "terms must be a list of strings"),
             (lambda b: b["linear"].update(class_names=list(range(10))), Malformed, "class_names must be"),
             (lambda b: b["linear"]["class_names"].reverse(), Malformed, "class_names must be the ovr_hinge classes"),
@@ -443,14 +450,6 @@ class TestModelBundle:
             (lambda b: _sentiment_classifier(b, ["a", "b", "c"]), Malformed, r"got \['a', 'b', 'c'\]"),
             (lambda b: b["linear"]["biases"].__setitem__(0, "0.5"), Malformed, "biases must be finite numbers"),
             (lambda b: b["linear"]["biases"].__setitem__(0, float("-inf")), Malformed, "biases must be finite"),
-            (lambda b: b["linear"]["train_config"].update(c="1.0"), Malformed, "c and learning_rate must be finite"),
-            (lambda b: b["linear"]["train_config"].update(learning_rate=float("nan")), Malformed, "learning_rate must be finite"),
-            (lambda b: b["linear"]["train_config"].update(epochs=5.0), Malformed, "epochs and seed must be integers"),
-            (lambda b: b["linear"]["train_config"].update(seed=False), Malformed, "seed must be integers"),
-            (lambda b: b["linear"]["train_config"].update(seed=-1), Malformed, "seed must be >= 0"),
-            (lambda b: b["linear"]["train_config"].update(class_weights="abc"), Malformed, "class_weights must be null or 10"),
-            (lambda b: b["linear"]["train_config"].update(class_weights=[1.0] * 9), Malformed, "class_weights must be null"),
-            (lambda b: b["linear"]["train_config"].update(class_weights=[0.0] + [1.0] * 9), Malformed, "finite positive numbers"),
         ],
     )
     def test_inconsistent_bundle_rejected(self, tmp_path, corrupt, error, message):

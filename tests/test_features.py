@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from noisekit.errors import EmptyCorpus
+from noisekit.errors import EmptyCorpus, Malformed
 from noisekit.features import (
     AnalyzerConfig,
     AnalyzerMode,
@@ -75,9 +75,12 @@ class TestFitTfidf:
         assert idfs[0] < idfs[1] < idfs[2]
 
     def test_min_df_filters(self):
-        config = AnalyzerConfig(mode=AnalyzerMode.WORD, n_min=1, n_max=1, min_df=2)
-        model = fit_tfidf(["a b", "a c"], config)
+        model = fit_tfidf(["a b", "a c"], WORD, min_df=2)
         assert set(model.vocabulary) == {"a"}
+
+    def test_min_df_below_one_rejected(self):
+        with pytest.raises(Malformed, match="min_df must be >= 1, got 0"):
+            fit_tfidf(["a b", "a c"], WORD, min_df=0)
 
     def test_char_plus_word_keeps_spaces_apart(self):
         config = AnalyzerConfig(mode=AnalyzerMode.CHAR_PLUS_WORD, n_min=1, n_max=1)

@@ -179,13 +179,13 @@ class TestSpellCorrect:
                 assert best is not None
                 assert (dist, -latin_dict.freq[replacement], replacement) == best
             # Applying the edits to the original reproduces the corrected text.
-            seq = tokenize(result.original)
+            seq = tokenize(noisy)
             pieces, cursor = [], 0
             for i, _, replacement, _ in result.edits:
                 start, end = seq.spans[i]
-                pieces.extend((result.original[cursor:start], replacement))
+                pieces.extend((noisy[cursor:start], replacement))
                 cursor = end
-            pieces.append(result.original[cursor:])
+            pieces.append(noisy[cursor:])
             assert "".join(pieces) == result.corrected
 
     def test_idempotent_fuzz(self, latin_dict):

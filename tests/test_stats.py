@@ -86,8 +86,8 @@ class TestLengthHistogram:
         assert stats.bins == [] and stats.mean == 0.0
 
     def test_tsv_emit(self):
-        stats = length_histogram(make_docs(["abc", "abcdefghijkl"]), bin_width=10)
-        assert histogram_tsv(stats) == "0\t1\n10\t1\n"
+        summary = corpus_summary(make_docs(["abc", "abcdefghijkl"]), bin_width=10)
+        assert histogram_tsv(summary) == "0\t1\n10\t1\n"
 
 
 class TestLabelCorrelation:
@@ -140,12 +140,26 @@ class TestLabelCorrelation:
     def test_tsv_emit_shape(self):
         noises = ["1000000001", "0100000001", "1100000001"]
         docs = make_docs(["a", "b", "c"], noises=noises)
+        lines = correlation_tsv(corpus_summary(docs)).strip().split("\n")
+        assert len(lines) == 100
+        assert lines[0].split("\t")[:2] == ["local_word", "local_word"]
+        assert lines[1] == "local_word\tword_misuse\t-0.500000"
+
+    def test_tsv_matches_the_unrounded_matrix(self):
+        rng = random.Random(131)
+        noises = ["".join(rng.choice("01") for _ in range(9)) + "1" for _ in range(23)]
+        docs = make_docs(["t"] * len(noises), noises=noises)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             matrix = label_correlation(docs)
-        lines = correlation_tsv(matrix).strip().split("\n")
-        assert len(lines) == 100
-        assert lines[0].split("\t")[:2] == ["local_word", "local_word"]
+        expected = [f"{v:.6f}" for v in matrix.ravel()]
+        lines = correlation_tsv(corpus_summary(docs)).strip().split("\n")
+        assert [line.split("\t")[2] for line in lines] == expected
+
+    def test_tsv_needs_two_labeled_documents(self):
+        summary = corpus_summary(make_docs(["a", "b"], noises=["1000000000", None]))
+        with pytest.raises(InsufficientData, match="at least 2 labeled"):
+            correlation_tsv(summary)
 
 
 class TestCorpusSummary:
