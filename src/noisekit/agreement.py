@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import LengthMismatch, MalformedMatrix
 from .textcore import NOISE_CLASSES, NoiseLabelSet
 

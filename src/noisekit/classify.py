@@ -23,8 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DataError, DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
 from .features import FeatureMatrix
 from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, NoiseLabelSet, SentimentLabel

@@ -14,9 +14,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import classify, features
+from ._lazy import np
 from .agreement import RatingMatrix
 from .errors import DataError, DimensionMismatch, Malformed, MalformedMatrix
 from .metrics import EmbeddingTable

@@ -20,9 +20,8 @@ import math
 from array import array
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import textcore
+from ._lazy import np
 from .errors import DimensionMismatch, EmptyCorpus, InsufficientData, Malformed
 
 _CHAR_TAG = "c" + textcore.NGRAM_JOIN

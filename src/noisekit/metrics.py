@@ -14,9 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import textcore
+from ._lazy import np
 from .errors import (
     EmptyInput,
     EmptyReference,

@@ -7,9 +7,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import textcore
+from ._lazy import np
 from .errors import InsufficientData, Malformed, MissingLabels
 from .textcore import NOISE_CLASSES, Document
 
