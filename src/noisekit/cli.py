@@ -1,8 +1,8 @@
 """Command-line front door wiring the modules into reproducible batch jobs.
 
-Results go to standard output as JSON (``--pretty`` renders tables instead);
-errors print one machine-parsable ``ERROR <code>: <message>`` line and exit
-with 1 for usage problems, 2 for data errors, 3 for client failures.
+Results go to standard output as one line of JSON; errors print one
+machine-parsable ``ERROR <code>: <message>`` line and exit with 1 for usage
+problems, 2 for data errors, 3 for client failures.
 """
 
 from __future__ import annotations
@@ -32,34 +32,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"ERROR Usage: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _emit(payload, pretty: bool):
-    if pretty:
-        _emit_pretty(payload)
-    else:
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-
-
-def _emit_pretty(payload, indent: int = 0):
-    pad = "  " * indent
-    if isinstance(payload, dict):
-        for key in payload:
-            value = payload[key]
-            if isinstance(value, (dict, list)):
-                print(f"{pad}{key}:")
-                _emit_pretty(value, indent + 1)
-            else:
-                print(f"{pad}{key}: {value}")
-    elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)):
-                _emit_pretty(value, indent)
-                print()
-            else:
-                print(f"{pad}{value}")
-    else:
-        print(f"{pad}{payload}")
 
 
 def _analyzer_config(args) -> AnalyzerConfig:
@@ -94,7 +66,7 @@ def _train_config(args, class_weights=None) -> classify.TrainConfig:
 
 def cmd_stats(args) -> dict:
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
-    summary = stats.corpus_summary(corpus.documents, bin_width=args.bin_width)
+    summary = stats.corpus_summary(corpus.documents)
     if args.hist_tsv:
         textcore.write_text(args.hist_tsv, stats.histogram_tsv(summary))
     if args.corr_tsv:
@@ -247,7 +219,7 @@ def cmd_import_corpus(args) -> dict:
             raise Malformed(reason, path=args.input, line=lineno)
         row = dict(zip(header, cells))
         text = row[args.text_col]
-        if not text.strip():
+        if not textcore.normalize(text):  # loading normalizes, and rejects empty text
             skipped_empty += 1
             continue
         doc_id = row[args.id_col] if args.id_col else f"r{i + 1}"
@@ -308,8 +280,7 @@ def cmd_reduce(args) -> dict:
     corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
     dictionary = None
     if args.dict:
-        table = reduction.PhoneticTable.from_file(args.phonetic_table) if args.phonetic_table else None
-        dictionary = dataio.load_dictionary(args.dict, phonetic_table=table)
+        dictionary = dataio.load_dictionary(args.dict)
     client = _build_client(args)
     try:
         reduce_one = reduction.reducer(method, dictionary, client, mask_probability=args.p)
@@ -319,8 +290,8 @@ def cmd_reduce(args) -> dict:
             digest = hashlib.blake2b(f"{args.seed}\t{doc.id}".encode(), digest_size=8).digest()
             seed = int.from_bytes(digest, "big")
             text = reduce_one(doc.text, seed)
-            if not text.strip():
-                # The output file must satisfy the corpus schema (non-empty text).
+            if not textcore.normalize(text):
+                # The output must load again, and loading normalizes; empty text is malformed.
                 warnings.warn(f"{doc.id}: reduction produced empty text; keeping the original")
                 text = doc.text
             reduced_docs.append(dataclasses.replace(doc, text=text))
@@ -403,46 +374,28 @@ def cmd_agreement(args) -> dict:
     return {"score": score, "pass": passed, "threshold": args.threshold, "mode": mode}
 
 
-def _add_global_flags(parser, after_subcommand=False):
-    # On subparsers the defaults are suppressed so a flag given after the
-    # subcommand overrides the top-level value instead of resetting it.
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="noisekit", description=__doc__)
     parser.add_argument(
         "--normalize",
         action=argparse.BooleanOptionalAction,
-        default=argparse.SUPPRESS if after_subcommand else True,
+        default=True,
         help="canonicalize text while loading corpora (default on)",
     )
-    parser.add_argument(
-        "--pretty",
-        action="store_true",
-        default=argparse.SUPPRESS if after_subcommand else False,
-        help="human-readable output",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="noisekit", description=__doc__)
-    _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _add_global_flags(p, after_subcommand=True)
-        return p
-
-    p = add_parser("stats", help="dataset statistics as JSON")
+    p = sub.add_parser("stats", help="dataset statistics as JSON")
     p.add_argument("corpus")
-    p.add_argument("--bin-width", type=int, default=10)
     p.add_argument("--hist-tsv", help="write the length histogram as TSV")
     p.add_argument("--corr-tsv", help="write the label correlation matrix as TSV")
     p.set_defaults(func=cmd_stats)
 
-    p = add_parser("dedupe", help="drop duplicate texts, keeping first occurrences")
+    p = sub.add_parser("dedupe", help="drop duplicate texts, keeping first occurrences")
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=cmd_dedupe)
 
-    p = add_parser("import-corpus", help="convert an upstream CSV to the corpus TSV schema")
+    p = sub.add_parser("import-corpus", help="convert an upstream CSV to the corpus TSV schema")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--text-col", required=True)
@@ -470,18 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
 
-    p = add_parser("train-noise", help="train the one-vs-rest noise identifier")
+    p = sub.add_parser("train-noise", help="train the one-vs-rest noise identifier")
     p.add_argument("train")
     add_train_flags(p, lr_default=0.1)
     p.set_defaults(func=cmd_train_noise)
 
-    p = add_parser("predict-noise", help="predict noise label sets")
+    p = sub.add_parser("predict-noise", help="predict noise label sets")
     p.add_argument("model")
     p.add_argument("corpus")
     p.add_argument("--out", help="also write a corpus TSV with predicted noise bits")
     p.set_defaults(func=cmd_predict_noise)
 
-    p = add_parser("train-sentiment", help="train the weighted softmax sentiment model")
+    p = sub.add_parser("train-sentiment", help="train the weighted softmax sentiment model")
     p.add_argument("train")
     add_train_flags(p, lr_default=0.05)
     p.add_argument(
@@ -491,17 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_train_sentiment)
 
-    p = add_parser("predict-sentiment", help="predict sentiment labels")
+    p = sub.add_parser("predict-sentiment", help="predict sentiment labels")
     p.add_argument("model")
     p.add_argument("corpus")
     p.add_argument("--out", help="also write a corpus TSV with predicted sentiment")
     p.set_defaults(func=cmd_predict_sentiment)
 
-    p = add_parser("reduce", help="apply one noise-reduction method")
+    p = sub.add_parser("reduce", help="apply one noise-reduction method")
     p.add_argument("corpus")
     p.add_argument("--method", required=True, choices=[m.value for m in ReduceMethod])
     p.add_argument("--dict", help="dictionary file (word<TAB>frequency)")
-    p.add_argument("--phonetic-table", help="override the packaged phonetic class table")
     translator = p.add_mutually_exclusive_group()
     translator.add_argument("--client", help="subprocess translator command line")
     translator.add_argument("--fixture", help="JSONL fixture file answering client requests")
@@ -510,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 
-    p = add_parser("eval-reduction", help="score reduced corpora against ground truth")
+    p = sub.add_parser("eval-reduction", help="score reduced corpora against ground truth")
     p.add_argument("outputs", nargs="+")
     p.add_argument("--truth", required=True)
     p.add_argument("--inputs", help="original noisy corpus (enables the composite score)")
@@ -519,14 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--human-tallies", help='JSON file {"method": [accurate, total], ...}')
     p.set_defaults(func=cmd_eval_reduction)
 
-    p = add_parser("agreement", help="annotation-quality statistics")
+    p = sub.add_parser("agreement", help="annotation-quality statistics")
     agreement_sub = p.add_subparsers(dest="agreement_command", required=True)
     pk = agreement_sub.add_parser("kappa", help="Fleiss' kappa of a rating matrix")
-    _add_global_flags(pk, after_subcommand=True)
     pk.add_argument("matrix")
     pk.set_defaults(func=cmd_agreement)
     pt = agreement_sub.add_parser("trust", help="trustworthiness against control samples")
-    _add_global_flags(pt, after_subcommand=True)
     pt.add_argument("annotator")
     pt.add_argument("gold")
     pt.add_argument("--threshold", type=_percent, default=90.0)
@@ -544,7 +494,7 @@ def main(argv=None) -> int:
     except NoisekitError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    _emit(payload, args.pretty)
+    print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return 0
 
 

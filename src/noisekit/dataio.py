@@ -19,7 +19,7 @@ from ._lazy import np
 from .agreement import RatingMatrix
 from .errors import DataError, DimensionMismatch, Malformed, MalformedMatrix
 from .metrics import EmbeddingTable
-from .reduce import Dictionary, FixtureClient, PhoneticTable
+from .reduce import Dictionary, FixtureClient
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
 from .textcore import read_text, write_text
 
@@ -123,7 +123,7 @@ def save_corpus(documents: list[Document], path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def load_dictionary(path, phonetic_table: PhoneticTable | None = None) -> Dictionary:
+def load_dictionary(path) -> Dictionary:
     """word<TAB>frequency per line; frequency defaults to 1 and accumulates."""
     content = read_text(path)
     freq: dict[str, int] = {}
@@ -153,7 +153,7 @@ def load_dictionary(path, phonetic_table: PhoneticTable | None = None) -> Dictio
         freq[word] = freq.get(word, 0) + count
     if not freq:
         raise Malformed("dictionary file has no entries", path=path)
-    return Dictionary(freq, table=phonetic_table)
+    return Dictionary(freq)
 
 
 def load_embeddings(path) -> EmbeddingTable:

@@ -132,7 +132,7 @@ def correlation_tsv(summary: dict) -> str:
     return "".join(lines)
 
 
-def corpus_summary(documents, bin_width: int = 10) -> dict:
+def corpus_summary(documents) -> dict:
     """One JSON-friendly bundle of all the dataset statistics."""
     sentiment_counts = {label.label: 0 for label in textcore.SentimentLabel}
     unlabeled_sentiment = 0
@@ -141,7 +141,7 @@ def corpus_summary(documents, bin_width: int = 10) -> dict:
             unlabeled_sentiment += 1
         else:
             sentiment_counts[doc.sentiment.label] += 1
-    lengths = length_histogram(documents, bin_width=bin_width)
+    lengths = length_histogram(documents)
     summary = {
         "documents": len(documents),
         "sentiment_counts": sentiment_counts,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import noisekit
-from noisekit.cli import main
+from noisekit.cli import build_parser, main
 from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
 from noisekit.reduce import NgramMaskFiller
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
@@ -139,12 +139,17 @@ class TestStatsAndDedupe:
         result = run_json(capsys, "--no-normalize", "dedupe", str(src), str(dst))
         assert result["removed"] == 0
 
-    def test_global_flags_accepted_after_subcommand(self, capsys, tmp_path):
-        docs = make_docs(["a b", "a  b", "c"])
-        src = tmp_path / "in.tsv"
-        save_corpus(docs, src)
-        result = run_json(capsys, "dedupe", str(src), str(tmp_path / "o.tsv"), "--no-normalize")
-        assert result["removed"] == 0
+    @pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
+    def test_global_flag_after_subcommand_is_usage_error(self, capsys, tmp_path, flag):
+        src, out = tmp_path / "in.tsv", tmp_path / "o.tsv"
+        save_corpus(make_docs(["a b", "a  b"]), src)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dedupe", str(src), str(out), flag])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+        assert errors == [f"ERROR Usage: unrecognized arguments: {flag}"]
+        assert captured.out == "" and not out.exists()
 
 
 class TestNoisePipeline:
@@ -391,9 +396,7 @@ class TestReduceCommand:
         out = tmp_path / "reduced.tsv"
         run_json(
             capsys, "reduce", str(small_corpus), "--method", "spell",
-            "--dict", str(self.make_dict_file(tmp_path)),
-            "--phonetic-table", "src/noisekit/data/phonetic_bn.tsv",
-            "--out", str(out),
+            "--dict", str(self.make_dict_file(tmp_path)), "--out", str(out),
         )
         assert len(load_corpus(out).documents) == 3
 
@@ -503,6 +506,25 @@ class TestReduceCommand:
         reduced = load_corpus(out)
         assert [d.text for d in reduced.documents] == [d.text for d in corpus.documents]
 
+    def test_output_that_normalizes_to_empty_keeps_the_original(self, capsys, tmp_path, small_corpus):
+        # U+241F is stripped by normalization, so this reply would load as empty text.
+        corpus = load_corpus(small_corpus)
+        lines = []
+        for doc in corpus.documents:
+            lines.append({"task": "translate", "src": "bn", "tgt": "en", "text_in": doc.text, "text_out": "x"})
+        lines.append({"task": "translate", "src": "en", "tgt": "bn", "text_in": "x", "text_out": "\u241f"})
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
+        out = tmp_path / "bt.tsv"
+        with pytest.warns(UserWarning, match="keeping the original"):
+            run_json(
+                capsys, "reduce", str(small_corpus), "--method", "backtranslate",
+                "--fixture", str(fixture), "--out", str(out),
+            )
+        assert [d.text for d in load_corpus(out).documents] == [d.text for d in corpus.documents]
+        report = run_json(capsys, "eval-reduction", str(out), "--truth", str(small_corpus))
+        assert report["reports"][0]["rouge_l"] == 1.0
+
     def test_fixture_miss_exits_3(self, capsys, tmp_path, small_corpus):
         fixture = tmp_path / "fx.jsonl"
         fixture.write_text("", encoding="utf-8")
@@ -540,15 +562,6 @@ class TestReduceCommand:
         errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
         assert errors == ["ERROR Usage: argument --fixture: not allowed with argument --client"]
         assert captured.out == "" and not out.exists()
-
-    def test_missing_phonetic_table(self, capsys, tmp_path, small_corpus):
-        table = tmp_path / "missing.tsv"
-        error = run_data_error(
-            capsys, "reduce", str(small_corpus), "--method", "spell",
-            "--dict", str(self.make_dict_file(tmp_path)), "--phonetic-table", str(table),
-            "--out", str(tmp_path / "o.tsv"),
-        )
-        assert error.startswith("ERROR IoFailure:") and str(table) in error
 
     def test_missing_dictionary_exits_2(self, capsys, tmp_path, small_corpus):
         out = tmp_path / "x.tsv"
@@ -717,6 +730,16 @@ class TestAgreementCommands:
         result = run_json(capsys, "agreement", "trust", ann, gold)
         assert result["score"] == 100.0
 
+    def test_trust_jaccard(self, capsys, tmp_path):
+        # d0 adds a label to its one gold label and earns 1/2; the other three match exactly.
+        ann, gold = self.trust_files(
+            tmp_path,
+            lambda docs: [Document(id="d0", text="t0", noise=NoiseLabelSet.from_bits("1100000000"))] + docs[1:],
+        )
+        result = run_json(capsys, "agreement", "trust", ann, gold, "--jaccard")
+        assert result == {"score": 87.5, "pass": False, "threshold": 90.0, "mode": "jaccard"}
+        assert run_json(capsys, "agreement", "trust", ann, gold)["score"] == 75.0
+
     def test_trust_ids_must_match(self, capsys, tmp_path):
         ann, gold = self.trust_files(
             tmp_path, lambda docs: docs[:-1] + [Document(id="x", text="t", noise=docs[0].noise)]
@@ -771,6 +794,16 @@ class TestImportCorpus:
         assert corpus.documents[0].sentiment is SentimentLabel.POSITIVE
         assert corpus.documents[0].noise.names() == ("spelling_error",)
         assert corpus.documents[1].noise.names() == ("mixed_language",)
+
+    def test_text_that_normalizes_to_empty_is_skipped(self, capsys, tmp_path):
+        # U+241F is stripped by normalization, so that row could never load again.
+        src, out = tmp_path / "up.csv", tmp_path / "o.tsv"
+        src.write_text("Data\nkhub  bhalo\n\u241f\n", encoding="utf-8")
+        result = run_json(capsys, "import-corpus", str(src), str(out), "--text-col", "Data")
+        assert (result["imported"], result["skipped_empty"]) == (1, 1)
+        # A kept row is written raw; loading normalizes it.
+        assert [d.text for d in load_corpus(out, normalize_text=False).documents] == ["khub  bhalo"]
+        assert run_json(capsys, "stats", str(out))["documents"] == 1
 
     def test_unmapped_sentiment_rejected(self, capsys, tmp_path):
         src = tmp_path / "up.csv"
@@ -905,11 +938,6 @@ class TestErrorsAndUx:
         assert code == 2
         assert "line 2" in err
 
-    def test_pretty_output(self, capsys, small_corpus):
-        code, out, _ = run_cli(capsys, "--pretty", "stats", str(small_corpus))
-        assert code == 0
-        assert "documents: 3" in out
-
     def test_console_entry_point(self, small_corpus):
         # The child finds the package where this process imported it from.
         src = str(Path(noisekit.__file__).resolve().parents[1])
@@ -922,6 +950,24 @@ class TestErrorsAndUx:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["documents"] == 3
+
+
+def readme_cli_examples() -> list[str]:
+    """Every `noisekit ...` command line in README's bash blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("noisekit ")]
+
+
+def test_readme_cli_examples_parse(capsys):
+    examples = readme_cli_examples()
+    assert examples
+    for example in examples:
+        try:
+            build_parser().parse_args(shlex.split(example, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {example}\n{capsys.readouterr().err}")
 
 
 def test_reduce_and_textcore_import_without_numpy():
@@ -971,7 +1017,6 @@ MALFORMED_INPUT_CASES = {
     "reduce-missing-corpus": ["reduce", "{missing}", "--method", "mask-oov", "--dict", "{dict}", "--out", "{out}"],
     "reduce-non-utf8-dict": ["reduce", "{corpus}", "--method", "mask-oov", "--dict", "{binary}", "--out", "{out}"],
     "reduce-header-only-dict": ["reduce", "{corpus}", "--method", "spell", "--dict", "{header_only}", "--out", "{out}"],
-    "reduce-bad-phonetic-table": ["reduce", "{corpus}", "--method", "spell", "--dict", "{dict}", "--phonetic-table", "{wrong_header}", "--out", "{out}"],
     "reduce-non-json-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{corpus}", "--out", "{out}"],
     "reduce-empty-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{empty}", "--out", "{out}"],
     "reduce-scalar-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{scalar_fixture}", "--out", "{out}"],

@@ -23,6 +23,7 @@ from noisekit.dataio import (
 )
 from noisekit.errors import BadEncoding, DimensionMismatch, FixtureMiss, Malformed, MalformedMatrix
 from noisekit.features import AnalyzerConfig, AnalyzerMode, TfidfModel, fit_tfidf, transform
+from noisekit.reduce import Dictionary
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
 from conftest import make_docs
@@ -163,26 +164,25 @@ class TestRoundTrip:
 
 
 class TestDictionaryLoader:
-    def test_two_word_file(self, tmp_path, latin_table):
-        path = write(tmp_path, "d.tsv", "hello\t10\nworld\t5\n")
-        d = load_dictionary(path, phonetic_table=latin_table)
+    def test_two_word_file(self, tmp_path):
+        d = load_dictionary(write(tmp_path, "d.tsv", "hello\t10\nworld\t5\n"))
         assert d.freq == {"hello": 10, "world": 5}
 
-    def test_default_frequency(self, tmp_path, latin_table):
-        d = load_dictionary(write(tmp_path, "d.tsv", "hello\nworld\t7\n"), latin_table)
+    def test_default_frequency(self, tmp_path):
+        d = load_dictionary(write(tmp_path, "d.tsv", "hello\nworld\t7\n"))
         assert d.freq == {"hello": 1, "world": 7}
 
-    def test_duplicate_words_accumulate(self, tmp_path, latin_table):
-        d = load_dictionary(write(tmp_path, "d.tsv", "a\t2\na\t3\n"), latin_table)
+    def test_duplicate_words_accumulate(self, tmp_path):
+        d = load_dictionary(write(tmp_path, "d.tsv", "a\t2\na\t3\n"))
         assert d.freq == {"a": 5}
 
-    def test_bad_frequency(self, tmp_path, latin_table):
+    def test_bad_frequency(self, tmp_path):
         with pytest.raises(Malformed) as excinfo:
-            load_dictionary(write(tmp_path, "d.tsv", "a\tmany\n"), latin_table)
+            load_dictionary(write(tmp_path, "d.tsv", "a\tmany\n"))
         assert excinfo.value.line == 1
 
-    def test_phonetic_index_built_eagerly(self, tmp_path, latin_table):
-        d = load_dictionary(write(tmp_path, "d.tsv", "abba\t1\n"), latin_table)
+    def test_phonetic_index_built_eagerly(self, latin_table):
+        d = Dictionary({"abba": 1}, table=latin_table)
         assert d.phonetic_index == {"A100": ["abba"]}
 
 

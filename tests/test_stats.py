@@ -86,7 +86,7 @@ class TestLengthHistogram:
         assert stats.bins == [] and stats.mean == 0.0
 
     def test_tsv_emit(self):
-        summary = corpus_summary(make_docs(["abc", "abcdefghijkl"]), bin_width=10)
+        summary = corpus_summary(make_docs(["abc", "abcdefghijkl"]))
         assert histogram_tsv(summary) == "0\t1\n10\t1\n"
 
 
