@@ -43,10 +43,11 @@ def fleiss_kappa(matrix: RatingMatrix) -> float:
     Perfect scores under total expected agreement (one category holds every
     rating) return exactly 1.
     """
-    counts = matrix.counts
+    # In float64, squares and column totals of int64 counts cannot wrap.
+    counts = matrix.counts.astype(np.float64)
     if matrix.n_items < 2:
         raise MalformedMatrix("Fleiss' kappa needs at least 2 items")
-    n = matrix.raters_per_item
+    n = float(matrix.raters_per_item)
     per_item = ((counts * counts).sum(axis=1) - n) / (n * (n - 1))
     observed = float(per_item.mean())
     proportions = counts.sum(axis=0) / counts.sum()

@@ -20,7 +20,6 @@ from pathlib import Path
 from . import agreement, classify, dataio, features, metrics, reduce as reduction, stats, textcore
 from .errors import Malformed, NoisekitError
 from .features import AnalyzerConfig, AnalyzerMode
-from .metrics import ConfusionCounts
 from .reduce import ReduceMethod
 from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel
 
@@ -111,11 +110,13 @@ def cmd_predict_noise(args) -> dict:
     ]
     result = {"predictions": predictions}
     scored = [
-        (d.noise, p) for d, p in zip(corpus.documents, predicted_sets) if d.noise is not None
+        (d.noise.mask, p.mask)
+        for d, p in zip(corpus.documents, predicted_sets)
+        if d.noise is not None
     ]
     if scored:
-        counts = ConfusionCounts.from_multilabel(*map(list, zip(*scored)))
-        result["metrics"] = metrics.prf_report(counts)
+        gold, labels = zip(*scored)
+        result["metrics"] = metrics.prf_report(gold, labels, NOISE_CLASSES)
     if args.out:
         out_docs = [
             dataclasses.replace(d, noise=p) for d, p in zip(corpus.documents, predicted_sets)
@@ -166,12 +167,13 @@ def cmd_predict_sentiment(args) -> dict:
     ]
     result = {"predictions": predictions}
     scored = [
-        (d.sentiment, p) for d, p in zip(corpus.documents, predicted) if d.sentiment is not None
+        (1 << d.sentiment, 1 << p)
+        for d, p in zip(corpus.documents, predicted)
+        if d.sentiment is not None
     ]
     if scored:
-        gold, labels = map(list, zip(*scored))
-        counts = ConfusionCounts.from_multiclass(gold, labels, model.class_names)
-        result["metrics"] = metrics.prf_report(counts)
+        gold, labels = zip(*scored)
+        result["metrics"] = metrics.prf_report(gold, labels, model.class_names)
     if args.out:
         out_docs = [
             dataclasses.replace(d, sentiment=p) for d, p in zip(corpus.documents, predicted)

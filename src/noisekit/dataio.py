@@ -229,6 +229,9 @@ def load_fixture(path) -> FixtureClient:
     return FixtureClient(entries)
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
 def load_rating_matrix(path) -> RatingMatrix:
     """TSV with a header row of category names and one count row per item."""
     content = read_text(path)
@@ -244,9 +247,14 @@ def load_rating_matrix(path) -> RatingMatrix:
                 f"expected {n_categories} counts, got {len(parts)}", path=path, line=lineno
             )
         try:
-            rows.append([int(v) for v in parts])
+            counts = [int(v) for v in parts]
         except ValueError:
             raise Malformed("counts must be integers", path=path, line=lineno) from None
+        if any(abs(v) > _INT64_MAX for v in (*counts, sum(counts))):
+            raise MalformedMatrix(
+                "counts and their item total must fit in 64-bit integers", path=path, line=lineno
+            )
+        rows.append(counts)
     try:
         return RatingMatrix(np.asarray(rows, dtype=np.int64))
     except MalformedMatrix as exc:

@@ -143,54 +143,6 @@ def human_eval_score(accurate: int, total: int) -> float:
     return 100.0 * accurate / total
 
 
-@dataclass
-class ConfusionCounts:
-    """Per-class true-positive / false-positive / false-negative tallies."""
-
-    class_names: tuple[str, ...]
-    tp: list[int]
-    fp: list[int]
-    fn: list[int]
-
-    def __post_init__(self):
-        lengths = {len(self.class_names), len(self.tp), len(self.fp), len(self.fn)}
-        if len(lengths) != 1:
-            raise LengthMismatch("confusion count columns differ in length")
-        if any(v < 0 for col in (self.tp, self.fp, self.fn) for v in col):
-            raise InvalidCounts("confusion counts must be non-negative")
-
-    @classmethod
-    def from_multilabel(cls, gold, predicted) -> "ConfusionCounts":
-        if len(gold) != len(predicted):
-            raise LengthMismatch(f"{len(gold)} gold rows vs {len(predicted)} predictions")
-        k = len(textcore.NOISE_CLASSES)
-        tp, fp, fn = [0] * k, [0] * k, [0] * k
-        for g, p in zip(gold, predicted):
-            for j in range(k):
-                if p.has(j) and g.has(j):
-                    tp[j] += 1
-                elif p.has(j):
-                    fp[j] += 1
-                elif g.has(j):
-                    fn[j] += 1
-        return cls(textcore.NOISE_CLASSES, tp, fp, fn)
-
-    @classmethod
-    def from_multiclass(cls, gold, predicted, class_names) -> "ConfusionCounts":
-        if len(gold) != len(predicted):
-            raise LengthMismatch(f"{len(gold)} gold rows vs {len(predicted)} predictions")
-        k = len(class_names)
-        tp, fp, fn = [0] * k, [0] * k, [0] * k
-        for g, p in zip(gold, predicted):
-            g, p = int(g), int(p)
-            if g == p:
-                tp[g] += 1
-            else:
-                fp[p] += 1
-                fn[g] += 1
-        return cls(tuple(class_names), tp, fp, fn)
-
-
 def _prf_one(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -198,16 +150,33 @@ def _prf_one(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def prf_report(counts: ConfusionCounts) -> dict:
-    """P/R/F1 micro, macro, support-weighted and per class; 0/0 is 0, scores rounded to 6 places."""
+def prf_report(gold, predicted, class_names) -> dict:
+    """P/R/F1 micro, macro, support-weighted and per class; 0/0 is 0, scores rounded to 6 places.
+
+    Each row is a label bitmask whose bit j is class_names[j]: a multi-label
+    row may set any bits, a multiclass row sets exactly one.
+    """
+    if len(gold) != len(predicted):
+        raise LengthMismatch(f"{len(gold)} gold rows vs {len(predicted)} predictions")
+    bits = [1 << j for j in range(len(class_names))]
+    tp, fp, fn = [0] * len(bits), [0] * len(bits), [0] * len(bits)
+    for g, p in zip(gold, predicted):
+        for j, bit in enumerate(bits):
+            if p & bit:
+                if g & bit:
+                    tp[j] += 1
+                else:
+                    fp[j] += 1
+            elif g & bit:
+                fn[j] += 1
 
     def rounded(scores):
         return {name: round(v, 6) for name, v in zip(("precision", "recall", "f1"), scores)}
 
-    per_class = [_prf_one(t, f, n) for t, f, n in zip(counts.tp, counts.fp, counts.fn)]
-    support = [t + n for t, n in zip(counts.tp, counts.fn)]
+    per_class = [_prf_one(t, f, n) for t, f, n in zip(tp, fp, fn)]
+    support = [t + n for t, n in zip(tp, fn)]
     total = sum(support)
-    micro = _prf_one(sum(counts.tp), sum(counts.fp), sum(counts.fn))
+    micro = _prf_one(sum(tp), sum(fp), sum(fn))
     macro = [sum(scores[i] for scores in per_class) / len(per_class) for i in range(3)]
     weighted = [
         sum(s * scores[i] for s, scores in zip(support, per_class)) / total if total else 0.0
@@ -217,7 +186,7 @@ def prf_report(counts: ConfusionCounts) -> dict:
         "micro": rounded(micro),
         "macro": rounded(macro),
         "weighted": rounded(weighted),
-        "per_class": {name: rounded(scores) for name, scores in zip(counts.class_names, per_class)},
+        "per_class": {name: rounded(scores) for name, scores in zip(class_names, per_class)},
     }
 
 

@@ -317,6 +317,8 @@ class SubprocessClient:
             line = self._proc.stdout.readline()
         except OSError:  # BrokenPipeError: the child is gone
             line = ""
+        except UnicodeDecodeError as exc:
+            raise ClientUnavailable(f"client reply is not UTF-8: {exc}") from exc
         if not line:
             status = self._proc.wait()
             raise ClientUnavailable(f"client closed its pipes (exit status {status})")
@@ -326,7 +328,8 @@ class SubprocessClient:
             raise ClientUnavailable(f"client sent invalid JSON: {exc}") from exc
         if not isinstance(response, dict):
             raise ClientUnavailable(f"client reply is not a JSON object: {line.strip()[:80]}")
-        if response.get("id") != rid:
+        # type() rather than ==, since JSON false and true equal the ids 0 and 1.
+        if type(response.get("id")) is not int or response["id"] != rid:
             raise ClientUnavailable(
                 f"client answered out of order (sent id {rid}, got {response.get('id')!r})"
             )

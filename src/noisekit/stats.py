@@ -4,13 +4,15 @@ noise-label correlations. Emits JSON-friendly structures plus plot-ready TSV.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from collections import Counter
 
 from . import textcore
 from ._lazy import np
-from .errors import InsufficientData, Malformed, MissingLabels
+from .errors import InsufficientData, MissingLabels
 from .textcore import NOISE_CLASSES, Document
+
+# Width in characters of each bin of the text-length histogram.
+LENGTH_BIN_WIDTH = 10
 
 
 def dedupe(documents) -> tuple[list[Document], int]:
@@ -33,9 +35,8 @@ def _word_count(text: str) -> int:
     return sum(1 for t in textcore.tokenize(text).tokens if not textcore.is_punct_token(t))
 
 
-def class_stats(documents) -> dict[str, dict]:
-    """Instance count and mean word-token count per noise class."""
-    labeled = [d for d in documents if d.noise is not None]
+def class_stats(labeled) -> dict[str, dict]:
+    """Instance count and mean word-token count per noise class of noise-labeled documents."""
     if not labeled:
         raise MissingLabels("no document carries noise labels")
     word_counts = [_word_count(d.text) for d in labeled]
@@ -50,61 +51,23 @@ def class_stats(documents) -> dict[str, dict]:
     return out
 
 
-@dataclass
-class LengthStats:
-    bins: list[tuple[int, int]]  # (bin start, count), bin width fixed
-    bin_width: int
-    min: int
-    max: int
-    mean: float
-
-
-def length_histogram(documents, bin_width: int = 10) -> LengthStats:
-    """Character-length histogram plus min/max/mean over the corpus."""
-    if bin_width < 1:
-        raise Malformed(f"bin width must be >= 1, got {bin_width}")
-    lengths = [len(d.text) for d in documents]
-    if not lengths:
-        return LengthStats(bins=[], bin_width=bin_width, min=0, max=0, mean=0.0)
-    counts: dict[int, int] = {}
-    for length in lengths:
-        start = (length // bin_width) * bin_width
-        counts[start] = counts.get(start, 0) + 1
-    return LengthStats(
-        bins=sorted(counts.items()),
-        bin_width=bin_width,
-        min=min(lengths),
-        max=max(lengths),
-        mean=sum(lengths) / len(lengths),
-    )
-
-
 _CORRELATION_NEEDS = "label correlation needs at least 2 labeled documents"
 
 
-def label_correlation(documents) -> np.ndarray:
-    """Pearson correlation between the ten 0/1 noise indicator columns.
+def label_correlation(labeled) -> np.ndarray:
+    """Pearson correlation between the ten 0/1 noise indicator columns of noise-labeled documents.
 
     Diagonal is 1 by definition; a constant column yields 0 against every
-    other column, with a warning.
+    other column.
     """
-    labeled = [d for d in documents if d.noise is not None]
     if len(labeled) < 2:
         raise InsufficientData(_CORRELATION_NEEDS)
-    k = len(NOISE_CLASSES)
-    x = np.zeros((len(labeled), k), dtype=np.float64)
-    for row, doc in enumerate(labeled):
-        for j in range(k):
-            if doc.noise.has(j):
-                x[row, j] = 1.0
+    masks = np.array([d.noise.mask for d in labeled])
+    x = ((masks[:, None] >> np.arange(len(NOISE_CLASSES))) & 1).astype(np.float64)
     centered = x - x.mean(axis=0)
     std = centered.std(axis=0)
     constant = std == 0.0
-    if constant.any():
-        names = [NOISE_CLASSES[j] for j in np.nonzero(constant)[0]]
-        warnings.warn(f"constant noise indicator column(s): {', '.join(names)}")
-    safe_std = np.where(constant, 1.0, std)
-    z = centered / safe_std
+    z = centered / np.where(constant, 1.0, std)
     corr = (z.T @ z) / len(labeled)
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
@@ -141,28 +104,26 @@ def corpus_summary(documents) -> dict:
             unlabeled_sentiment += 1
         else:
             sentiment_counts[doc.sentiment.label] += 1
-    lengths = length_histogram(documents)
+    lengths = [len(d.text) for d in documents]
+    bins = Counter(length // LENGTH_BIN_WIDTH * LENGTH_BIN_WIDTH for length in lengths)
     summary = {
         "documents": len(documents),
         "sentiment_counts": sentiment_counts,
         "sentiment_unlabeled": unlabeled_sentiment,
         "length": {
-            "min": lengths.min,
-            "max": lengths.max,
-            "mean": lengths.mean,
-            "bin_width": lengths.bin_width,
-            "histogram": [list(pair) for pair in lengths.bins],
+            "min": min(lengths, default=0),
+            "max": max(lengths, default=0),
+            "mean": sum(lengths) / len(lengths) if lengths else 0.0,
+            "bin_width": LENGTH_BIN_WIDTH,
+            "histogram": [[start, count] for start, count in sorted(bins.items())],
         },
     }
-    if any(d.noise is not None for d in documents):
-        summary["noise_classes"] = class_stats(documents)
-        labeled = sum(1 for d in documents if d.noise is not None)
-        if labeled >= 2:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                matrix = label_correlation(documents)
-            summary["label_correlation"] = {
-                "classes": list(NOISE_CLASSES),
-                "matrix": [[round(float(v), 6) for v in row] for row in matrix],
-            }
+    labeled = [d for d in documents if d.noise is not None]
+    if labeled:
+        summary["noise_classes"] = class_stats(labeled)
+    if len(labeled) >= 2:
+        summary["label_correlation"] = {
+            "classes": list(NOISE_CLASSES),
+            "matrix": [[round(float(v), 6) for v in row] for row in label_correlation(labeled)],
+        }
     return summary

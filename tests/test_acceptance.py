@@ -23,7 +23,6 @@ from noisekit.dataio import load_corpus, save_corpus
 from noisekit.errors import EmptyReference
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.metrics import (
-    ConfusionCounts,
     EmbeddingTable,
     bleu,
     evaluate_reduction,
@@ -32,7 +31,7 @@ from noisekit.metrics import (
     rouge_l,
 )
 from noisekit.reduce import Dictionary, FixtureClient, back_translate, levenshtein, mask_random, spell_correct
-from noisekit.stats import class_stats, dedupe, label_correlation, length_histogram
+from noisekit.stats import corpus_summary, dedupe
 from noisekit.textcore import NOISE_CLASSES
 
 from conftest import BASE_VOCAB, csr, latin_test_phonetic_table, make_docs, softmax_loss_grad
@@ -111,17 +110,18 @@ def test_criterion_3_dataset_statistics():
         documents = []
         for name in ("train.tsv", "validation.tsv", "test.tsv"):
             documents.extend(load_corpus(DATASET_DIR / name).documents)
-        per_class = class_stats(documents)
+        summary = corpus_summary(documents)
+        per_class = summary["noise_classes"]
         for name, expected in TABLE3_COUNTS.items():
             assert per_class[name]["count"] == expected, name
-        lengths = length_histogram(documents)
-        assert abs(lengths.mean - 66.0) <= 1.0
-        assert lengths.max == 314
-        assert lengths.min == 11
-        matrix = label_correlation(documents)
+        lengths = summary["length"]
+        assert abs(lengths["mean"] - 66.0) <= 1.0
+        assert lengths["max"] == 314
+        assert lengths["min"] == 11
+        matrix = summary["label_correlation"]["matrix"]
         i = NOISE_CLASSES.index("mixed_language")
         j = NOISE_CLASSES.index("spelling_error")
-        assert abs(matrix[i, j] - (-0.12)) <= 0.02
+        assert abs(matrix[i][j] - (-0.12)) <= 0.02
         assert time.perf_counter() - start < 30.0
 
 
@@ -135,8 +135,9 @@ def _train_and_score(documents, test_documents, mode):
         TrainConfig(c=1.0, epochs=20, learning_rate=0.5, seed=0),
     )
     predicted = predict_multilabel(model, transform(tfidf, [d.text for d in test_documents]))
-    counts = ConfusionCounts.from_multilabel([d.noise for d in test_documents], predicted)
-    return prf_report(counts)["micro"]["f1"]
+    gold = [d.noise.mask for d in test_documents]
+    report = prf_report(gold, [p.mask for p in predicted], NOISE_CLASSES)
+    return report["micro"]["f1"]
 
 
 def test_criterion_4_noise_identification_f1():

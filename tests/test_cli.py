@@ -358,6 +358,34 @@ class TestGoldenPredictions:
         assert digest == self.SENTIMENT_SHA256
 
 
+class TestGoldenStats:
+    """Pinned sha256 of the `stats` stdout and of both of its TSV side outputs."""
+
+    STDOUT_SHA256 = "2b6435aa924e3d8ab8c721fee3894deafb1cfe9802f8c5e9d635d03e4d403a3b"
+    HIST_SHA256 = "48d716cfe0d1d22d5cedd371b3aaf6b00e70768e2ca0c5ef5568acfbc800844c"
+    CORR_SHA256 = "d64f533677bea4d92f06af26643b2c4673a567eb2377c7ec9e3a64b7746a33c7"
+
+    def test_stats_outputs(self, capsys, tmp_path):
+        # Unlabeled rows count in the sentiment and length blocks but not in the noise blocks.
+        unlabeled = make_docs(
+            ["khub bhalo", "onek sundor video dekhe", "dada"],
+            sentiments=[None, "negative", None],
+            noises=[None, None, "0000000101"],
+        )
+        corpus = tmp_path / "corpus.tsv"
+        save_corpus(synth_noise_corpus(60, seed=11) + unlabeled, corpus)
+        hist, corr = tmp_path / "hist.tsv", tmp_path / "corr.tsv"
+        code, out, err = run_cli(
+            capsys, "stats", str(corpus), "--hist-tsv", str(hist), "--corr-tsv", str(corr)
+        )
+        assert code == 0, err
+        digests = [
+            hashlib.sha256(data).hexdigest()
+            for data in (out.encode("utf-8"), hist.read_bytes(), corr.read_bytes())
+        ]
+        assert digests == [self.STDOUT_SHA256, self.HIST_SHA256, self.CORR_SHA256]
+
+
 class TestSentimentPipeline:
     def test_train_predict_with_auto_weights(self, capsys, tmp_path):
         docs = synth_noise_corpus(60, seed=3)
@@ -552,6 +580,22 @@ class TestReduceCommand:
         assert err.startswith("ERROR ClientUnavailable:")
         assert not out.exists()
 
+    def test_non_utf8_client_reply_exits_3(self, capsys, tmp_path, small_corpus):
+        script = tmp_path / "client.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n"
+            "    sys.stdout.buffer.write(b'\\xff\\n')\n    sys.stdout.flush()\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "bt.tsv"
+        code, _, err = run_cli(
+            capsys, "reduce", str(small_corpus), "--method", "backtranslate",
+            "--client", shlex.join([sys.executable, str(script)]), "--out", str(out),
+        )
+        assert code == 3, err
+        assert err.startswith("ERROR ClientUnavailable: client reply is not UTF-8")
+        assert not out.exists()
+
     def test_client_and_fixture_are_mutually_exclusive(self, capsys, tmp_path, small_corpus):
         out = tmp_path / "bt.tsv"
         with pytest.raises(SystemExit) as excinfo:
@@ -697,6 +741,29 @@ class TestAgreementCommands:
         matrix.write_text("a\tb\n" + "2\t2\n" * 6, encoding="utf-8")
         result = run_json(capsys, "agreement", "kappa", str(matrix))
         assert result["kappa"] == pytest.approx(-1 / 3)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["99999999999999999999999\t1", "9223372036854775807\t9223372036854775806"],
+        ids=["count", "item-total"],
+    )
+    def test_kappa_counts_beyond_int64_rejected(self, capsys, tmp_path, row):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text(f"a\tb\n1\t1\n{row}\n", encoding="utf-8")
+        error = run_data_error(capsys, "agreement", "kappa", str(matrix))
+        assert error.startswith(f"ERROR MalformedMatrix: {matrix}, line 3: ")
+        assert "64-bit" in error
+
+    def test_kappa_of_large_counts_does_not_wrap(self, capsys, tmp_path):
+        # The squares of these counts exceed int64; the exact kappa is 0.0039448.
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text(
+            "a\tb\n3000000000\t3500000000\n3500000000\t3000000000\n3250000000\t3250000000\n",
+            encoding="utf-8",
+        )
+        result = run_json(capsys, "agreement", "kappa", str(matrix))
+        assert result["kappa"] == pytest.approx(0.0039448, abs=1e-7)
+        assert result["raters_per_item"] == 6500000000
 
     def test_trust(self, capsys, tmp_path):
         gold_docs = make_docs(["t" + str(i) for i in range(10)], noises=["1000000000"] * 10)

@@ -8,7 +8,6 @@ import pytest
 
 from noisekit.errors import EmptyInput, EmptyReference, InvalidCounts, LengthMismatch, Malformed
 from noisekit.metrics import (
-    ConfusionCounts,
     EmbeddingTable,
     ReductionReport,
     bleu,
@@ -220,43 +219,68 @@ class TestHumanEval:
                 human_eval_score(accurate, total)
 
 
+def report_from_counts(tp, fp, fn):
+    """prf_report over one-bit mask rows that realize the given per-class tallies."""
+    gold, predicted = [], []
+    for j, (t, f, n) in enumerate(zip(tp, fp, fn)):
+        bit = 1 << j
+        gold += [bit] * t + [0] * f + [bit] * n
+        predicted += [bit] * t + [bit] * f + [0] * n
+    return prf_report(gold, predicted, tuple("abcdefghij"[: len(tp)]))
+
+
 class TestPrf:
     def test_micro_pooled(self):
-        counts = ConfusionCounts(("a", "b"), tp=[5, 3], fp=[1, 1], fn=[1, 1])
-        micro = prf_report(counts)["micro"]
+        micro = report_from_counts(tp=[5, 3], fp=[1, 1], fn=[1, 1])["micro"]
         assert micro == {"precision": 0.8, "recall": 0.8, "f1": 0.8}
 
     def test_perfect_predictions(self):
-        counts = ConfusionCounts(("a", "b"), tp=[4, 2], fp=[0, 0], fn=[0, 0])
+        report = report_from_counts(tp=[4, 2], fp=[0, 0], fn=[0, 0])
         for avg in ("micro", "macro", "weighted"):
-            assert prf_report(counts)[avg] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+            assert report[avg] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
 
     def test_no_positive_predictions(self):
-        counts = ConfusionCounts(("a",), tp=[0], fp=[0], fn=[5])
-        assert prf_report(counts)["micro"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        report = report_from_counts(tp=[0], fp=[0], fn=[5])
+        assert report["micro"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
     def test_micro_equals_macro_for_identical_classes(self):
-        counts = ConfusionCounts(("a", "b", "c"), tp=[3, 3, 3], fp=[1, 1, 1], fn=[2, 2, 2])
-        report = prf_report(counts)
+        report = report_from_counts(tp=[3, 3, 3], fp=[1, 1, 1], fn=[2, 2, 2])
         assert report["micro"] == pytest.approx(report["macro"])
 
     def test_weighted_uses_support(self):
-        counts = ConfusionCounts(("a", "b"), tp=[9, 0], fp=[0, 1], fn=[0, 1])
-        weighted = prf_report(counts)["weighted"]
+        weighted = report_from_counts(tp=[9, 0], fp=[0, 1], fn=[0, 1])["weighted"]
         # Class a: support 9, perfect. Class b: support 1, zero scores.
         assert weighted["precision"] == pytest.approx(0.9)
         assert weighted["recall"] == pytest.approx(0.9)
 
-    def test_from_multilabel(self):
+    def test_multilabel_masks(self):
         gold = [NoiseLabelSet.from_bits("1100000000"), NoiseLabelSet.from_bits("0100000000")]
         pred = [NoiseLabelSet.from_bits("1000000000"), NoiseLabelSet.from_bits("0100000001")]
-        counts = ConfusionCounts.from_multilabel(gold, pred)
-        assert counts.tp[0] == 1 and counts.fn[1] == 1 and counts.tp[1] == 1
-        assert counts.fp[9] == 1
+        report = prf_report([g.mask for g in gold], [p.mask for p in pred], NOISE_CLASSES)
+        per_class = report["per_class"]
+        # local_word: one tp. word_misuse: one tp, one fn. others: one fp.
+        assert per_class["local_word"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+        assert per_class["word_misuse"]["precision"] == 1.0
+        assert per_class["word_misuse"]["recall"] == 0.5
+        assert per_class["others"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert report["micro"]["precision"] == pytest.approx(2 / 3, abs=1e-6)
+        assert report["micro"]["recall"] == pytest.approx(2 / 3, abs=1e-6)
 
-    def test_from_multilabel_length_mismatch(self):
+    def test_one_bit_masks_give_micro_equal_to_accuracy(self):
+        rng = random.Random(173)
+        for _ in range(200):
+            k = rng.randint(1, 6)
+            n = rng.randint(1, 40)
+            gold = [1 << rng.randrange(k) for _ in range(n)]
+            predicted = [g if rng.random() < 0.5 else 1 << rng.randrange(k) for g in gold]
+            accuracy = sum(g == p for g, p in zip(gold, predicted)) / n
+            micro = prf_report(gold, predicted, tuple("abcdef"[:k]))["micro"]
+            assert micro["precision"] == micro["recall"] == round(accuracy, 6)
+            assert micro["f1"] == pytest.approx(accuracy, abs=1e-6)
+
+    def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            ConfusionCounts.from_multilabel([NoiseLabelSet(1)], [])
+            prf_report([1], [], NOISE_CLASSES)
 
 
 class TestEvaluateReduction:

@@ -348,6 +348,21 @@ class TestClients:
             with pytest.raises(ClientUnavailable, match="not a JSON object"):
                 client.request("translate", "bn", "en", "x")
 
+    @pytest.mark.parametrize("reply_id, good_replies", [("False", 0), ("rid and True", 1)])
+    def test_subprocess_reply_id_must_be_an_int(self, reply_id, good_replies):
+        # JSON false and true compare equal to 0 and 1, the ids of the first two requests.
+        replier = (
+            "import sys, json\n"
+            "for line in sys.stdin:\n"
+            "    rid = json.loads(line)['id']\n"
+            f"    print(json.dumps({{'id': {reply_id}, 'text': 'y'}}), flush=True)\n"
+        )
+        with SubprocessClient([sys.executable, "-c", replier]) as client:
+            for _ in range(good_replies):
+                assert client.request("translate", "bn", "en", "x") == "y"
+            with pytest.raises(ClientUnavailable, match="out of order"):
+                client.request("translate", "bn", "en", "x")
+
     def test_subprocess_reply_text_not_a_string(self):
         replier = (
             "import sys, json\n"

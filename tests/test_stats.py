@@ -12,7 +12,6 @@ from noisekit.stats import (
     dedupe,
     histogram_tsv,
     label_correlation,
-    length_histogram,
 )
 from noisekit.textcore import NOISE_CLASSES, normalize
 
@@ -64,26 +63,25 @@ class TestClassStats:
 
     def test_missing_labels(self):
         with pytest.raises(MissingLabels):
-            class_stats(make_docs(["a", "b"]))
+            class_stats([])
 
 
 class TestLengthHistogram:
     def test_single_text(self):
-        docs = make_docs(["abcde"])
-        stats = length_histogram(docs, bin_width=10)
-        assert stats.bins == [(0, 1)]
-        assert (stats.min, stats.max, stats.mean) == (5, 5, 5.0)
+        length = corpus_summary(make_docs(["abcde"]))["length"]
+        assert length == {"min": 5, "max": 5, "mean": 5.0, "bin_width": 10, "histogram": [[0, 1]]}
 
     def test_bins_sum_to_corpus_size_fuzz(self):
         rng = random.Random(113)
         for _ in range(50):
             texts = ["x" * rng.randint(1, 120) for _ in range(rng.randint(1, 60))]
-            stats = length_histogram(make_docs(texts), bin_width=rng.randint(1, 20))
-            assert sum(count for _, count in stats.bins) == len(texts)
+            histogram = corpus_summary(make_docs(texts))["length"]["histogram"]
+            assert sum(count for _, count in histogram) == len(texts)
+            assert all(start % 10 == 0 for start, _ in histogram)
 
     def test_empty_corpus(self):
-        stats = length_histogram([], bin_width=10)
-        assert stats.bins == [] and stats.mean == 0.0
+        length = corpus_summary([])["length"]
+        assert length["histogram"] == [] and length["mean"] == 0.0
 
     def test_tsv_emit(self):
         summary = corpus_summary(make_docs(["abc", "abcdefghijkl"]))
@@ -95,23 +93,20 @@ class TestLabelCorrelation:
         # local_word on first two docs, word_misuse on last two.
         noises = ["1000000001", "1000000001", "0100000001", "0100000001"]
         docs = make_docs(["a", "b", "c", "d"], noises=noises)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            matrix = label_correlation(docs)
+        matrix = label_correlation(docs)
         assert matrix[0, 1] == pytest.approx(-1.0)
 
     def test_diagonal_is_one(self):
         noises = ["1000000000", "0100000000", "1100000000"]
         docs = make_docs(["a", "b", "c"], noises=noises)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            matrix = label_correlation(docs)
+        matrix = label_correlation(docs)
         assert np.allclose(np.diag(matrix), 1.0)
 
-    def test_constant_column_warns_and_zeroes(self):
+    def test_constant_column_zeroes_without_warning(self):
         noises = ["1000000001", "0100000001"]
         docs = make_docs(["a", "b"], noises=noises)
-        with pytest.warns(UserWarning, match="constant"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             matrix = label_correlation(docs)
         j = NOISE_CLASSES.index("others")
         assert matrix[j, 0] == 0.0 and matrix[0, j] == 0.0
@@ -127,9 +122,7 @@ class TestLabelCorrelation:
                     bits = "1" + bits[1:]
                 noises.append(bits)
             docs = make_docs(["t"] * len(noises), noises=noises)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                matrix = label_correlation(docs)
+            matrix = label_correlation(docs)
             assert np.allclose(matrix, matrix.T)
             assert np.all(matrix <= 1.0 + 1e-12) and np.all(matrix >= -1.0 - 1e-12)
 
@@ -149,9 +142,7 @@ class TestLabelCorrelation:
         rng = random.Random(131)
         noises = ["".join(rng.choice("01") for _ in range(9)) + "1" for _ in range(23)]
         docs = make_docs(["t"] * len(noises), noises=noises)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            matrix = label_correlation(docs)
+        matrix = label_correlation(docs)
         expected = [f"{v:.6f}" for v in matrix.ravel()]
         lines = correlation_tsv(corpus_summary(docs)).strip().split("\n")
         assert [line.split("\t")[2] for line in lines] == expected
