@@ -9,6 +9,9 @@ from .errors import LengthMismatch, MalformedMatrix
 from .textcore import NOISE_CLASSES, NoiseLabelSet
 
 
+INT64_MAX = (1 << 63) - 1
+
+
 @dataclass
 class RatingMatrix:
     """items x categories count matrix with a fixed number of raters per item."""
@@ -19,13 +22,22 @@ class RatingMatrix:
         counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.size == 0:
             raise MalformedMatrix("rating matrix must be 2-dimensional and non-empty")
-        if (counts < 0).any():
-            raise MalformedMatrix("rating counts must be non-negative")
-        row_sums = counts.sum(axis=1)
-        if len(set(row_sums.tolist())) != 1:
-            raise MalformedMatrix("every item must have the same number of ratings")
-        if row_sums[0] < 2:
-            raise MalformedMatrix("need at least 2 raters per item")
+        totals = []
+        for item, row in enumerate(counts.tolist()):
+            totals.append(sum(row))  # a Python int: an int64 sum would wrap
+            if min(row) < 0:
+                reason = "rating counts must be non-negative"
+            elif totals[-1] > INT64_MAX:
+                reason = "an item's rating total must fit in a 64-bit integer"
+            elif totals[-1] != totals[0]:
+                reason = "every item must have the same number of ratings"
+            elif totals[0] < 2:
+                reason = "need at least 2 raters per item"
+            else:
+                continue
+            error = MalformedMatrix(reason)
+            error.item = item
+            raise error
         self.counts = counts
 
     @property

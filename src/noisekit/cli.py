@@ -2,7 +2,8 @@
 
 Results go to standard output as one line of JSON; errors print one
 machine-parsable ``ERROR <code>: <message>`` line and exit with 1 for usage
-problems, 2 for data errors, 3 for client failures.
+problems, 2 for data errors, 3 for client failures. Each warning prints one
+``WARNING: <message>`` line.
 """
 
 from __future__ import annotations
@@ -348,7 +349,7 @@ def cmd_eval_reduction(args) -> dict:
         outputs, truth_texts, inputs=inputs, embeddings=embeddings,
         coverage_vocab=coverage_vocab, human_tallies=tallies,
     )
-    return {"reports": [dataclasses.asdict(r) for r in reports]}
+    return {"reports": reports}
 
 
 def cmd_agreement(args) -> dict:
@@ -488,14 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"WARNING: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Only how a shown warning reads changes: a caller that records warnings still gets them.
+    format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         payload = args.func(args)
     except NoisekitError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        warnings.formatwarning = format_warning
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return 0
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 from . import classify, features
 from ._lazy import np
-from .agreement import RatingMatrix
+from .agreement import INT64_MAX, RatingMatrix
 from .errors import DataError, DimensionMismatch, Malformed, MalformedMatrix
-from .metrics import EmbeddingTable
 from .reduce import Dictionary, FixtureClient
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
 from .textcore import read_text, write_text
@@ -156,8 +155,8 @@ def load_dictionary(path) -> Dictionary:
     return Dictionary(freq)
 
 
-def load_embeddings(path) -> EmbeddingTable:
-    """First line VOCAB_SIZE DIM, then one word + DIM components per line."""
+def load_embeddings(path) -> dict[str, np.ndarray]:
+    """{word: vector}; first line VOCAB_SIZE DIM, then one word + DIM finite components per line."""
     content = read_text(path)
     lines = content.split("\n")
     if lines and lines[-1] == "":
@@ -196,7 +195,7 @@ def load_embeddings(path) -> EmbeddingTable:
         raise Malformed(
             f"header declares {vocab_size} words but file has {len(vectors)}", path=path
         )
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return vectors
 
 
 _FIXTURE_FIELDS = ("task", "src", "tgt", "text_in", "text_out")
@@ -229,9 +228,6 @@ def load_fixture(path) -> FixtureClient:
     return FixtureClient(entries)
 
 
-_INT64_MAX = (1 << 63) - 1
-
-
 def load_rating_matrix(path) -> RatingMatrix:
     """TSV with a header row of category names and one count row per item."""
     content = read_text(path)
@@ -250,15 +246,14 @@ def load_rating_matrix(path) -> RatingMatrix:
             counts = [int(v) for v in parts]
         except ValueError:
             raise Malformed("counts must be integers", path=path, line=lineno) from None
-        if any(abs(v) > _INT64_MAX for v in (*counts, sum(counts))):
-            raise MalformedMatrix(
-                "counts and their item total must fit in 64-bit integers", path=path, line=lineno
-            )
+        if any(abs(v) > INT64_MAX for v in counts):
+            raise MalformedMatrix("counts must fit in 64-bit integers", path=path, line=lineno)
         rows.append(counts)
     try:
         return RatingMatrix(np.asarray(rows, dtype=np.int64))
     except MalformedMatrix as exc:
-        raise MalformedMatrix(exc.reason, path=path) from None
+        line = lines[exc.item + 1][0] if exc.item is not None else None
+        raise MalformedMatrix(exc.reason, path=path, line=line) from None
 
 
 def load_human_tallies(path) -> dict[str, tuple[int, int]]:

@@ -91,7 +91,9 @@ class LengthMismatch(DataError):
 
 
 class MalformedMatrix(DataError):
-    pass
+    """A rating matrix breaks a rule; ``item`` is the offending row's index, when one is."""
+
+    item = None
 
 
 class MissingLabels(DataError):

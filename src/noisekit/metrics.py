@@ -12,17 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from . import textcore
 from ._lazy import np
-from .errors import (
-    EmptyInput,
-    EmptyReference,
-    InvalidCounts,
-    LengthMismatch,
-    Malformed,
-)
+from .errors import EmptyInput, EmptyReference, InvalidCounts, LengthMismatch
 
 EPSILON = 1e-9
 # BLEU-4, and beta, the composite score's weight on the semantic term.
@@ -91,29 +84,11 @@ def word_coverage(tokens: list[str], vocab) -> float:
     return 100.0 * known / len(words)
 
 
-@dataclass
-class EmbeddingTable:
-    """Fixed-dimension word vectors; lookup by exact token."""
-
-    dim: int
-    vectors: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        for word, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise Malformed(f"vector for {word!r} has length {vec.shape}, expected {self.dim}")
-            if not np.isfinite(vec).all():
-                raise Malformed(f"vector for {word!r} has a non-finite component")
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-
-def sentence_similarity(cand: list[str], ref: list[str], table: EmbeddingTable) -> float:
-    """Cosine of mean word vectors, skipping OOV words; 0 when a side is fully OOV."""
+def sentence_similarity(cand: list[str], ref: list[str], vectors: dict[str, np.ndarray]) -> float:
+    """Cosine of mean {word: vector} vectors, skipping OOV words; 0 when a side is fully OOV."""
     sides = []
     for tokens in (cand, ref):
-        vecs = [table.vectors[t] for t in tokens if t in table]
+        vecs = [vectors[t] for t in tokens if t in vectors]
         if not vecs:
             return 0.0
         sides.append(np.mean(vecs, axis=0))
@@ -190,34 +165,6 @@ def prf_report(gold, predicted, class_names) -> dict:
     }
 
 
-@dataclass
-class ReductionReport:
-    """Corpus-averaged scores of one reduction method against the ground truth."""
-
-    method: str
-    bleu: float | None = None
-    rouge_l: float | None = None
-    word_coverage: float | None = None
-    embedding_similarity: float | None = None
-    composite: float | None = None
-    human_eval: float | None = None
-
-    _RANGES = {
-        "bleu": (0.0, 1.0),
-        "rouge_l": (0.0, 1.0),
-        "word_coverage": (0.0, 100.0),
-        "embedding_similarity": (-1.0, 1.0),
-        "composite": (0.0, 1.0),
-        "human_eval": (0.0, 100.0),
-    }
-
-    def __post_init__(self):
-        for name, (low, high) in self._RANGES.items():
-            value = getattr(self, name)
-            if value is not None and not low - EPSILON <= value <= high + EPSILON:
-                raise InvalidCounts(f"{name} score {value} outside [{low}, {high}]")
-
-
 def _token_lists(texts: list[str]) -> list[list[str]]:
     return [textcore.tokenize(t).tokens for t in texts]
 
@@ -227,15 +174,16 @@ def evaluate_reduction(
     ground_truth: list[str],
     *,
     inputs: list[str] | None = None,
-    embeddings: EmbeddingTable | None = None,
+    embeddings: dict[str, np.ndarray] | None = None,
     coverage_vocab=None,
     human_tallies: dict[str, tuple[int, int]] | None = None,
-) -> list[ReductionReport]:
+) -> list[dict]:
     """Score each method's outputs against the manually corrected references.
 
     ``inputs`` are the original noisy sentences (needed for the composite
     self-overlap penalty); ``coverage_vocab`` falls back to the embedding
-    table when unset; ``human_tallies`` maps method -> (accurate, total).
+    words when unset; ``human_tallies`` maps method -> (accurate, total).
+    Returns the `eval-reduction` record of each method, sorted by name.
     """
     truth_tokens = _token_lists(ground_truth)
     input_tokens = None
@@ -272,15 +220,13 @@ def evaluate_reduction(
         if method in human_tallies:
             accurate, total = human_tallies[method]
             human = human_eval_score(accurate, total)
-        reports.append(
-            ReductionReport(
-                method=method,
-                bleu=float(np.mean(bleu_scores)),
-                rouge_l=float(np.mean(rouge_scores)),
-                word_coverage=coverage,
-                embedding_similarity=float(np.mean(semantic_scores)) if semantic_scores else None,
-                composite=float(np.mean(composite_scores)) if composite_scores else None,
-                human_eval=human,
-            )
-        )
+        reports.append({
+            "method": method,
+            "bleu": float(np.mean(bleu_scores)),
+            "rouge_l": float(np.mean(rouge_scores)),
+            "word_coverage": coverage,
+            "embedding_similarity": float(np.mean(semantic_scores)) if semantic_scores else None,
+            "composite": float(np.mean(composite_scores)) if composite_scores else None,
+            "human_eval": human,
+        })
     return reports

@@ -25,7 +25,6 @@ from .errors import (
     EmptyWord,
     FixtureMiss,
     InvalidProbability,
-    Malformed,
     MissingResource,
     PredictorFailure,
 )
@@ -36,39 +35,31 @@ SOURCE_LANG = "bn"
 PIVOT_LANG = "en"
 
 
-class PhoneticTable:
-    """Consonant -> articulation-class digit map for one script."""
-
-    def __init__(self, classes: dict[str, str]):
-        for ch, digit in classes.items():
-            if len(ch) != 1 or len(digit) != 1 or not digit.isdigit():
-                raise Malformed(f"bad phonetic entry {ch!r} -> {digit!r}")
-        self.classes = dict(classes)
-
-    @classmethod
-    def from_file(cls, path) -> "PhoneticTable":
-        return cls(textcore.read_codepoint_table(path, _phonetic_class))
-
-
 def _phonetic_class(digit: str) -> str:
     if len(digit) != 1 or not digit.isdigit():
         raise ValueError(f"class must be one digit, got {digit!r}")
     return digit
 
 
+def read_phonetic_table(path) -> dict[str, str]:
+    """{consonant: articulation-class digit} from a CODEPOINT<TAB>digit file of one script."""
+    return textcore.read_codepoint_table(path, _phonetic_class)
+
+
 @functools.cache
-def bengali_phonetic_table() -> PhoneticTable:
+def bengali_phonetic_table() -> dict[str, str]:
+    """The packaged table, loaded once and shared by every caller: read it, never change it."""
     with textcore.packaged_data("phonetic_bn.tsv") as path:
-        return PhoneticTable.from_file(path)
+        return read_phonetic_table(path)
 
 
-def phonetic_encode(word: str, table: PhoneticTable) -> str:
+def phonetic_encode(word: str, table: dict[str, str]) -> str:
     """First letter + three consonant-class digits (vowels and marks dropped)."""
     if not word:
         raise EmptyWord("cannot encode an empty word")
     digits = []
     for ch in word[1:].lower():
-        digit = table.classes.get(ch)
+        digit = table.get(ch)
         if digit is None:
             continue
         if not digits or digits[-1] != digit:
@@ -98,7 +89,7 @@ def levenshtein(a: str, b: str) -> int:
 class Dictionary:
     """Word list with frequencies and an eagerly built phonetic index."""
 
-    def __init__(self, freq: dict[str, int], table: PhoneticTable | None = None):
+    def __init__(self, freq: dict[str, int], table: dict[str, str] | None = None):
         self.table = table if table is not None else bengali_phonetic_table()
         self.freq = {w: int(c) for w, c in freq.items()}
         self.phonetic_index: dict[str, list[str]] = defaultdict(list)

@@ -203,26 +203,6 @@ def char_script(ch: str) -> str | None:
         return None
 
 
-class PunctuationTable:
-    """Single code point -> single code point canonicalization map."""
-
-    def __init__(self, mapping: dict[str, str]):
-        for src, dst in mapping.items():
-            # Idempotence: every target must be a fixed point of the map.
-            if mapping.get(dst, dst) != dst:
-                raise Malformed(
-                    f"punctuation map is not idempotent: {src!r} -> {dst!r} -> {mapping[dst]!r}"
-                )
-        self._table = {ord(src): dst for src, dst in mapping.items()}
-
-    def apply(self, text: str) -> str:
-        return text.translate(self._table)
-
-    @classmethod
-    def from_file(cls, path) -> "PunctuationTable":
-        return cls(read_codepoint_table(path, _parse_codepoint))
-
-
 def _parse_codepoint(text: str) -> str:
     text = text.strip()
     if text.upper().startswith("U+"):
@@ -252,10 +232,21 @@ def read_codepoint_table(path, parse_value) -> dict:
     return table
 
 
+def read_punctuation_table(path) -> dict[int, str]:
+    """The `str.translate` map of a FROM<TAB>TO code-point file; each target must map to itself."""
+    mapping = read_codepoint_table(path, _parse_codepoint)
+    for src, dst in mapping.items():
+        if mapping.get(dst, dst) != dst:
+            reason = f"punctuation map is not idempotent: {src!r} -> {dst!r} -> {mapping[dst]!r}"
+            raise Malformed(reason, path=path)
+    return {ord(src): dst for src, dst in mapping.items()}
+
+
 @functools.cache
-def default_punctuation_table() -> PunctuationTable:
+def default_punctuation_table() -> dict[int, str]:
+    """The packaged table, loaded once and shared by every caller: read it, never change it."""
     with packaged_data("punctuation.tsv") as path:
-        return PunctuationTable.from_file(path)
+        return read_punctuation_table(path)
 
 
 def normalize(text: str) -> str:
@@ -265,7 +256,7 @@ def normalize(text: str) -> str:
     """
     s = unicodedata.normalize("NFC", text)
     s = s.replace(NGRAM_JOIN, "")
-    s = default_punctuation_table().apply(s)
+    s = s.translate(default_punctuation_table())
     s = " ".join(s.split())
     return unicodedata.normalize("NFC", s)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisekit.features import FeatureMatrix
-from noisekit.reduce import Dictionary, PhoneticTable
+from noisekit.reduce import Dictionary, read_phonetic_table
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
 # Latin-script corpus words used across the reduction and metric tests.
@@ -28,9 +28,9 @@ BASE_VOCAB = {
 }
 
 
-def latin_test_phonetic_table() -> PhoneticTable:
+def latin_test_phonetic_table() -> dict[str, str]:
     """Small Latin consonant-class table, so reduction tests can use English words."""
-    return PhoneticTable.from_file(Path(__file__).parent / "phonetic_latin_test.tsv")
+    return read_phonetic_table(Path(__file__).parent / "phonetic_latin_test.tsv")
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from noisekit.dataio import load_corpus, save_corpus
 from noisekit.errors import EmptyReference
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.metrics import (
-    EmbeddingTable,
     bleu,
     evaluate_reduction,
     human_eval_score,
@@ -170,16 +169,13 @@ def test_criterion_5_identity_fixture_reduction():
         outputs = [back_translate(s, client) for s in sentences]
         assert outputs == sentences
 
-        table = EmbeddingTable(
-            dim=4,
-            vectors={w: np.array([1.0 + i, i % 3, (i * 7) % 5, 1.0]) for i, w in enumerate(words)},
-        )
+        vectors = {w: np.array([1.0 + i, i % 3, (i * 7) % 5, 1.0]) for i, w in enumerate(words)}
         report = evaluate_reduction(
-            {"identity": outputs}, sentences, inputs=sentences, embeddings=table
+            {"identity": outputs}, sentences, inputs=sentences, embeddings=vectors
         )[0]
-        assert report.bleu == 1.0
-        assert report.rouge_l == 1.0
-        assert report.composite < report.embedding_similarity
+        assert report["bleu"] == 1.0
+        assert report["rouge_l"] == 1.0
+        assert report["composite"] < report["embedding_similarity"]
 
 
 def test_criterion_6_property_suites(tmp_path):

@@ -26,6 +26,22 @@ class TestRatingMatrix:
         with pytest.raises(MalformedMatrix):
             RatingMatrix(np.array([[5, -1], [2, 2]]))
 
+    def test_row_total_beyond_int64_rejected_without_wrapping(self):
+        # Each row's int64 sum would wrap to -2**63; the exact total is 2**63.
+        with pytest.raises(MalformedMatrix, match="64-bit") as excinfo:
+            RatingMatrix(np.array([[2**62, 2**62]] * 2))
+        assert excinfo.value.item == 0
+
+    @pytest.mark.parametrize(
+        "rows, item",
+        [([[2, 2], [3, 1], [4, -1]], 2), ([[2, 2], [3, 1], [2, 1]], 2), ([[1, 0], [0, 1]], 0)],
+        ids=["negative", "unequal-totals", "one-rater"],
+    )
+    def test_error_names_the_first_offending_item(self, rows, item):
+        with pytest.raises(MalformedMatrix) as excinfo:
+            RatingMatrix(np.array(rows))
+        assert excinfo.value.item == item
+
 
 class TestFleissKappa:
     def test_unanimous_agreement(self):

@@ -553,6 +553,29 @@ class TestReduceCommand:
         report = run_json(capsys, "eval-reduction", str(out), "--truth", str(small_corpus))
         assert report["reports"][0]["rouge_l"] == 1.0
 
+    def test_each_warning_is_one_line(self, tmp_path, small_corpus):
+        # A subprocess, so that the warnings print as they would in a shell.
+        corpus = load_corpus(small_corpus)
+        lines = [{"task": "translate", "src": "en", "tgt": "bn", "text_in": "x", "text_out": "\u241f"}]
+        for doc in corpus.documents:
+            lines.append({"task": "translate", "src": "bn", "tgt": "en", "text_in": doc.text, "text_out": "x"})
+        lines.append(lines[-1])
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
+        src = str(Path(noisekit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisekit.cli", "reduce", str(small_corpus), "--method",
+             "backtranslate", "--fixture", str(fixture), "--out", str(tmp_path / "bt.tsv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        key = ("translate", "bn", "en", corpus.documents[-1].text)
+        assert proc.stderr == (
+            f"WARNING: {fixture}, line 5: duplicate fixture key {key!r}; last entry wins\n"
+            + "".join(f"WARNING: {d.id}: reduction produced empty text; keeping the original\n"
+                      for d in corpus.documents)
+        )
+
     def test_fixture_miss_exits_3(self, capsys, tmp_path, small_corpus):
         fixture = tmp_path / "fx.jsonl"
         fixture.write_text("", encoding="utf-8")
@@ -753,6 +776,21 @@ class TestAgreementCommands:
         error = run_data_error(capsys, "agreement", "kappa", str(matrix))
         assert error.startswith(f"ERROR MalformedMatrix: {matrix}, line 3: ")
         assert "64-bit" in error
+
+    @pytest.mark.parametrize(
+        "rows, line, reason",
+        [
+            ("2\t2\n3\t-1\n", 3, "rating counts must be non-negative"),
+            ("1\t1\n2\t1\n1\t1\n", 3, "every item must have the same number of ratings"),
+            ("1\t0\n0\t1\n", 2, "need at least 2 raters per item"),
+        ],
+        ids=["negative", "unequal-totals", "one-rater"],
+    )
+    def test_kappa_rejection_names_the_line(self, capsys, tmp_path, rows, line, reason):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text(f"a\tb\n\n{rows}", encoding="utf-8")
+        error = run_data_error(capsys, "agreement", "kappa", str(matrix))
+        assert error == f"ERROR MalformedMatrix: {matrix}, line {line + 1}: {reason}"
 
     def test_kappa_of_large_counts_does_not_wrap(self, capsys, tmp_path):
         # The squares of these counts exceed int64; the exact kappa is 0.0039448.

@@ -189,9 +189,16 @@ class TestDictionaryLoader:
 class TestEmbeddingLoader:
     def test_good_file(self, tmp_path):
         path = write(tmp_path, "e.txt", "2 3\ncat 1.0 0.0 0.5\ndog 0.0 1.0 -0.5\n")
-        table = load_embeddings(path)
-        assert table.dim == 3
-        assert np.allclose(table.vectors["dog"], [0.0, 1.0, -0.5])
+        vectors = load_embeddings(path)
+        assert list(vectors) == ["cat", "dog"]
+        assert vectors["dog"].tolist() == [0.0, 1.0, -0.5]
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component(self, tmp_path, component):
+        path = write(tmp_path, "e.txt", f"2 2\ncat 1.0 0.0\ndog 0.5 {component}\n")
+        with pytest.raises(Malformed, match="non-finite") as excinfo:
+            load_embeddings(path)
+        assert (excinfo.value.path, excinfo.value.line) == (path, 3)
 
     def test_dimension_mismatch(self, tmp_path):
         path = write(tmp_path, "e.txt", "2 3\ncat 1.0 0.0\ndog 0.0 1.0 -0.5\n")

@@ -7,14 +7,14 @@ import pytest
 
 from noisekit import textcore
 from noisekit.errors import BadEncoding, IoFailure, Malformed
-from noisekit.reduce import PhoneticTable
+from noisekit.reduce import read_phonetic_table
 from noisekit.textcore import (
     NGRAM_JOIN,
     NoiseLabelSet,
-    PunctuationTable,
     char_ngrams,
     normalize,
     read_codepoint_table,
+    read_punctuation_table,
     tokenize,
     word_ngrams,
     write_text,
@@ -67,9 +67,12 @@ class TestNormalize:
             once = normalize(text)
             assert normalize(once) == once
 
-    def test_custom_table_rejects_non_fixed_point(self):
-        with pytest.raises(Malformed):
-            PunctuationTable({"a": "b", "b": "c"})
+    def test_custom_table_rejects_non_fixed_point(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("a\tb\nb\tc\n", encoding="utf-8")
+        with pytest.raises(Malformed, match="not idempotent") as excinfo:
+            read_punctuation_table(path)
+        assert excinfo.value.path == path
 
 
 class TestCodepointTable:
@@ -77,7 +80,7 @@ class TestCodepointTable:
         path = tmp_path / "t.tsv"
         path.write_text("# header\n\nU+2018\tU+0027  # quote\nx\ty\n", encoding="utf-8")
         assert read_codepoint_table(path, str.upper) == {"\u2018": "U+0027", "x": "Y"}
-        assert PunctuationTable.from_file(path).apply("\u2018x") == "'y"
+        assert "\u2018x".translate(read_punctuation_table(path)) == "'y"
 
     @pytest.mark.parametrize(
         "content, reason",
@@ -91,14 +94,14 @@ class TestCodepointTable:
         path = tmp_path / "t.tsv"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(Malformed, match=reason) as excinfo:
-            PhoneticTable.from_file(path)
+            read_phonetic_table(path)
         assert (excinfo.value.path, excinfo.value.line) == (path, 2)
 
     def test_read_through_the_checked_text_reader(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_bytes(b"U+2018\tU+0027\n\xff\n")
         with pytest.raises(BadEncoding, match="t.tsv"):
-            PunctuationTable.from_file(path)
+            read_punctuation_table(path)
 
 
 def failing_after(chunks, exc):
