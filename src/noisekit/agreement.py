@@ -22,6 +22,10 @@ class RatingMatrix:
         counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.size == 0:
             raise MalformedMatrix("rating matrix must be 2-dimensional and non-empty")
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise MalformedMatrix(f"rating counts must be integers, got dtype {counts.dtype}")
+        if counts.shape[0] < 2:
+            raise MalformedMatrix("need at least 2 items")
         totals = []
         for item, row in enumerate(counts.tolist()):
             totals.append(sum(row))  # a Python int: an int64 sum would wrap
@@ -57,8 +61,6 @@ def fleiss_kappa(matrix: RatingMatrix) -> float:
     """
     # In float64, squares and column totals of int64 counts cannot wrap.
     counts = matrix.counts.astype(np.float64)
-    if matrix.n_items < 2:
-        raise MalformedMatrix("Fleiss' kappa needs at least 2 items")
     n = float(matrix.raters_per_item)
     per_item = ((counts * counts).sum(axis=1) - n) / (n * (n - 1))
     observed = float(per_item.mean())

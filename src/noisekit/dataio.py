@@ -81,7 +81,7 @@ def load_corpus(path, normalize_text: bool = True) -> CorpusFile:
         text = unescape_field(fields[1], path=path, line=lineno, column=2)
         if normalize_text:
             text = normalize(text)
-        if not text:
+        if not text.strip():
             raise Malformed("empty text", path=path, line=lineno, column=2)
         sentiment = None
         if fields[2] != "-":

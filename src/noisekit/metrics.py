@@ -51,18 +51,20 @@ def bleu(cand: list[str], ref: list[str]) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
+    """Bit-parallel LCS (Allison-Dix, Hyyro).
+
+    After each x of `a`, bit j of `v` is 0 where the LCS with b[: j + 1] is one
+    longer than with b[:j], so the zero bits of `v` count the LCS.
+    """
+    positions: dict[str, int] = {}
+    for j, y in enumerate(b):
+        positions[y] = positions.get(y, 0) | (1 << j)
+    all_ones = (1 << len(b)) - 1
+    v = all_ones
     for x in a:
-        current = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[len(b)]
+        u = v & positions.get(x, 0)
+        v = ((v + u) | (v - u)) & all_ones
+    return len(b) - v.bit_count()
 
 
 def rouge_l(cand: list[str], ref: list[str]) -> float:

@@ -1,9 +1,11 @@
+import os
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisekit
 from noisekit.features import FeatureMatrix
 from noisekit.reduce import Dictionary, read_phonetic_table
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
@@ -41,6 +43,17 @@ def latin_table():
 @pytest.fixture()
 def latin_dict(latin_table):
     return Dictionary(dict(BASE_VOCAB), table=latin_table)
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a child Python that must import the noisekit this process imported.
+
+    PYTHONPATH leads with the directory holding the package: `src/` in a checkout,
+    `site-packages` for an installed package.
+    """
+    package_root = str(Path(noisekit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 def make_docs(texts, sentiments=None, noises=None):
@@ -110,3 +123,14 @@ def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):
             grad_w[:, idx] += delta[:, None] * val[None, :]
         grad_b += delta
     return loss, grad_w, grad_b
+
+
+def lcs_length_dp(a, b) -> int:
+    """Longest-common-subsequence length by the O(|a|*|b|) dynamic program."""
+    previous = [0] * (len(b) + 1)
+    for x in a:
+        current = [0]
+        for j, y in enumerate(b, start=1):
+            current.append(previous[j - 1] + 1 if x == y else max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]

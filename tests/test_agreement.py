@@ -32,6 +32,20 @@ class TestRatingMatrix:
             RatingMatrix(np.array([[2**62, 2**62]] * 2))
         assert excinfo.value.item == 0
 
+    def test_one_item_rejected(self):
+        with pytest.raises(MalformedMatrix, match="need at least 2 items") as excinfo:
+            RatingMatrix(np.array([[2, 2]]))
+        assert excinfo.value.item is None
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.array([[1.5, 0.5], [1.0, 1.0]]), np.array([[True, True], [True, True]])],
+        ids=["float", "bool"],
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(MalformedMatrix, match="rating counts must be integers"):
+            RatingMatrix(counts)
+
     @pytest.mark.parametrize(
         "rows, item",
         [([[2, 2], [3, 1], [4, -1]], 2), ([[2, 2], [3, 1], [2, 1]], 2), ([[1, 0], [0, 1]], 0)],

@@ -1,7 +1,6 @@
 import base64
 import hashlib
 import json
-import os
 import random
 import re
 import shlex
@@ -13,13 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import noisekit
 from noisekit.cli import build_parser, main
 from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
 from noisekit.reduce import NgramMaskFiller
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
-from conftest import make_docs
+from conftest import make_docs, subprocess_env
 
 WORD_POOL = ["khub", "bhalo", "laglo", "onek", "sundor", "video", "dada", "dekhe"]
 # Tokens that mark two synthetic noise classes and one "everything else" class.
@@ -562,11 +560,10 @@ class TestReduceCommand:
         lines.append(lines[-1])
         fixture = tmp_path / "fx.jsonl"
         fixture.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
-        src = str(Path(noisekit.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "noisekit.cli", "reduce", str(small_corpus), "--method",
              "backtranslate", "--fixture", str(fixture), "--out", str(tmp_path / "bt.tsv")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         key = ("translate", "bn", "en", corpus.documents[-1].text)
@@ -740,13 +737,20 @@ class TestEvalReduction:
         output = tmp_path / "spell.tsv"
         save_corpus([], truth)
         save_corpus([], output)
-        src = str(Path(noisekit.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "noisekit.cli", "eval-reduction", str(output), "--truth", str(truth)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"ERROR Malformed: {truth}: no data rows\n"
+
+    def test_whitespace_only_text_rejected_in_raw_mode(self, capsys, tmp_path, eval_files):
+        # Raw loading keeps the text as written, so "   " must not reach BLEU as a reference.
+        _, output = eval_files
+        truth = tmp_path / "blank.tsv"
+        truth.write_text(CORPUS_HEADER + "\nd0\t   \t-\t-\n", encoding="utf-8")
+        error = run_data_error(capsys, "--no-normalize", "eval-reduction", str(output), "--truth", str(truth))
+        assert error == f"ERROR Malformed: {truth}, line 2, column 2: empty text"
 
     def test_outputs_with_same_stem_rejected(self, capsys, tmp_path, eval_files):
         truth, output = eval_files
@@ -791,6 +795,12 @@ class TestAgreementCommands:
         matrix.write_text(f"a\tb\n\n{rows}", encoding="utf-8")
         error = run_data_error(capsys, "agreement", "kappa", str(matrix))
         assert error == f"ERROR MalformedMatrix: {matrix}, line {line + 1}: {reason}"
+
+    def test_kappa_of_one_item_names_the_file(self, capsys, tmp_path):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("a\tb\n2\t2\n", encoding="utf-8")
+        error = run_data_error(capsys, "agreement", "kappa", str(matrix))
+        assert error == f"ERROR MalformedMatrix: {matrix}: need at least 2 items"
 
     def test_kappa_of_large_counts_does_not_wrap(self, capsys, tmp_path):
         # The squares of these counts exceed int64; the exact kappa is 0.0039448.
@@ -1044,14 +1054,11 @@ class TestErrorsAndUx:
         assert "line 2" in err
 
     def test_console_entry_point(self, small_corpus):
-        # The child finds the package where this process imported it from.
-        src = str(Path(noisekit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "noisekit.cli", "stats", str(small_corpus)],
             capture_output=True,
             text=True,
-            env=env,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["documents"] == 3
@@ -1076,7 +1083,6 @@ def test_readme_cli_examples_parse(capsys):
 
 
 def test_reduce_and_textcore_import_without_numpy():
-    src = str(Path(noisekit.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         "from noisekit import reduce, textcore\n"
@@ -1085,7 +1091,7 @@ def test_reduce_and_textcore_import_without_numpy():
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

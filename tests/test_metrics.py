@@ -7,6 +7,7 @@ import pytest
 
 from noisekit.errors import EmptyInput, EmptyReference, InvalidCounts, LengthMismatch
 from noisekit.metrics import (
+    _lcs_length,
     bleu,
     composite_similarity,
     evaluate_reduction,
@@ -18,7 +19,7 @@ from noisekit.metrics import (
 )
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, tokenize
 
-from conftest import random_word
+from conftest import lcs_length_dp, random_word
 
 
 class TestBleu:
@@ -97,6 +98,15 @@ class TestRougeL:
             r = lcs / len(ref) if ref else 0.0
             expected = 2 * p * r / (p + r) if p + r else 0.0
             assert rouge_l(list(cand), list(ref)) == pytest.approx(expected)
+
+    def test_lcs_matches_dp_oracle_fuzz(self):
+        # Lengths past 64 and 128 carry the bit vector across machine words.
+        rng = random.Random(89)
+        for _ in range(400):
+            alphabet = "abcdefgh"[: rng.randint(1, 8)]
+            a = [rng.choice(alphabet) for _ in range(rng.randint(0, 150))]
+            b = [rng.choice(alphabet) for _ in range(rng.randint(0, 150))]
+            assert _lcs_length(a, b) == lcs_length_dp(a, b)
 
     def test_relabeling_invariance(self):
         rng = random.Random(83)

@@ -10,22 +10,18 @@ a fresh interpreter, because the test process has numpy loaded already.
 import contextlib
 import io
 import json
-import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import noisekit
 from noisekit.cli import main
 from noisekit.dataio import load_dictionary, save_corpus
 from noisekit.reduce import spell_correct
 
-from conftest import make_docs
+from conftest import make_docs, subprocess_env
 
-SRC = str(Path(noisekit.__file__).resolve().parents[1])
 NUMPY_EXECUTED = "any(m.startswith('numpy.') for m in sys.modules)"
 # The modules a benchmark tracer reads from sys.modules right after `import noisekit.cli`.
 CLI_IMPORTS = ("textcore", "dataio", "features", "classify", "reduce", "metrics", "stats")
@@ -40,7 +36,7 @@ def run_python(code, *args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": SRC},
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -152,8 +148,11 @@ NUMPY_BLOCKERS = {
         "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
         "sys.meta_path.insert(0, Refuse())\n"
     ),
+    # An installed noisekit shares site-packages with numpy, so the package is
+    # imported before that directory leaves the path; its submodules load from it.
     "not-on-path": (
         "import os\n"
+        "import noisekit\n"
         "sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p or '.', 'numpy'))]\n"
     ),
     "none-in-sys-modules": "sys.modules['numpy'] = None\n",

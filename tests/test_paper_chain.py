@@ -150,6 +150,16 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def test_work_directory_holds_exactly_what_the_chain_wrote(chain):
+    # Every output is written to a temporary file and renamed; a leftover one fails here.
+    written = {
+        *(f"{split}{suffix}" for split in ("train", "test") for suffix in (".csv", "-raw.tsv", ".tsv")),
+        "noise.json", "dictionary.tsv", "fixture.jsonl", *(f"{m}.tsv" for m in METHODS),
+        "corrected.tsv", "vectors.txt", "human.json", "senti.json",
+    }
+    assert sorted(p.name for p in chain["work"].iterdir()) == sorted(written)
+
+
 def test_import_and_dedupe_keep_one_row_per_text(chain):
     for split, n in (("train", 60), ("test", 20)):
         assert len(load_corpus(chain["work"] / f"{split}-raw.tsv").documents) == n + 1

@@ -2,6 +2,7 @@ import os
 import random
 import stat
 import unicodedata
+from importlib import resources
 
 import pytest
 
@@ -102,6 +103,11 @@ class TestCodepointTable:
         path.write_bytes(b"U+2018\tU+0027\n\xff\n")
         with pytest.raises(BadEncoding, match="t.tsv"):
             read_punctuation_table(path)
+
+    def test_package_data_is_exactly_the_two_tables(self):
+        # Read as the installed package exposes it, wherever it was imported from.
+        data = resources.files("noisekit").joinpath("data")
+        assert sorted(p.name for p in data.iterdir()) == ["phonetic_bn.tsv", "punctuation.tsv"]
 
 
 def failing_after(chunks, exc):
