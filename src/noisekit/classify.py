@@ -11,6 +11,11 @@ supplies only its per-sample direction, its loss multiplier (c for hinge,
 1 for softmax) and its L2 divisor (n for hinge, c*n for softmax).
 Training is bit-deterministic given the data order and the seed.
 
+The weights are stored term-major, (D, K): a step gathers the sample's
+(nnz, K) block once, scores and updates it, and puts it back in one call.
+The result has the same bits as updating a (K, D) array through
+``W[:, idx]``.
+
 Class weights for cost-sensitive training follow w_c = N / (K * n_c) and
 live in `TrainConfig.class_weights`.
 """
@@ -50,10 +55,15 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
             raise Malformed(f"regularization strength must be finite and > 0, got {self.c}")
+        # `type(...) is int` also rejects bool, a subclass of int.
+        if type(self.epochs) is not int:
+            raise Malformed(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise Malformed(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise Malformed(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if type(self.seed) is not int:
+            raise Malformed(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise Malformed(f"seed must be >= 0, got {self.seed}")
         if self.class_weights is not None and not all(
@@ -122,40 +132,54 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
     z = W x_i + b, shrinks W by 1 - lr/l2_divisor and adds
     (lr*loss_multiplier) * g x_i^T to W and (lr*loss_multiplier) * g to b.
     W is kept as w * scale so the shrink is O(1) and updates stay sparse.
+
+    w is stored term-major, (D, K), and viewed as one K-float record per
+    term. A step takes the row's (nnz, K) block in one gather, scores it as
+    ``block.T @ x`` and puts the updated block back with one record put.
+    ``block.T`` has the memory layout of ``W[:, idx]`` on a (K, D) array, so
+    the scores and the weights have the bits of a loop over (K, D) weights.
+    The returned weights are ``w.T``, so `to_json` reads its term-major table
+    without a copy.
     """
     n = len(features)
     if n != len(labels):
         raise DimensionMismatch(f"{n} feature rows but {len(labels)} labels")
     if not n:
         raise EmptyTrainingSet("no training samples")
-    w = np.zeros((k, features.dim), dtype=np.float64)
+    w = np.zeros((features.dim, k), dtype=np.float64)
+    terms = w.view(np.dtype((np.void, 8 * k))).reshape(-1)
     scale = 1.0
     bias = np.zeros(k, dtype=np.float64)
     rng = np.random.default_rng(config.seed)
+    indptr, indices, values = features.indptr.tolist(), features.indices, features.values
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for _ in range(config.epochs):
-            for i in rng.permutation(n):
+            for i in rng.permutation(n).tolist():
                 lr = config.learning_rate / (1.0 + step / n)
                 step += 1
-                idx, val = features.row(i)
-                z = scale * (w[:, idx] @ val) + bias if len(idx) else bias.copy()
-                g = direction(i, z)
+                lo, hi = indptr[i], indptr[i + 1]
+                idx, val = indices[lo:hi], values[lo:hi]
+                # An empty row scores bias + 0.0, which is bias bit for bit: b starts
+                # at +0.0, and a sum is -0.0 only when both terms are.
+                block = w.take(idx, axis=0)
+                g = direction(i, scale * (block.T @ val) + bias)
                 # Extreme learning rates could flip the sign; clamp instead.
                 scale *= max(1.0 - lr / l2_divisor, 1e-12)
                 if scale < 1e-9:
                     w *= scale
+                    block *= scale
                     scale = 1.0
                 rate = lr * loss_multiplier
-                if len(idx):
-                    w[:, idx] += ((rate / scale) * g)[:, None] * val[None, :]
+                block += val[:, None] * ((rate / scale) * g)
+                terms.put(idx, block.view(terms.dtype))
                 bias += rate * g
     w *= scale
     if not (np.isfinite(w).all() and np.isfinite(bias).all()):
         raise DataError(
             "training diverged to non-finite weights; lower the learning rate (--lr) or c (--c)"
         )
-    return w, bias
+    return w.T, bias
 
 
 def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> LinearModel:
@@ -166,11 +190,17 @@ def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> Lin
     order so the whole run is deterministic.
     """
     k = len(NOISE_CLASSES)
-    y = np.where([[label_set.has(j) for j in range(k)] for label_set in labels], 1.0, -1.0)
+    # Row i's +1/-1 targets; rows with the same label set share one array.
+    signs = {
+        m: np.array([1.0 if m >> j & 1 else -1.0 for j in range(k)])
+        for m in {label_set.mask for label_set in labels}
+    }
+    y = [signs[label_set.mask] for label_set in labels]
 
     def direction(i, decision):
         # y on the classes whose margin is violated, 0 elsewhere.
-        return y[i] * (y[i] * decision < 1.0)
+        yi = y[i]
+        return yi * (yi * decision < 1.0)
 
     weights, bias = _sgd(features, labels, k, config, direction, config.c, len(features))
     return LinearModel(ModelKind.OVR_HINGE, weights, bias)
@@ -187,7 +217,7 @@ def predict_multilabel(model: LinearModel, features: FeatureMatrix) -> list[Nois
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -198,7 +228,7 @@ def train_softmax_weighted(features: FeatureMatrix, labels, config: TrainConfig)
     ``config.class_weights``; None, like all-ones weights, trains unweighted.
     """
     k = len(SENTIMENT_CLASSES)
-    cw = np.ones(k) if config.class_weights is None else np.array(config.class_weights, float)
+    cw = [1.0] * k if config.class_weights is None else [float(v) for v in config.class_weights]
     if len(cw) != k:
         raise DimensionMismatch(f"{len(cw)} class weights for {k} classes")
     label_idx = [int(lbl) for lbl in labels]
@@ -208,8 +238,9 @@ def train_softmax_weighted(features: FeatureMatrix, labels, config: TrainConfig)
     def direction(i, z):
         # The negated gradient of cw[y] * CE at z.
         yi = label_idx[i]
-        g = -cw[yi] * _softmax(z)
-        g[yi] += cw[yi]
+        weight = cw[yi]
+        g = -weight * _softmax(z)
+        g[yi] += weight
         return g
 
     weights, bias = _sgd(features, labels, k, config, direction, 1.0, config.c * len(features))

@@ -41,6 +41,9 @@ class AnalyzerConfig:
     n_max: int = 4
 
     def __post_init__(self):
+        # `type(...) is int` also rejects bool, a subclass of int.
+        if not (type(self.n_min) is int and type(self.n_max) is int):
+            raise Malformed(f"n_min and n_max must be integers, got {self.n_min!r}, {self.n_max!r}")
         if not 1 <= self.n_min <= self.n_max <= 8:
             raise Malformed(f"need 1 <= n_min <= n_max <= 8, got {self.n_min}, {self.n_max}")
 
@@ -184,9 +187,6 @@ def from_json(section: dict) -> TfidfModel:
     integer in [1, corpus_size].
     """
     cfg = section["config"]
-    # `type(...) is int` because JSON true/false load as bool, a subclass of int.
-    if not (type(cfg["n_min"]) is int and type(cfg["n_max"]) is int):
-        raise Malformed("n_min and n_max must be integers")
     config = AnalyzerConfig(mode=AnalyzerMode(cfg["mode"]), n_min=cfg["n_min"], n_max=cfg["n_max"])
     n = section["corpus_size"]
     if not (type(n) is int and n > 0):

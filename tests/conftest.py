@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import noisekit
+from noisekit.errors import DataError, DimensionMismatch, EmptyTrainingSet
 from noisekit.features import FeatureMatrix
 from noisekit.reduce import Dictionary, read_phonetic_table
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
@@ -99,6 +100,47 @@ def hinge_objective(w: np.ndarray, b: float, features: FeatureMatrix, y, c: floa
         margin = yi * ((float(w[idx] @ val) if len(idx) else 0.0) + b)
         total += c * max(0.0, 1.0 - margin)
     return total
+
+
+def sgd_reference(features: FeatureMatrix, labels, k: int, config, direction,
+                  loss_multiplier: float, l2_divisor: float):
+    """The SGD loop of `classify._sgd` over (K, D) weights indexed as ``w[:, idx]``.
+
+    `classify._sgd` must return the same weight and bias bits.
+    """
+    n = len(features)
+    if n != len(labels):
+        raise DimensionMismatch(f"{n} feature rows but {len(labels)} labels")
+    if not n:
+        raise EmptyTrainingSet("no training samples")
+    w = np.zeros((k, features.dim), dtype=np.float64)
+    scale = 1.0
+    bias = np.zeros(k, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        for _ in range(config.epochs):
+            for i in rng.permutation(n):
+                lr = config.learning_rate / (1.0 + step / n)
+                step += 1
+                idx, val = features.row(i)
+                z = scale * (w[:, idx] @ val) + bias if len(idx) else bias.copy()
+                g = direction(i, z)
+                # Extreme learning rates could flip the sign; clamp instead.
+                scale *= max(1.0 - lr / l2_divisor, 1e-12)
+                if scale < 1e-9:
+                    w *= scale
+                    scale = 1.0
+                rate = lr * loss_multiplier
+                if len(idx):
+                    w[:, idx] += ((rate / scale) * g)[:, None] * val[None, :]
+                bias += rate * g
+    w *= scale
+    if not (np.isfinite(w).all() and np.isfinite(bias).all()):
+        raise DataError(
+            "training diverged to non-finite weights; lower the learning rate (--lr) or c (--c)"
+        )
+    return w, bias
 
 
 def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):

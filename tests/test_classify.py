@@ -16,11 +16,11 @@ from noisekit.classify import (
     train_ovr_hinge,
     train_softmax_weighted,
 )
-from noisekit.errors import DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
+from noisekit.errors import DataError, DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
-from conftest import csr, hinge_objective, softmax_loss_grad
+from conftest import csr, hinge_objective, sgd_reference, softmax_loss_grad
 
 
 def vec(*pairs):
@@ -49,6 +49,18 @@ class TestClassWeights:
     def test_non_positive_or_nan_rejected_by_config(self, weights):
         with pytest.raises(Malformed, match="class weights must be finite positive"):
             TrainConfig(class_weights=weights)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_non_integer_epochs_rejected(self, value):
+        with pytest.raises(Malformed, match="epochs must be an integer"):
+            TrainConfig(epochs=value)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, False, np.int64(1)])
+    def test_non_integer_seed_rejected(self, value):
+        with pytest.raises(Malformed, match="seed must be an integer"):
+            TrainConfig(seed=value)
 
 
 def separable_points():
@@ -255,6 +267,123 @@ class TestTrainSoftmaxWeighted:
         b = train_softmax_weighted(features, labels, config)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+
+def random_matrix(rng: random.Random, n: int, dim: int, tiny: float = 0.0):
+    """n random rows over dim terms with values of both signs; row 0 and about a fifth are empty.
+
+    A nonzero `tiny` swaps about two thirds of the values for +-tiny, so a
+    rescale can underflow weights to +-0.0.
+    """
+    rows = []
+    for i in range(n):
+        width = 0 if i == 0 or rng.random() < 0.2 else rng.randint(1, dim)
+        values = [rng.uniform(-1.0, 1.0) for _ in range(width)]
+        if tiny:
+            values = [rng.choice([v, tiny, -tiny]) for v in values]
+        rows.append(list(zip(rng.sample(range(dim), width), values)))
+    return csr(rows, dim=dim)
+
+
+def hinge_reference(features, labels, config):
+    """`train_ovr_hinge` on `sgd_reference`, with its direction as one array expression."""
+    y = np.where([[s.has(j) for j in range(len(NOISE_CLASSES))] for s in labels], 1.0, -1.0)
+    return sgd_reference(features, labels, len(NOISE_CLASSES), config,
+                         lambda i, z: y[i] * (y[i] * z < 1.0), config.c, len(features))
+
+
+def softmax_reference(features, labels, config):
+    """`train_softmax_weighted` on `sgd_reference`, with numpy-array class weights."""
+    cw = np.ones(3) if config.class_weights is None else np.array(config.class_weights, float)
+
+    def direction(i, z):
+        yi = int(labels[i])
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        g = -cw[yi] * (e / e.sum(axis=-1, keepdims=True))
+        g[yi] += cw[yi]
+        return g
+
+    return sgd_reference(features, labels, 3, config, direction, 1.0, config.c * len(features))
+
+
+def l2_divisor(kind, c, n):
+    return n if kind is ModelKind.OVR_HINGE else c * n
+
+
+def scale_falls_below_1e9(kind, config, n):
+    """Whether the shrinks of a run drive the weight scale under 1e-9, so W is rescaled."""
+    scale = 1.0
+    for step in range(config.epochs * n):
+        lr = config.learning_rate / (1.0 + step / n)
+        scale *= max(1.0 - lr / l2_divisor(kind, config.c, n), 1e-12)
+        if scale < 1e-9:
+            return True
+    return False
+
+
+TRAINERS = {
+    ModelKind.OVR_HINGE: (train_ovr_hinge, hinge_reference),
+    ModelKind.SOFTMAX_WEIGHTED: (train_softmax_weighted, softmax_reference),
+}
+
+
+def random_problem(kind, seed, regime):
+    """Features, labels and a config; `regime` is "plain", "rescale" or "tiny"."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 30)
+    features = random_matrix(rng, n, rng.randint(2, 40), tiny=1e-305 if regime == "tiny" else 0.0)
+    if kind is ModelKind.OVR_HINGE:
+        labels = [NoiseLabelSet(rng.randrange(1 << len(NOISE_CLASSES))) for _ in range(n)]
+        weights = None
+    else:
+        labels = [SentimentLabel(rng.randrange(3)) for _ in range(n)]
+        weights = tuple(rng.uniform(0.2, 3.0) for _ in range(3))
+    c = rng.choice([0.5, 1.0, 2.0])
+    if regime == "plain":
+        lr = rng.uniform(0.05, 1.0)
+    else:
+        lr = l2_divisor(kind, c, n) * rng.uniform(1.0, 3.0)
+    config = TrainConfig(c=c, epochs=rng.randint(1, 6), learning_rate=lr, seed=seed,
+                         class_weights=weights)
+    return features, labels, config
+
+
+class TestSgdMatchesReference:
+    """The trainers give the bits of `conftest.sgd_reference`, the loop over (K, D) weights."""
+
+    @pytest.mark.parametrize("kind", list(TRAINERS))
+    @pytest.mark.parametrize("regime", ["plain", "rescale", "tiny"])
+    def test_same_bits(self, kind, regime):
+        train, reference = TRAINERS[kind]
+        for seed in range(40):
+            features, labels, config = random_problem(kind, seed, regime)
+            if regime != "plain":
+                assert scale_falls_below_1e9(kind, config, len(features))
+            try:
+                expected = reference(features, labels, config)
+            except DataError:
+                with pytest.raises(DataError):
+                    train(features, labels, config)
+                continue
+            model = train(features, labels, config)
+            assert model.weights.tobytes() == expected[0].tobytes(), (seed, config)
+            assert model.bias.tobytes() == expected[1].tobytes(), (seed, config)
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            (ModelKind.OVR_HINGE, TrainConfig(c=1e300, learning_rate=1e10, epochs=2)),
+            (ModelKind.SOFTMAX_WEIGHTED,
+             TrainConfig(learning_rate=1e10, epochs=2, class_weights=(1e300, 1.0, 1.0))),
+        ],
+    )
+    def test_divergence_raises_in_both(self, kind, config):
+        train, reference = TRAINERS[kind]
+        features, labels, _ = random_problem(kind, 3, "plain")
+        with pytest.raises(DataError):
+            reference(features, labels, config)
+        with pytest.raises(DataError):
+            train(features, labels, config)
 
 
 class TestPredictSentiment:

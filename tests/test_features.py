@@ -95,6 +95,18 @@ class TestFitTfidf:
         assert ordered == sorted(ordered)
 
 
+class TestAnalyzerConfig:
+    @pytest.mark.parametrize("n_min", [1.5, 1.0, True])
+    def test_non_integer_n_min_rejected(self, n_min):
+        with pytest.raises(Malformed, match="n_min and n_max must be integers"):
+            AnalyzerConfig(n_min=n_min, n_max=2)
+
+    @pytest.mark.parametrize("n_max", [2.5, 2.0, True])
+    def test_non_integer_n_max_rejected(self, n_max):
+        with pytest.raises(Malformed, match="n_min and n_max must be integers"):
+            AnalyzerConfig(n_min=1, n_max=n_max)
+
+
 class TestTransform:
     def test_single_known_term(self):
         model = fit_tfidf(["hello", "other"], WORD)
