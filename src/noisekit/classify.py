@@ -11,10 +11,8 @@ supplies only its per-sample direction, its loss multiplier (c for hinge,
 1 for softmax) and its L2 divisor (n for hinge, c*n for softmax).
 Training is bit-deterministic given the data order and the seed.
 
-The weights are stored term-major, (D, K): a step gathers the sample's
-(nnz, K) block once, scores and updates it, and puts it back in one call.
-The result has the same bits as updating a (K, D) array through
-``W[:, idx]``.
+A model's weights are one (D, K) table with a row per term, used as is by
+training, the bundle and prediction.
 
 Class weights for cost-sensitive training follow w_c = N / (K * n_c) and
 live in `TrainConfig.class_weights`.
@@ -40,8 +38,13 @@ class ModelKind(enum.Enum):
 
     @property
     def class_names(self) -> tuple[str, ...]:
-        """The fixed classes of this kind, one per weight row."""
+        """The fixed classes of this kind, one per weight column."""
         return NOISE_CLASSES if self is ModelKind.OVR_HINGE else SENTIMENT_CLASSES
+
+
+def _finite_number(value) -> bool:
+    """A finite int or float; bool, a subclass of int, is rejected."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -53,21 +56,21 @@ class TrainConfig:
     class_weights: tuple[float, ...] | None = None  # None trains every class with weight 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise Malformed(f"regularization strength must be finite and > 0, got {self.c}")
+        if not (_finite_number(self.c) and self.c > 0):
+            raise Malformed(f"regularization strength must be finite and > 0, got {self.c!r}")
         # `type(...) is int` also rejects bool, a subclass of int.
         if type(self.epochs) is not int:
             raise Malformed(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise Malformed(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise Malformed(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if not (_finite_number(self.learning_rate) and self.learning_rate > 0):
+            raise Malformed(f"learning rate must be finite and > 0, got {self.learning_rate!r}")
         if type(self.seed) is not int:
             raise Malformed(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise Malformed(f"seed must be >= 0, got {self.seed}")
         if self.class_weights is not None and not all(
-            math.isfinite(v) and v > 0 for v in self.class_weights
+            _finite_number(v) and v > 0 for v in self.class_weights
         ):
             raise Malformed(
                 f"class weights must be finite positive numbers, got {list(self.class_weights)}"
@@ -87,14 +90,14 @@ def compute_class_weights(counts) -> tuple[float, ...]:
 @dataclass
 class LinearModel:
     kind: ModelKind
-    weights: np.ndarray  # (n_classes, dim)
+    weights: np.ndarray  # (dim, n_classes)
     bias: np.ndarray  # (n_classes,)
 
     def __post_init__(self):
         k = len(self.kind.class_names)
-        if self.weights.ndim != 2 or self.weights.shape[0] != k:
+        if self.weights.ndim != 2 or self.weights.shape[1] != k:
             raise DimensionMismatch(
-                f"{self.kind.value} weights must be ({k}, D), got shape {self.weights.shape}"
+                f"{self.kind.value} weights must be (D, {k}), got shape {self.weights.shape}"
             )
         if self.bias.shape != (k,):
             raise DimensionMismatch(
@@ -107,10 +110,10 @@ class LinearModel:
 
     @property
     def dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[0]
 
     def decision_values(self, features: FeatureMatrix) -> np.ndarray:
-        """(rows, K) scores W x + b; an empty row scores the bias alone."""
+        """(rows, K) scores x W + b as `_sgd` computes them; an empty row scores the bias alone."""
         if features.dim != self.dim:
             raise DimensionMismatch(
                 f"feature dimension {features.dim} does not match model dimension {self.dim}"
@@ -119,27 +122,25 @@ class LinearModel:
         for i in range(len(features)):
             idx, val = features.row(i)
             if len(idx):
-                out[i] = self.weights[:, idx] @ val + self.bias
+                out[i] = self.weights.take(idx, axis=0).T @ val + self.bias
         return out
 
 
 def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction,
          loss_multiplier: float, l2_divisor: float):
-    """Seeded SGD over the rows of `features`; returns the (K, D) weights and (K,) bias.
+    """Seeded SGD over the rows of `features`; returns the (D, K) weights and (K,) bias.
 
     Each step visits row i of a fresh permutation per epoch, asks
     ``direction(i, z)`` for the descent direction g (K,) at the scores
-    z = W x_i + b, shrinks W by 1 - lr/l2_divisor and adds
-    (lr*loss_multiplier) * g x_i^T to W and (lr*loss_multiplier) * g to b.
-    W is kept as w * scale so the shrink is O(1) and updates stay sparse.
+    z = x_i W + b, shrinks W by 1 - lr/l2_divisor and adds
+    (lr*loss_multiplier) * x_i^T g to W and (lr*loss_multiplier) * g to b.
+    W is kept as w * scale so the shrink is O(1) and updates stay sparse
+    (Bottou, "Stochastic Gradient Descent Tricks", 2012).
 
-    w is stored term-major, (D, K), and viewed as one K-float record per
-    term. A step takes the row's (nnz, K) block in one gather, scores it as
-    ``block.T @ x`` and puts the updated block back with one record put.
-    ``block.T`` has the memory layout of ``W[:, idx]`` on a (K, D) array, so
-    the scores and the weights have the bits of a loop over (K, D) weights.
-    The returned weights are ``w.T``, so `to_json` reads its term-major table
-    without a copy.
+    w is viewed as one K-float record per term. A step takes the row's
+    (nnz, K) block in one gather, scores it as ``block.T @ x`` and puts the
+    updated block back with one record put. The bits equal those of the
+    (K, D) oracle ``conftest.sgd_reference``.
     """
     n = len(features)
     if n != len(labels):
@@ -179,7 +180,7 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
         raise DataError(
             "training diverged to non-finite weights; lower the learning rate (--lr) or c (--c)"
         )
-    return w.T, bias
+    return w, bias
 
 
 def train_ovr_hinge(features: FeatureMatrix, labels, config: TrainConfig) -> LinearModel:
@@ -257,14 +258,14 @@ def predict_sentiment(model: LinearModel, features: FeatureMatrix):
 
 
 def to_json(model: LinearModel) -> dict:
-    """JSON-ready bundle section; the (K, D) weights are stored as a table of distinct columns.
+    """JSON-ready bundle section; the (D, K) weights are stored as a table of distinct rows.
 
-    ``columns`` holds the U distinct weight columns (U x K little-endian
+    ``columns`` holds the U distinct weight rows (U x K little-endian
     float64, in the order of their raw bytes) and ``column_index`` one
-    little-endian uint32 per term naming its column; both are base64.
-    Columns are compared by raw bytes, so -0.0 and 0.0 stay apart.
+    little-endian uint32 per term naming its row; both are base64.
+    Rows are compared by raw bytes, so -0.0 and 0.0 stay apart.
     """
-    by_term = np.ascontiguousarray(model.weights.T, dtype="<f8")  # (D, K)
+    by_term = np.ascontiguousarray(model.weights, dtype="<f8")
     keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return {
@@ -285,12 +286,6 @@ def _b64decode(section: dict, key: str) -> bytes:
         return base64.b64decode(section[key], validate=True)
     except binascii.Error as exc:
         raise Malformed(f"{key} is not valid base64: {exc}") from None
-
-
-def _finite_numbers(values) -> bool:
-    return isinstance(values, list) and all(
-        type(v) in (int, float) and math.isfinite(v) for v in values
-    )
 
 
 def from_json(section: dict) -> LinearModel:
@@ -317,12 +312,12 @@ def from_json(section: dict) -> LinearModel:
             f"column index {int(index.max())} is out of range for {len(columns)} columns"
         )
     biases = section["biases"]
-    if not _finite_numbers(biases):
+    if not (isinstance(biases, list) and all(map(_finite_number, biases))):
         raise Malformed("biases must be finite numbers")
     if not np.isfinite(columns).all():
         raise Malformed("weights must be finite")
     return LinearModel(
         kind=kind,
-        weights=np.ascontiguousarray(columns[index].T, dtype=np.float64),
+        weights=columns[index],
         bias=np.array(biases, dtype=np.float64),
     )

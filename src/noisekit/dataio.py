@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import classify, features
 from ._lazy import np
 from .agreement import INT64_MAX, RatingMatrix
-from .errors import DataError, DimensionMismatch, Malformed, MalformedMatrix
+from .errors import DataError, DimensionMismatch, InvalidCounts, Malformed, MalformedMatrix
 from .reduce import Dictionary, FixtureClient
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
 from .textcore import read_text, write_text
@@ -274,7 +274,13 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
             raise Malformed(
                 f"{name!r}: expected [accurate, total] integers, got {counts!r}", path=path
             )
-        tallies[name] = (counts[0], counts[1])
+        accurate, total = counts
+        if total <= 0 or not 0 <= accurate <= total:
+            raise InvalidCounts(
+                f"{name!r}: need 0 <= accurate <= total with total > 0, got {accurate}/{total}",
+                path=path,
+            )
+        tallies[name] = (accurate, total)
     return tallies
 
 

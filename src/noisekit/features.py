@@ -41,6 +41,8 @@ class AnalyzerConfig:
     n_max: int = 4
 
     def __post_init__(self):
+        if not isinstance(self.mode, AnalyzerMode):
+            raise Malformed(f"mode must be an AnalyzerMode, got {self.mode!r}")
         # `type(...) is int` also rejects bool, a subclass of int.
         if not (type(self.n_min) is int and type(self.n_max) is int):
             raise Malformed(f"n_min and n_max must be integers, got {self.n_min!r}, {self.n_max!r}")

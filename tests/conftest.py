@@ -143,6 +143,19 @@ def sgd_reference(features: FeatureMatrix, labels, k: int, config, direction,
     return w, bias
 
 
+def decision_reference(weights: np.ndarray, bias: np.ndarray, features: FeatureMatrix):
+    """(rows, K) scores over C-ordered (K, D) weights as ``w[:, idx] @ val + b``.
+
+    `LinearModel.decision_values` on the (D, K) transpose must give the same bits.
+    """
+    out = np.tile(bias, (len(features), 1))
+    for i in range(len(features)):
+        idx, val = features.row(i)
+        if len(idx):
+            out[i] = weights[:, idx] @ val + bias
+    return out
+
+
 def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):
     """Weighted cross-entropy loss with L2 term, plus its analytic gradient.
 

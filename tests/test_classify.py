@@ -20,7 +20,7 @@ from noisekit.errors import DataError, DimensionMismatch, EmptyTrainingSet, Malf
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
-from conftest import csr, hinge_objective, sgd_reference, softmax_loss_grad
+from conftest import csr, decision_reference, hinge_objective, sgd_reference, softmax_loss_grad
 
 
 def vec(*pairs):
@@ -62,6 +62,25 @@ class TestTrainConfig:
         with pytest.raises(Malformed, match="seed must be an integer"):
             TrainConfig(seed=value)
 
+    @pytest.mark.parametrize("value", ["1", None, True])
+    def test_non_number_c_rejected(self, value):
+        with pytest.raises(Malformed, match="regularization strength must be finite"):
+            TrainConfig(c=value)
+
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_non_number_learning_rate_rejected(self, value):
+        with pytest.raises(Malformed, match="learning rate must be finite"):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("weights", [(1, "a", 2), (1.0, None, 1.0), (1.0, True, 1.0)])
+    def test_non_number_class_weight_rejected(self, weights):
+        with pytest.raises(Malformed, match="class weights must be finite positive"):
+            TrainConfig(class_weights=weights)
+
+    def test_int_and_float_accepted(self):
+        config = TrainConfig(c=2, learning_rate=1, class_weights=(1, 0.5, 3))
+        assert (config.c, config.learning_rate) == (2, 1)
+
 
 def separable_points():
     # Positive cluster around (2, 2), negative around (-2, -2).
@@ -99,7 +118,7 @@ class TestTrainOvrHinge:
         model = train_ovr_hinge(
             features, labels, TrainConfig(c=c, epochs=600, learning_rate=0.5, seed=3)
         )
-        sgd_obj = hinge_objective(model.weights[0], float(model.bias[0]), features, y, c)
+        sgd_obj = hinge_objective(model.weights[:, 0], float(model.bias[0]), features, y, c)
 
         # Brute-force oracle: primal objective minimized over a coarse lattice.
         grid = np.linspace(-3.0, 3.0, 41)
@@ -136,23 +155,23 @@ class TestPredictMultilabel:
         )
 
     def test_fallback_to_argmax(self):
-        weights = np.zeros((10, 2))
+        weights = np.zeros((2, 10))
         bias = -np.arange(10, 0, -1, dtype=float)  # all negative, max is class 9 (others)
         model = self.make_model(weights, bias)
         [result] = predict_multilabel(model, csr([vec((0, 1.0))], dim=2))
         assert result.names() == ("others",)
 
     def test_two_positive_decisions(self):
-        weights = np.zeros((10, 1))
-        weights[2, 0] = 1.0
-        weights[5, 0] = 2.0
+        weights = np.zeros((1, 10))
+        weights[0, 2] = 1.0
+        weights[0, 5] = 2.0
         bias = np.full(10, -0.5)
         model = self.make_model(weights, bias)
         [result] = predict_multilabel(model, csr([vec((0, 1.0))]))
         assert set(result.names()) == {NOISE_CLASSES[2], NOISE_CLASSES[5]}
 
     def test_zero_vector_uses_bias_argmax(self):
-        weights = np.ones((10, 3))
+        weights = np.ones((3, 10))
         bias = np.array([-5.0, -1.0, -3.0, -4.0, -2.0, -6.0, -7.0, -8.0, -9.0, -10.0])
         model = self.make_model(weights, bias)
         [result] = predict_multilabel(model, csr([vec()], dim=3))
@@ -160,13 +179,13 @@ class TestPredictMultilabel:
 
     def test_never_empty_fuzz(self):
         rng = np.random.default_rng(13)
-        model = self.make_model(rng.normal(size=(10, 4)), rng.normal(size=10))
+        model = self.make_model(rng.normal(size=(4, 10)), rng.normal(size=10))
         rows = [vec(*((i, rng.normal()) for i in range(4))) for _ in range(200)]
         for result in predict_multilabel(model, csr(rows)):
             assert result
 
     def test_dimension_mismatch(self):
-        model = self.make_model(np.zeros((10, 2)), np.zeros(10))
+        model = self.make_model(np.zeros((2, 10)), np.zeros(10))
         with pytest.raises(DimensionMismatch):
             predict_multilabel(model, csr([vec((5, 1.0))]))
 
@@ -193,7 +212,7 @@ class TestTrainSoftmaxWeighted:
             )
             model = train_softmax_weighted(features, labels, config)
             loss, _, _ = softmax_loss_grad(
-                model.weights, model.bias, features, [int(l) for l in labels], np.ones(3), 1.0
+                model.weights.T, model.bias, features, [int(l) for l in labels], np.ones(3), 1.0
             )
             losses.append(loss)
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -349,7 +368,10 @@ def random_problem(kind, seed, regime):
 
 
 class TestSgdMatchesReference:
-    """The trainers give the bits of `conftest.sgd_reference`, the loop over (K, D) weights."""
+    """The trainers give the bits of `conftest.sgd_reference`, the loop over (K, D) weights.
+
+    The trainers return (D, K) weights, so their transpose is compared.
+    """
 
     @pytest.mark.parametrize("kind", list(TRAINERS))
     @pytest.mark.parametrize("regime", ["plain", "rescale", "tiny"])
@@ -366,7 +388,7 @@ class TestSgdMatchesReference:
                     train(features, labels, config)
                 continue
             model = train(features, labels, config)
-            assert model.weights.tobytes() == expected[0].tobytes(), (seed, config)
+            assert model.weights.T.tobytes() == expected[0].tobytes(), (seed, config)
             assert model.bias.tobytes() == expected[1].tobytes(), (seed, config)
 
     @pytest.mark.parametrize(
@@ -386,6 +408,28 @@ class TestSgdMatchesReference:
             train(features, labels, config)
 
 
+class TestDecisionValuesMatchReference:
+    """`decision_values` gives the bits of `conftest.decision_reference`, the (K, D) predict loop."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("tiny", [0.0, 1e-305])
+    def test_same_bits(self, kind, tiny):
+        k = len(kind.class_names)
+        for seed in range(40):
+            rng = random.Random(seed)
+            features = random_matrix(rng, rng.randint(3, 30), rng.randint(2, 40), tiny=tiny)
+            weights_rng = np.random.default_rng(seed)
+            model = LinearModel(kind, weights_rng.normal(size=(features.dim, k)),
+                                weights_rng.normal(size=k))
+            expected = decision_reference(np.ascontiguousarray(model.weights.T), model.bias,
+                                          features)
+            assert model.decision_values(features).tobytes() == expected.tobytes(), seed
+
+            clone = from_json(to_json(model))
+            assert clone.weights.shape == (features.dim, k)
+            assert clone.weights.tobytes() == model.weights.tobytes()
+
+
 class TestPredictSentiment:
     def make_model(self, weights, bias):
         return LinearModel(
@@ -395,14 +439,14 @@ class TestPredictSentiment:
         )
 
     def test_zero_model_is_uniform_and_ties_to_neutral(self):
-        model = self.make_model(np.zeros((3, 2)), np.zeros(3))
+        model = self.make_model(np.zeros((2, 3)), np.zeros(3))
         (label,), (probs,) = predict_sentiment(model, csr([vec((0, 1.0))], dim=2))
         assert label is SentimentLabel.NEUTRAL
         assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
         assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_saturation(self):
-        model = self.make_model(np.zeros((3, 1)), np.array([0.0, 50.0, 0.0]))
+        model = self.make_model(np.zeros((1, 3)), np.array([0.0, 50.0, 0.0]))
         (label,), (probs,) = predict_sentiment(model, csr([vec()], dim=1))
         assert label is SentimentLabel.POSITIVE
         assert probs[1] == pytest.approx(1.0, abs=1e-9)
@@ -440,7 +484,7 @@ class TestModelSerialization:
     def test_class_names_follow_the_kind(self):
         assert ModelKind.OVR_HINGE.class_names == NOISE_CLASSES
         assert ModelKind.SOFTMAX_WEIGHTED.class_names == ("neutral", "positive", "negative")
-        model = LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((3, 2)), np.zeros(3))
+        model = LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((2, 3)), np.zeros(3))
         assert model.class_names == ModelKind.SOFTMAX_WEIGHTED.class_names
         with pytest.raises(AttributeError):
             model.class_names = NOISE_CLASSES
@@ -448,11 +492,11 @@ class TestModelSerialization:
     @pytest.mark.parametrize(
         "kind, weights, bias, message",
         [
-            (ModelKind.SOFTMAX_WEIGHTED, np.zeros((2, 6)), np.zeros(2), r"weights must be \(3, D\)"),
-            (ModelKind.SOFTMAX_WEIGHTED, np.zeros((3, 6)), np.zeros(2), "bias count must be 3"),
-            (ModelKind.OVR_HINGE, np.zeros((3, 6)), np.zeros(3), r"weights must be \(10, D\)"),
+            (ModelKind.SOFTMAX_WEIGHTED, np.zeros((6, 2)), np.zeros(2), r"weights must be \(D, 3\)"),
+            (ModelKind.SOFTMAX_WEIGHTED, np.zeros((6, 3)), np.zeros(2), "bias count must be 3"),
+            (ModelKind.OVR_HINGE, np.zeros((6, 3)), np.zeros(3), r"weights must be \(D, 10\)"),
             (ModelKind.OVR_HINGE, np.zeros(10), np.zeros(10), r"got shape \(10,\)"),
-            (ModelKind.OVR_HINGE, np.zeros((10, 6)), np.zeros((10, 1)), "bias count must be 10"),
+            (ModelKind.OVR_HINGE, np.zeros((6, 10)), np.zeros((10, 1)), "bias count must be 10"),
         ],
     )
     def test_shapes_checked_at_construction(self, kind, weights, bias, message):
@@ -492,7 +536,7 @@ class TestCorpusMatrix:
         bias = np.array([-3.0, 0.5, -1.0, -2.0, 0.0, -4.0, -5.0, -6.0, -7.0, -8.0])
         noise = LinearModel(
             kind=ModelKind.OVR_HINGE,
-            weights=rng.normal(size=(10, features.dim)),
+            weights=rng.normal(size=(features.dim, 10)),
             bias=bias,
         )
         assert np.array_equal(noise.decision_values(features)[1], bias)
@@ -501,7 +545,7 @@ class TestCorpusMatrix:
         )
         senti = LinearModel(
             kind=ModelKind.SOFTMAX_WEIGHTED,
-            weights=rng.normal(size=(3, features.dim)),
+            weights=rng.normal(size=(features.dim, 3)),
             bias=np.array([0.0, -1.0, 2.0]),
         )
         labels, probs = predict_sentiment(senti, features)
@@ -513,7 +557,7 @@ class TestCorpusMatrix:
         _, features = matrix
         model = LinearModel(
             kind=ModelKind.OVR_HINGE,
-            weights=np.zeros((10, features.dim + 1)),
+            weights=np.zeros((features.dim + 1, 10)),
             bias=np.zeros(10),
         )
         with pytest.raises(DimensionMismatch):

@@ -701,6 +701,17 @@ class TestEvalReduction:
         )
         assert error.startswith("ERROR Malformed:") and str(tallies) in error
 
+    @pytest.mark.parametrize("counts", ["[5, 3]", "[-1, 3]", "[0, 0]"])
+    def test_human_tallies_invalid_counts(self, capsys, tmp_path, eval_files, counts):
+        truth, output = eval_files
+        tallies = tmp_path / "human.json"
+        tallies.write_text(f'{{"spell": {counts}}}', encoding="utf-8")
+        error = run_data_error(
+            capsys, "eval-reduction", str(output), "--truth", str(truth),
+            "--human-tallies", str(tallies),
+        )
+        assert error.startswith(f"ERROR InvalidCounts: {tallies}: 'spell': need 0 <= accurate")
+
     def eval_argv(self, tmp_path, output_docs):
         truth = tmp_path / "truth.tsv"
         noisy = tmp_path / "noisy.tsv"

@@ -289,8 +289,8 @@ def small_bundle():
 
 
 def hand_built_bundle(weights):
-    """A sentiment bundle around given (3, D) weights, with one term per column."""
-    k, d = weights.shape
+    """A sentiment bundle around given (D, 3) weights, with one term per row."""
+    d, k = weights.shape
     tfidf = TfidfModel(
         vocabulary={f"t{i:03d}": i for i in range(d)},
         df=np.arange(d, dtype=np.int64) % 3 + 1,
@@ -306,15 +306,18 @@ def hand_built_bundle(weights):
 
 
 HAND_BUILT_WEIGHTS = {
-    # columns 0, 2 and 4 repeat; columns 1 and 3 differ only in the sign of zero
+    # rows 0, 2 and 4 repeat; rows 1 and 3 differ only in the sign of zero
     "repeated-and-signed-zero": np.array(
         [
-            [1.5, 0.0, 1.5, -0.0, 1.5, 2.0],
-            [-3.0, 0.0, -3.0, 0.0, -3.0, 1e-300],
-            [0.5, 0.0, 0.5, 0.0, 0.5, 0.0],
+            [1.5, -3.0, 0.5],
+            [0.0, 0.0, 0.0],
+            [1.5, -3.0, 0.5],
+            [-0.0, 0.0, 0.0],
+            [1.5, -3.0, 0.5],
+            [2.0, 1e-300, 0.0],
         ]
     ),
-    "one-term": np.array([[0.25], [-0.0], [7.0]]),
+    "one-term": np.array([[0.25, -0.0, 7.0]]),
 }
 
 
@@ -336,7 +339,7 @@ def _recode(linear, key, edit):
 def _sentiment_classifier(bundle, class_names):
     """Swap in a valid sentiment classifier of the same dimension, then set its class_names."""
     dim = len(bundle["tfidf"]["terms"])
-    bundle["linear"] = to_json(LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((3, dim)), np.zeros(3)))
+    bundle["linear"] = to_json(LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((dim, 3)), np.zeros(3)))
     bundle["linear"]["class_names"] = class_names
 
 

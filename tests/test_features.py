@@ -106,6 +106,12 @@ class TestAnalyzerConfig:
         with pytest.raises(Malformed, match="n_min and n_max must be integers"):
             AnalyzerConfig(n_min=1, n_max=n_max)
 
+    @pytest.mark.parametrize("mode", ["char", "word", None])
+    def test_mode_must_be_an_analyzer_mode(self, mode):
+        # A string would fall through `analyzer_terms` to char+word and fail in `to_json`.
+        with pytest.raises(Malformed, match="mode must be an AnalyzerMode"):
+            AnalyzerConfig(mode=mode)
+
 
 class TestTransform:
     def test_single_known_term(self):
