@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import shlex
 import sys
 import warnings
 from pathlib import Path
 
 from . import agreement, classify, dataio, features, metrics, reduce as reduction, stats, textcore
-from .errors import Malformed, NoisekitError
+from .errors import IoFailure, Malformed, NoisekitError
 from .features import AnalyzerConfig, AnalyzerMode
 from .reduce import ReduceMethod
 from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel
@@ -505,7 +507,15 @@ def main(argv=None) -> int:
         return exc.exit_code
     finally:
         warnings.formatwarning = format_warning
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+    try:
+        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+        sys.stdout.flush()
+    except OSError as exc:
+        if exc.errno == errno.EPIPE:
+            # As the Python docs advise: the flush at exit then cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ERROR {IoFailure.__name__}: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return IoFailure.exit_code
     return 0
 
 

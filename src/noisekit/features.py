@@ -19,6 +19,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import textcore
 from ._lazy import np
@@ -26,6 +27,10 @@ from .errors import DimensionMismatch, EmptyCorpus, InsufficientData, Malformed
 
 _CHAR_TAG = "c" + textcore.NGRAM_JOIN
 _WORD_TAG = "w" + textcore.NGRAM_JOIN
+# Texts per `transform` chunk. With 8, the chunk's temporaries reuse the same
+# heap chunk after chunk; with 16 to 64 they left 0.15-0.5 MiB more resident at
+# a train command's peak.
+_TRANSFORM_CHUNK = 8
 
 
 class AnalyzerMode(enum.Enum):
@@ -142,29 +147,46 @@ def fit_tfidf(texts: list[str], config: AnalyzerConfig, min_df: int = 1) -> Tfid
 
 
 def transform(model: TfidfModel, texts: list[str]) -> FeatureMatrix:
-    """Featurize texts, one row each: tf * idf, then L2-normalized."""
-    vocab = model.vocabulary
+    """Featurize texts, one row each: tf * idf, then L2-normalized.
+
+    Texts are counted `_TRANSFORM_CHUNK` at a time: a C-level `map` looks every
+    term up (-1 when unknown), and sorting ``row * dim + index`` over the chunk's
+    known terms gives each row's term counts with its indices in increasing order.
+    """
+    lookup, dim, idf = model.vocabulary.get, model.dim, model.idf
     indptr, indices, values = array("q", [0]), array("q"), array("d")
-    for text in texts:
-        counts: dict[int, int] = {}
-        for term in analyzer_terms(text, model.config):
-            idx = vocab.get(term)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + 1
-        if counts:
-            row_idx = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
-            row_val = np.array([counts[i] for i in row_idx], dtype=np.float64) * model.idf[row_idx]
-            norm = np.sqrt(np.dot(row_val, row_val))
+    for start in range(0, len(texts), _TRANSFORM_CHUNK):
+        ids, lengths = [], []
+        for text in texts[start : start + _TRANSFORM_CHUNK]:
+            terms = analyzer_terms(text, model.config)
+            ids.extend(map(lookup, terms, repeat(-1)))
+            lengths.append(len(terms))
+        term_ids = np.array(ids, dtype=np.int64)
+        term_rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        known = term_ids >= 0
+        keys = term_rows[known] * dim + term_ids[known]
+        # argsort, bincount and a list round trip for the counts, not np.unique,
+        # searchsorted and an int-to-float cast: each of those maps numpy code no
+        # other step of a train command runs, and raises its peak RSS.
+        keys = keys[keys.argsort()]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        rows, row_idx = np.divmod(keys[starts], dim)
+        row_val = np.array(np.diff(starts, append=len(keys)).tolist(), dtype=np.float64) * idf[row_idx]
+        ends = np.bincount(rows, minlength=len(lengths)).cumsum().tolist()
+        for lo, hi in zip([0, *ends], ends):
+            row = row_val[lo:hi]
+            norm = np.sqrt(np.dot(row, row))
             if norm > 0:
-                row_val /= norm
-            indices.frombytes(row_idx.tobytes())
-            values.frombytes(row_val.tobytes())
-        indptr.append(len(indices))
+                row /= norm
+        offset = len(indices)
+        indptr.extend(offset + end for end in ends)
+        indices.frombytes(row_idx.tobytes())
+        values.frombytes(row_val.tobytes())
     return FeatureMatrix(
         indptr=np.frombuffer(indptr, dtype=np.int64),
         indices=np.frombuffer(indices, dtype=np.int64),
         values=np.frombuffer(values, dtype=np.float64),
-        dim=model.dim,
+        dim=dim,
     )
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import noisekit
 from noisekit.errors import DataError, DimensionMismatch, EmptyTrainingSet
-from noisekit.features import FeatureMatrix
+from noisekit.features import FeatureMatrix, TfidfModel, analyzer_terms
 from noisekit.reduce import Dictionary, read_phonetic_table
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
@@ -89,6 +90,37 @@ def csr(rows, dim=None):
         indices=np.array(indices, dtype=np.int64),
         values=np.array(values, dtype=np.float64),
         dim=dim,
+    )
+
+
+def transform_reference(model: TfidfModel, texts: list[str]) -> FeatureMatrix:
+    """Featurize texts, one row each: tf * idf, then L2-normalized.
+
+    The dict-counting `features.transform`, one row at a time; the chunked one must
+    return the same bytes.
+    """
+    vocab = model.vocabulary
+    indptr, indices, values = array("q", [0]), array("q"), array("d")
+    for text in texts:
+        counts: dict[int, int] = {}
+        for term in analyzer_terms(text, model.config):
+            idx = vocab.get(term)
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0) + 1
+        if counts:
+            row_idx = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
+            row_val = np.array([counts[i] for i in row_idx], dtype=np.float64) * model.idf[row_idx]
+            norm = np.sqrt(np.dot(row_val, row_val))
+            if norm > 0:
+                row_val /= norm
+            indices.frombytes(row_idx.tobytes())
+            values.frombytes(row_val.tobytes())
+        indptr.append(len(indices))
+    return FeatureMatrix(
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=np.frombuffer(indices, dtype=np.int64),
+        values=np.frombuffer(values, dtype=np.float64),
+        dim=model.dim,
     )
 
 

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import os
 import random
 import re
 import shlex
@@ -1073,6 +1074,30 @@ class TestErrorsAndUx:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["documents"] == 3
+
+    @staticmethod
+    def stats_to(stdout, corpus):
+        return subprocess.run(
+            [sys.executable, "-m", "noisekit.cli", "stats", str(corpus)],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
+        )
+
+    def test_closed_stdout_pipe_is_one_error_line(self, small_corpus):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.stats_to(write_end, small_corpus)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "ERROR IoFailure: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_device_is_one_error_line(self, small_corpus):
+        with open("/dev/full", "w") as full:
+            proc = self.stats_to(full, small_corpus)
+        assert proc.returncode == 2
+        assert proc.stderr == "ERROR IoFailure: cannot write stdout: No space left on device\n"
 
 
 def readme_cli_examples() -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from noisekit.features import (
     to_json,
     transform,
 )
+from noisekit.features import _TRANSFORM_CHUNK as CHUNK
+
+from conftest import transform_reference
 
 WORD = AnalyzerConfig(mode=AnalyzerMode.WORD, n_min=1, n_max=1)
 
@@ -148,6 +152,82 @@ class TestTransform:
         model = fit_tfidf(["a b c a b"], WORD)
         vec = transform(model, ["c b a a"])
         assert list(vec.indices) == sorted(set(vec.indices.tolist()))
+
+
+# Letters a fitted vocabulary sees: Latin, Bengali with a virama conjunct, a
+# combining acute accent and two astral characters.
+SEEN = ["a", "b", "c", "ক", "্", "ষ", "া", "e\u0301", "\U0001d538", "\U0001f600"]
+# Letters no fitted text holds, so a text of only these has no known term.
+UNSEEN = ["Q", "X", "\U00010348", "Z\u0308"]
+
+
+def random_word(rng: random.Random, letters) -> str:
+    return "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+
+
+def random_text(rng: random.Random, words) -> str:
+    return " ".join(rng.choice(words) for _ in range(rng.randint(0, 12)))
+
+
+def assert_same_bytes(got, want):
+    assert got.dim == want.dim
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestTransformMatchesReference:
+    """`transform` returns the bytes of the dict-counting `transform_reference`."""
+
+    @pytest.mark.parametrize("min_df", [1, 3])
+    @pytest.mark.parametrize("n_min, n_max", [(1, 1), (1, 4), (2, 8), (8, 8)])
+    @pytest.mark.parametrize("mode", list(AnalyzerMode))
+    def test_same_bytes(self, mode, n_min, n_max, min_df):
+        rng = random.Random(f"{mode.value}-{n_min}-{n_max}-{min_df}")
+        lexicon = [random_word(rng, SEEN) for _ in range(15)]
+        base = [random_text(rng, lexicon) for _ in range(80)]
+        # Thrice-repeated texts keep long grams at min_df=3; terms only the others hold drop.
+        corpus = base[:30] * 3 + base[30:]
+        model = fit_tfidf(corpus, AnalyzerConfig(mode=mode, n_min=n_min, n_max=n_max), min_df=min_df)
+        words = lexicon + [random_word(rng, SEEN) for _ in range(5)] + [random_word(rng, UNSEEN) for _ in range(5)]
+        texts = [
+            rng.choice(base) if rng.random() < 0.5 else random_text(rng, words) for _ in range(12 * CHUNK + 5)
+        ]
+        # Empty rows on both sides of the first chunk boundary, and one whole chunk of them.
+        empty = [0, CHUNK - 1, *range(2 * CHUNK, 3 * CHUNK), len(texts) - 1]
+        for i in empty:
+            texts[i] = rng.choice(["", random_word(rng, UNSEEN)])
+        want = transform_reference(model, texts)
+        assert [want.row(i)[0].size for i in empty] == [0] * len(empty)
+        assert want.nnz > 0
+        assert_same_bytes(transform(model, texts), want)
+
+    def test_fitted_texts_and_an_empty_list(self):
+        rng = random.Random(11)
+        lexicon = [random_word(rng, SEEN) for _ in range(40)]
+        corpus = [random_text(rng, lexicon) for _ in range(2 * CHUNK + 1)]
+        model = fit_tfidf(corpus, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=4))
+        assert_same_bytes(transform(model, corpus), transform_reference(model, corpus))
+        assert_same_bytes(transform(model, []), transform_reference(model, []))
+
+
+def test_transform_peak_memory_stays_near_its_output():
+    """One `transform` holds little beyond the matrix it returns: texts are counted chunk by chunk."""
+    rng = random.Random(2000)
+    letters = [chr(c) for c in range(0x0995, 0x09B9)] + ["া", "ি", "ে", "ো"]
+    lexicon = ["".join(rng.choice(letters) for _ in range(rng.randint(2, 7))) for _ in range(3000)]
+    texts = [" ".join(rng.choice(lexicon) for _ in range(rng.randint(6, 20))) for _ in range(2000)]
+    model = fit_tfidf(texts, AnalyzerConfig(mode=AnalyzerMode.CHAR, n_min=1, n_max=4))
+    transform(model, texts[:CHUNK])  # numpy's first-use imports are not the matrix's cost
+    tracemalloc.start()
+    try:
+        matrix = transform(model, texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.values.nbytes
+    assert peak <= 1.5 * size
 
 
 class TestSerialization:
