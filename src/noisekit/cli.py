@@ -18,6 +18,7 @@ import os
 import shlex
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 from . import agreement, classify, dataio, features, metrics, reduce as reduction, stats, textcore
@@ -36,14 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _analyzer_config(args) -> AnalyzerConfig:
-    return AnalyzerConfig(mode=AnalyzerMode(args.analyzer), n_min=args.nmin, n_max=args.nmax)
-
-
 def _csv_delimiter(value: str) -> str:
     if len(value) != 1:
         raise argparse.ArgumentTypeError(f"must be one character, got {value!r}")
     return value
+
+
+def _command_line(value: str) -> list[str]:
+    """A shell-style command line split into its argv; it must name a program."""
+    try:
+        argv = shlex.split(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot split {value!r}: {exc}") from None
+    if not argv:
+        raise argparse.ArgumentTypeError(f"must name a program, got {value!r}")
+    return argv
 
 
 def _percent(value: str) -> float:
@@ -54,16 +62,6 @@ def _percent(value: str) -> float:
     if not 0.0 <= number <= 100.0:  # false for nan too
         raise argparse.ArgumentTypeError(f"must be a number in [0, 100], got {value!r}")
     return number
-
-
-def _train_config(args, class_weights=None) -> classify.TrainConfig:
-    return classify.TrainConfig(
-        c=args.c,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-        class_weights=class_weights,
-    )
 
 
 def cmd_stats(args) -> dict:
@@ -83,82 +81,77 @@ def cmd_dedupe(args) -> dict:
     return {"input": len(corpus.documents), "kept": len(kept), "removed": removed}
 
 
-def cmd_train_noise(args) -> dict:
-    corpus = dataio.load_corpus(args.train, normalize_text=args.normalize)
-    labeled = [d for d in corpus.documents if d.noise is not None]
-    if not labeled:
-        raise Malformed("no noise-labeled rows to train on", path=args.train)
-    texts = [d.text for d in labeled]
-    tfidf = features.fit_tfidf(texts, _analyzer_config(args), args.min_df)
-    model = classify.train_ovr_hinge(
-        features.transform(tfidf, texts), [d.noise for d in labeled], _train_config(args)
-    )
+def _labeled_rows(args, field: str) -> tuple[list[str], list]:
+    """Texts and labels of the training rows labeled in `field` ("noise" or "sentiment")."""
+    documents = dataio.load_corpus(args.train, normalize_text=args.normalize).documents
+    rows = [(d.text, getattr(d, field)) for d in documents if getattr(d, field) is not None]
+    if not rows:
+        raise Malformed(f"no {field}-labeled rows to train on", path=args.train)
+    texts, labels = zip(*rows)
+    return list(texts), list(labels)
+
+
+# Trainers and predictors are read as `classify.<name>` at call time, never from a table built
+# at import, so a wrapper rebound into `classify` (perfbench/traced_cli.py) is the one that runs.
+def _train(args, trainer, texts, labels, class_weights=None) -> dict:
+    """Fit the featurizer on `texts`, train with `trainer` and save both as one bundle."""
+    analyzer = AnalyzerConfig(mode=AnalyzerMode(args.analyzer), n_min=args.nmin, n_max=args.nmax)
+    config = classify.TrainConfig(c=args.c, epochs=args.epochs, learning_rate=args.lr,
+                                  seed=args.seed, class_weights=class_weights)
+    tfidf = features.fit_tfidf(texts, analyzer, args.min_df)
+    model = trainer(features.transform(tfidf, texts), labels, config)
     dataio.save_model_bundle(args.out, tfidf, model)
-    return {
-        "trained_on": len(labeled),
-        "features": tfidf.dim,
-        "classes": list(NOISE_CLASSES),
-        "model": str(args.out),
-    }
+    return {"trained_on": len(texts), "features": tfidf.dim, "model": str(args.out)}
 
 
-def cmd_predict_noise(args) -> dict:
-    tfidf, model = dataio.load_model_bundle(args.model, classify.ModelKind.OVR_HINGE)
-    corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
-    matrix = features.transform(tfidf, [d.text for d in corpus.documents])
-    predicted_sets = classify.predict_multilabel(model, matrix)
-    predictions = [
-        {"id": d.id, "noise": p.to_bits(), "labels": list(p.names())}
-        for d, p in zip(corpus.documents, predicted_sets)
-    ]
+def cmd_train_noise(args) -> dict:
+    texts, labels = _labeled_rows(args, "noise")
+    summary = _train(args, classify.train_ovr_hinge, texts, labels)
+    return {**summary, "classes": list(NOISE_CLASSES)}
+
+
+def cmd_train_sentiment(args) -> dict:
+    texts, labels = _labeled_rows(args, "sentiment")
+    weights = None
+    if args.auto_weights:
+        counts = Counter(labels)
+        weights = classify.compute_class_weights([counts[label] for label in SentimentLabel])
+    summary = _train(args, classify.train_softmax_weighted, texts, labels, weights)
+    return {**summary, "class_weights": weights}
+
+
+def _transformed_corpus(args, kind: classify.ModelKind):
+    """The bundle's classifier, the corpus's documents and their feature matrix."""
+    tfidf, model = dataio.load_model_bundle(args.model, kind)
+    documents = dataio.load_corpus(args.corpus, normalize_text=args.normalize).documents
+    return model, documents, features.transform(tfidf, [d.text for d in documents])
+
+
+def _prediction_result(args, field: str, model, documents, predicted, predictions) -> dict:
+    """`predictions`, with P/R/F1 over the rows labeled in `field`; `--out` gets `predicted`."""
     result = {"predictions": predictions}
-    scored = [
-        (d.noise.mask, p.mask)
-        for d, p in zip(corpus.documents, predicted_sets)
-        if d.noise is not None
-    ]
+    gold = [getattr(d, field) for d in documents]
+    scored = [(g.mask, p.mask) for g, p in zip(gold, predicted) if g is not None]
     if scored:
-        gold, labels = zip(*scored)
-        result["metrics"] = metrics.prf_report(gold, labels, NOISE_CLASSES)
+        result["metrics"] = metrics.prf_report(*zip(*scored), model.class_names)
     if args.out:
-        out_docs = [
-            dataclasses.replace(d, noise=p) for d, p in zip(corpus.documents, predicted_sets)
-        ]
+        out_docs = [dataclasses.replace(d, **{field: p}) for d, p in zip(documents, predicted)]
         dataio.save_corpus(out_docs, args.out)
     return result
 
 
-def cmd_train_sentiment(args) -> dict:
-    corpus = dataio.load_corpus(args.train, normalize_text=args.normalize)
-    labeled = [d for d in corpus.documents if d.sentiment is not None]
-    if not labeled:
-        raise Malformed("no sentiment-labeled rows to train on", path=args.train)
-    weights = None
-    if args.auto_weights:
-        counts = [0, 0, 0]
-        for doc in labeled:
-            counts[int(doc.sentiment)] += 1
-        weights = classify.compute_class_weights(counts)
-    texts = [d.text for d in labeled]
-    tfidf = features.fit_tfidf(texts, _analyzer_config(args), args.min_df)
-    model = classify.train_softmax_weighted(
-        features.transform(tfidf, texts),
-        [d.sentiment for d in labeled],
-        _train_config(args, class_weights=weights),
-    )
-    dataio.save_model_bundle(args.out, tfidf, model)
-    return {
-        "trained_on": len(labeled),
-        "features": tfidf.dim,
-        "class_weights": weights,
-        "model": str(args.out),
-    }
+def cmd_predict_noise(args) -> dict:
+    model, documents, matrix = _transformed_corpus(args, classify.ModelKind.OVR_HINGE)
+    predicted = classify.predict_multilabel(model, matrix)
+    predictions = [
+        {"id": d.id, "noise": p.to_bits(), "labels": list(p.names())}
+        for d, p in zip(documents, predicted)
+    ]
+    return _prediction_result(args, "noise", model, documents, predicted, predictions)
 
 
 def cmd_predict_sentiment(args) -> dict:
-    tfidf, model = dataio.load_model_bundle(args.model, classify.ModelKind.SOFTMAX_WEIGHTED)
-    corpus = dataio.load_corpus(args.corpus, normalize_text=args.normalize)
-    matrix = features.transform(tfidf, [d.text for d in corpus.documents])
+    model, documents, matrix = _transformed_corpus(args, classify.ModelKind.SOFTMAX_WEIGHTED)
     predicted, probs = classify.predict_sentiment(model, matrix)
     predictions = [
         {
@@ -166,23 +159,9 @@ def cmd_predict_sentiment(args) -> dict:
             "sentiment": label.label,
             "probabilities": {name: round(float(p), 6) for name, p in zip(model.class_names, row)},
         }
-        for d, label, row in zip(corpus.documents, predicted, probs)
+        for d, label, row in zip(documents, predicted, probs)
     ]
-    result = {"predictions": predictions}
-    scored = [
-        (1 << d.sentiment, 1 << p)
-        for d, p in zip(corpus.documents, predicted)
-        if d.sentiment is not None
-    ]
-    if scored:
-        gold, labels = zip(*scored)
-        result["metrics"] = metrics.prf_report(gold, labels, model.class_names)
-    if args.out:
-        out_docs = [
-            dataclasses.replace(d, sentiment=p) for d, p in zip(corpus.documents, predicted)
-        ]
-        dataio.save_corpus(out_docs, args.out)
-    return result
+    return _prediction_result(args, "sentiment", model, documents, predicted, predictions)
 
 
 def cmd_import_corpus(args) -> dict:
@@ -272,7 +251,7 @@ def cmd_import_corpus(args) -> dict:
 
 def _build_client(args):
     if args.client:
-        return reduction.SubprocessClient(shlex.split(args.client))
+        return reduction.SubprocessClient(args.client)
     if args.fixture:
         return dataio.load_fixture(args.fixture)
     return None
@@ -354,14 +333,16 @@ def cmd_eval_reduction(args) -> dict:
     return {"reports": reports}
 
 
-def cmd_agreement(args) -> dict:
-    if args.agreement_command == "kappa":
-        matrix = dataio.load_rating_matrix(args.matrix)
-        return {
-            "kappa": agreement.fleiss_kappa(matrix),
-            "items": matrix.n_items,
-            "raters_per_item": matrix.raters_per_item,
-        }
+def cmd_kappa(args) -> dict:
+    matrix = dataio.load_rating_matrix(args.matrix)
+    return {
+        "kappa": agreement.fleiss_kappa(matrix),
+        "items": matrix.n_items,
+        "raters_per_item": matrix.raters_per_item,
+    }
+
+
+def cmd_trust(args) -> dict:
     annotator = dataio.load_corpus(args.annotator, normalize_text=args.normalize).documents
     gold = _documents_in_id_order(
         args.gold, [d.id for d in annotator], args.normalize, "the annotator file"
@@ -417,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", type=_csv_delimiter, default=",")
     p.set_defaults(func=cmd_import_corpus)
 
-    def add_train_flags(p, lr_default):
+    def add_model_commands(task, train, predict, lr_default, train_help, predict_help):
+        """train-<task> and predict-<task>; returns the train-<task> parser."""
+        p = sub.add_parser(f"train-{task}", help=train_help)
+        p.add_argument("train")
         p.add_argument("--analyzer", choices=[m.value for m in AnalyzerMode], default="char")
         p.add_argument("--nmin", type=int, default=1)
         p.add_argument("--nmax", type=int, default=4)
@@ -427,40 +411,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr", type=float, default=lr_default)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
+        p.set_defaults(func=train)
+        q = sub.add_parser(f"predict-{task}", help=predict_help)
+        q.add_argument("model")
+        q.add_argument("corpus")
+        q.add_argument("--out", help=f"also write a corpus TSV with the predicted {task} labels")
+        q.set_defaults(func=predict)
+        return p
 
-    p = sub.add_parser("train-noise", help="train the one-vs-rest noise identifier")
-    p.add_argument("train")
-    add_train_flags(p, lr_default=0.1)
-    p.set_defaults(func=cmd_train_noise)
-
-    p = sub.add_parser("predict-noise", help="predict noise label sets")
-    p.add_argument("model")
-    p.add_argument("corpus")
-    p.add_argument("--out", help="also write a corpus TSV with predicted noise bits")
-    p.set_defaults(func=cmd_predict_noise)
-
-    p = sub.add_parser("train-sentiment", help="train the weighted softmax sentiment model")
-    p.add_argument("train")
-    add_train_flags(p, lr_default=0.05)
+    add_model_commands("noise", cmd_train_noise, cmd_predict_noise, 0.1,
+                       "train the one-vs-rest noise identifier", "predict noise label sets")
+    p = add_model_commands("sentiment", cmd_train_sentiment, cmd_predict_sentiment, 0.05,
+                           "train the weighted softmax sentiment model", "predict sentiment labels")
     p.add_argument(
-        "--auto-weights",
-        action="store_true",
-        help="derive class weights from training counts",
+        "--auto-weights", action="store_true", help="derive class weights from training counts"
     )
-    p.set_defaults(func=cmd_train_sentiment)
-
-    p = sub.add_parser("predict-sentiment", help="predict sentiment labels")
-    p.add_argument("model")
-    p.add_argument("corpus")
-    p.add_argument("--out", help="also write a corpus TSV with predicted sentiment")
-    p.set_defaults(func=cmd_predict_sentiment)
 
     p = sub.add_parser("reduce", help="apply one noise-reduction method")
     p.add_argument("corpus")
     p.add_argument("--method", required=True, choices=[m.value for m in ReduceMethod])
     p.add_argument("--dict", help="dictionary file (word<TAB>frequency)")
     translator = p.add_mutually_exclusive_group()
-    translator.add_argument("--client", help="subprocess translator command line")
+    translator.add_argument(
+        "--client", type=_command_line, help="subprocess translator command line"
+    )
     translator.add_argument("--fixture", help="JSONL fixture file answering client requests")
     p.add_argument("--p", type=float, default=0.2, help="random masking probability")
     p.add_argument("--seed", type=int, default=0)
@@ -477,16 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_reduction)
 
     p = sub.add_parser("agreement", help="annotation-quality statistics")
-    agreement_sub = p.add_subparsers(dest="agreement_command", required=True)
+    agreement_sub = p.add_subparsers(required=True)
     pk = agreement_sub.add_parser("kappa", help="Fleiss' kappa of a rating matrix")
     pk.add_argument("matrix")
-    pk.set_defaults(func=cmd_agreement)
+    pk.set_defaults(func=cmd_kappa)
     pt = agreement_sub.add_parser("trust", help="trustworthiness against control samples")
     pt.add_argument("annotator")
     pt.add_argument("gold")
     pt.add_argument("--threshold", type=_percent, default=90.0)
     pt.add_argument("--jaccard", action="store_true", help="per-label overlap instead of exact match")
-    pt.set_defaults(func=cmd_agreement)
+    pt.set_defaults(func=cmd_trust)
 
     return parser
 

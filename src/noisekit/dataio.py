@@ -198,6 +198,22 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     return vectors
 
 
+def _parse_json(text: str, path, line=None):
+    """`json.loads(text)`, with every failure raised as `Malformed` naming `path`.
+
+    The error names `line` if given, else the decoder's line when it has one.
+    Besides syntax errors, this covers nesting deeper than the recursion limit
+    (`RecursionError`) and an integer longer than `sys.get_int_max_str_digits()`
+    (`ValueError`).
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise Malformed(f"invalid JSON: {exc.msg}", path=path, line=line or exc.lineno) from None
+    except (ValueError, RecursionError) as exc:
+        raise Malformed(f"invalid JSON: {exc}", path=path, line=line) from None
+
+
 _FIXTURE_FIELDS = ("task", "src", "tgt", "text_in", "text_out")
 
 
@@ -208,10 +224,7 @@ def load_fixture(path) -> FixtureClient:
     for lineno, line in enumerate(content.split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise Malformed(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+        record = _parse_json(line, path, lineno)
         if not isinstance(record, dict):
             raise Malformed("fixture entry must be a JSON object", path=path, line=lineno)
         missing = set(_FIXTURE_FIELDS) - set(record)
@@ -258,10 +271,7 @@ def load_rating_matrix(path) -> RatingMatrix:
 
 def load_human_tallies(path) -> dict[str, tuple[int, int]]:
     """JSON object mapping each method name to [accurate, total] integer counts."""
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise Malformed(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    raw = _parse_json(read_text(path), path)
     if not isinstance(raw, dict):
         raise Malformed('expected a JSON object {"method": [accurate, total], ...}', path=path)
     tallies = {}
@@ -298,10 +308,7 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
 
 def load_model_bundle(path, kind: classify.ModelKind):
     """Read a v4 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise Malformed(f"invalid JSON: {exc.msg}", path=path) from None
+    payload = _parse_json(read_text(path), path)
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != BUNDLE_FORMAT:
         raise Malformed(f"unsupported bundle version {version!r}", path=path)

@@ -313,9 +313,10 @@ class SubprocessClient:
         if not line:
             status = self._proc.wait()
             raise ClientUnavailable(f"client closed its pipes (exit status {status})")
+        # Syntax and digit-limit errors are ValueErrors; nesting too deep is a RecursionError.
         try:
             response = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ClientUnavailable(f"client sent invalid JSON: {exc}") from exc
         if not isinstance(response, dict):
             raise ClientUnavailable(f"client reply is not a JSON object: {line.strip()[:80]}")
@@ -332,12 +333,13 @@ class SubprocessClient:
         if self._proc is None:
             return
         try:
-            if self._proc.stdin:
-                self._proc.stdin.close()
+            self._proc.stdin.close()
             self._proc.wait(timeout=5)
         except (OSError, subprocess.TimeoutExpired):
             self._proc.kill()
             self._proc.wait()
+        finally:
+            self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -65,6 +65,11 @@ class SentimentLabel(enum.IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
+    @property
+    def mask(self) -> int:
+        """This label as a one-bit label bitmask, as `NoiseLabelSet.mask` is for noise."""
+        return 1 << self
+
 
 # Sentiment class names in SentimentLabel order, the order of the model's rows.
 SENTIMENT_CLASSES = tuple(label.label for label in SentimentLabel)

@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 from array import array
 from pathlib import Path
 
@@ -30,6 +31,11 @@ BASE_VOCAB = {
     "good": 14,
     "bad": 13,
 }
+
+
+# json.loads rejects an integer longer than this; 0 when integers of any length parse,
+# as before Python 3.10.7 or after sys.set_int_max_str_digits(0).
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def latin_test_phonetic_table() -> dict[str, str]:

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
 from noisekit.reduce import NgramMaskFiller
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
-from conftest import make_docs, subprocess_env
+from conftest import INT_DIGIT_LIMIT, make_docs, subprocess_env
 
 WORD_POOL = ["khub", "bhalo", "laglo", "onek", "sundor", "video", "dada", "dekhe"]
 # Tokens that mark two synthetic noise classes and one "everything else" class.
@@ -173,13 +174,34 @@ class TestNoisePipeline:
         assert f1_train >= f1_heldout
         assert f1_train > 0.6  # markers make the task learnable
 
-    def test_predictions_file_passes_loader(self, capsys, tmp_path, small_corpus):
+    @pytest.mark.parametrize("task", ["noise", "sentiment"])
+    def test_predictions_file_passes_loader(self, capsys, tmp_path, small_corpus, task):
         model = tmp_path / "model.json"
         out = tmp_path / "predicted.tsv"
-        run_json(capsys, "train-noise", str(small_corpus), "--epochs", "5", "--out", str(model))
-        run_json(capsys, "predict-noise", str(model), str(small_corpus), "--out", str(out))
-        reloaded = load_corpus(out)
-        assert all(d.noise is not None for d in reloaded.documents)
+        run_json(capsys, f"train-{task}", str(small_corpus), "--epochs", "5", "--out", str(model))
+        result = run_json(capsys, f"predict-{task}", str(model), str(small_corpus), "--out", str(out))
+        if task == "noise":
+            expected = [NoiseLabelSet.from_bits(p["noise"]) for p in result["predictions"]]
+        else:
+            expected = [SentimentLabel.from_name(p["sentiment"]) for p in result["predictions"]]
+        # The file holds the printed predictions in the predicted column and the input elsewhere.
+        expected_docs = [
+            dataclasses.replace(d, **{task: label})
+            for d, label in zip(load_corpus(small_corpus).documents, expected)
+        ]
+        assert load_corpus(out).documents == expected_docs
+
+    @pytest.mark.parametrize("task, labels", [
+        ("noise", {"sentiments": ["positive", "neutral"]}),
+        ("sentiment", {"noises": ["0000000001", "0000100000"]}),
+    ])
+    def test_no_rows_labeled_for_the_task_names_the_file(self, capsys, tmp_path, task, labels):
+        train = tmp_path / "train.tsv"
+        model = tmp_path / "model.json"
+        save_corpus(make_docs(["khub bhalo laglo", "english very nice"], **labels), train)
+        error = run_data_error(capsys, f"train-{task}", str(train), "--out", str(model))
+        assert error == f"ERROR Malformed: {train}: no {task}-labeled rows to train on"
+        assert not model.exists()
 
     def test_bundle_with_short_vocabulary_rejected(self, capsys, tmp_path, small_corpus):
         model = tmp_path / "noise.json"
@@ -616,6 +638,29 @@ class TestReduceCommand:
         assert code == 3, err
         assert err.startswith("ERROR ClientUnavailable: client reply is not UTF-8")
         assert not out.exists()
+
+    @pytest.mark.parametrize("reply, stderr", [
+        pytest.param("{'id': request['id'], 'text': request['text']}", "", id="echo"),
+        pytest.param("5", "ERROR ClientUnavailable: client reply is not a JSON object: 5\n", id="bad-reply"),
+    ])
+    def test_client_pipes_closed_under_dev_mode(self, tmp_path, small_corpus, reply, stderr):
+        # Development mode prints a ResourceWarning for a pipe left open, as a WARNING line.
+        script = tmp_path / "client.py"
+        script.write_text(
+            "import sys, json\nfor line in sys.stdin:\n    request = json.loads(line)\n"
+            f"    print(json.dumps({reply}), flush=True)\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "bt.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "noisekit.cli", "reduce", str(small_corpus),
+             "--method", "backtranslate", "--client", shlex.join([sys.executable, str(script)]),
+             "--out", str(out)],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.stderr == stderr
+        assert proc.returncode == (3 if stderr else 0)
+        assert out.exists() == (not stderr)
 
     def test_client_and_fixture_are_mutually_exclusive(self, capsys, tmp_path, small_corpus):
         out = tmp_path / "bt.tsv"
@@ -1169,6 +1214,8 @@ MALFORMED_INPUT_CASES = {
     "reduce-scalar-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", "{scalar_fixture}", "--out", "{out}"],
     "reduce-int-text-fixture": ["reduce", "{corpus}", "--method", "paraphrase", "--dict", "{dict}", "--fixture", "{int_text_fixture}", "--out", "{out}"],
     "reduce-bad-probability": ["reduce", "{corpus}", "--method", "mask-random", "--p", "nan", "--dict", "{dict}", "--out", "{out}"],
+    "reduce-unsplittable-client": ["reduce", "{corpus}", "--method", "backtranslate", "--client", "'abc", "--out", "{out}"],
+    "reduce-blank-client": ["reduce", "{corpus}", "--method", "backtranslate", "--client", "   ", "--out", "{out}"],
     "eval-missing-truth": ["eval-reduction", "{corpus}", "--truth", "{missing}"],
     "eval-header-only-output": ["eval-reduction", "{header_only}", "--truth", "{corpus}"],
     "eval-wrong-header-inputs": ["eval-reduction", "{corpus}", "--truth", "{corpus}", "--inputs", "{wrong_header}"],
@@ -1179,6 +1226,16 @@ MALFORMED_INPUT_CASES = {
     "trust-non-utf8": ["agreement", "trust", "{binary}", "{corpus}"],
     "trust-wrong-header": ["agreement", "trust", "{corpus}", "{wrong_header}"],
 }
+# Each outside JSON input gets each payload that json.loads fails on beyond syntax errors.
+JSON_PAYLOADS = {"deep_json": "[" * 100_000, "long_int": "1" * (INT_DIGIT_LIMIT + 1)}
+for _name in JSON_PAYLOADS:
+    _case = _name.replace("_", "-")
+    MALFORMED_INPUT_CASES.update({
+        f"predict-noise-{_case}-bundle": ["predict-noise", f"{{{_name}}}", "{corpus}"],
+        f"eval-{_case}-tallies": ["eval-reduction", "{corpus}", "--truth", "{corpus}", "--human-tallies", f"{{{_name}}}"],
+        f"reduce-{_case}-fixture": ["reduce", "{corpus}", "--method", "backtranslate", "--fixture", f"{{{_name}}}", "--out", "{out}"],
+        f"reduce-{_case}-client": ["reduce", "{corpus}", "--method", "backtranslate", "--client", f"{{{_name}_client}}", "--out", "{out}"],
+    })
 
 
 class TestMalformedInputSweep:
@@ -1205,10 +1262,20 @@ class TestMalformedInputSweep:
         bundle["linear"]["biases"][0] = float("nan")
         files["nan_bundle"].write_text(json.dumps(bundle), encoding="utf-8")
         files["corpus"] = small_corpus
+        for name, payload in JSON_PAYLOADS.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(payload + "\n", encoding="utf-8")
+            script = tmp_path / f"{name}_client.py"
+            script.write_text(
+                f"import sys\nfor line in sys.stdin:\n    print({payload!r}, flush=True)\n", encoding="utf-8"
+            )
+            files[f"{name}_client"] = shlex.join([sys.executable, str(script)])
         return {name: str(path) for name, path in files.items()}
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_CASES))
     def test_one_error_line_and_error_exit(self, capsys, sweep_files, case):
+        if "long-int" in case and not INT_DIGIT_LIMIT:
+            pytest.skip("this interpreter parses integers of any length")
         capsys.readouterr()
         argv = [arg.format(**sweep_files) for arg in MALFORMED_INPUT_CASES[case]]
         try:

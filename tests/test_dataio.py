@@ -26,7 +26,7 @@ from noisekit.features import AnalyzerConfig, AnalyzerMode, TfidfModel, fit_tfid
 from noisekit.reduce import Dictionary
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
-from conftest import make_docs
+from conftest import INT_DIGIT_LIMIT, make_docs
 
 
 def write(tmp_path, name, content, encoding="utf-8"):
@@ -257,6 +257,18 @@ class TestFixtureLoader:
         with pytest.raises(Malformed, match=message) as excinfo:
             load_fixture(write(tmp_path, "f.jsonl", f"{good}\n\n{line}\n"))
         assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("line", [
+        pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+        pytest.param("1" * (INT_DIGIT_LIMIT + 1), id="integer-past-the-digit-limit", marks=pytest.mark.skipif(
+            not INT_DIGIT_LIMIT, reason="this interpreter parses integers of any length")),
+    ])
+    def test_json_past_the_parser_limits_rejected_with_line(self, tmp_path, line):
+        good = '{"task": "translate", "src": "bn", "tgt": "en", "text_in": "x", "text_out": "y"}'
+        path = write(tmp_path, "f.jsonl", f"{good}\n\n{line}\n")
+        with pytest.raises(Malformed, match="invalid JSON: ") as excinfo:
+            load_fixture(path)
+        assert (excinfo.value.path, excinfo.value.line) == (path, 3)
 
 
 class TestRatingMatrixLoader:

@@ -260,3 +260,9 @@ def test_sentiment_order_is_tiebreak_order():
     order = [textcore.SentimentLabel.NEUTRAL, textcore.SentimentLabel.POSITIVE, textcore.SentimentLabel.NEGATIVE]
     assert [int(s) for s in order] == [0, 1, 2]
     assert textcore.SentimentLabel.from_name("positive").label == "positive"
+
+
+def test_sentiment_mask_is_the_bit_of_its_class():
+    masks = [label.mask for label in textcore.SentimentLabel]
+    assert masks == [0b001, 0b010, 0b100]
+    assert [textcore.SENTIMENT_CLASSES[m.bit_length() - 1] for m in masks] == list(textcore.SENTIMENT_CLASSES)
