@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import LengthMismatch, MalformedMatrix
+from .errors import DimensionMismatch, InsufficientData, MalformedMatrix
 from .textcore import NOISE_CLASSES, NoiseLabelSet
 
 
@@ -82,7 +82,7 @@ def kappa_noise_labels(annotations: list[list[NoiseLabelSet]]):
         raise MalformedMatrix("need at least one annotator and one item")
     n_items = len(annotations[0])
     if any(len(per_annotator) != n_items for per_annotator in annotations):
-        raise LengthMismatch("annotators labeled different numbers of items")
+        raise DimensionMismatch("annotators labeled different numbers of items")
     n_raters = len(annotations)
     per_category = {}
     stacked = []
@@ -111,11 +111,11 @@ def trustworthiness(
     inclusive at the threshold.
     """
     if len(annotator) != len(control_gold):
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"{len(annotator)} annotator labels vs {len(control_gold)} gold labels"
         )
     if not annotator:
-        raise LengthMismatch("no control samples")
+        raise InsufficientData("no control samples")
     if jaccard:
         credit = 0.0
         for a, g in zip(annotator, control_gold):

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import DataError, DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
+from .errors import DataError, DimensionMismatch, InsufficientData, Malformed
 from .features import FeatureMatrix
 from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, NoiseLabelSet, SentimentLabel
 
@@ -81,7 +81,7 @@ def compute_class_weights(counts) -> tuple[float, ...]:
     """Inverse-frequency weights w_c = N / (K * n_c) for K classes of size n_c."""
     counts = [int(c) for c in counts]
     if any(c <= 0 for c in counts):
-        raise ZeroCount(f"all class counts must be positive, got {counts}")
+        raise InsufficientData(f"all class counts must be positive, got {counts}")
     n = sum(counts)
     k = len(counts)
     return tuple(n / (k * c) for c in counts)
@@ -146,7 +146,7 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
     if n != len(labels):
         raise DimensionMismatch(f"{n} feature rows but {len(labels)} labels")
     if not n:
-        raise EmptyTrainingSet("no training samples")
+        raise InsufficientData("no training samples")
     w = np.zeros((features.dim, k), dtype=np.float64)
     terms = w.view(np.dtype((np.void, 8 * k))).reshape(-1)
     scale = 1.0

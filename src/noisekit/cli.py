@@ -22,7 +22,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import agreement, classify, dataio, features, metrics, reduce as reduction, stats, textcore
-from .errors import IoFailure, Malformed, NoisekitError
+from .errors import InsufficientData, IoFailure, Malformed, NoisekitError
 from .features import AnalyzerConfig, AnalyzerMode
 from .reduce import ReduceMethod
 from .textcore import NOISE_CLASSES, SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel
@@ -115,6 +115,10 @@ def cmd_train_sentiment(args) -> dict:
     weights = None
     if args.auto_weights:
         counts = Counter(labels)
+        missing = ", ".join(label.label for label in SentimentLabel if not counts[label])
+        if missing:
+            reason = f"--auto-weights needs every sentiment class; no row is labeled {missing}"
+            raise InsufficientData(reason, path=args.train)
         weights = classify.compute_class_weights([counts[label] for label in SentimentLabel])
     summary = _train(args, classify.train_softmax_weighted, texts, labels, weights)
     return {**summary, "class_weights": weights}
@@ -347,10 +351,13 @@ def cmd_trust(args) -> dict:
     gold = _documents_in_id_order(
         args.gold, [d.id for d in annotator], args.normalize, "the annotator file"
     )
+    if not annotator:
+        raise InsufficientData("no control samples", path=args.annotator)
     ann_labels, gold_labels = [], []
     for ann, ref in zip(annotator, gold):
         if ann.noise is None or ref.noise is None:
-            raise Malformed(f"row {ann.id}: both files need noise labels")
+            path = args.annotator if ann.noise is None else args.gold
+            raise Malformed(f"row {ann.id}: both files need noise labels", path=path)
         ann_labels.append(ann.noise)
         gold_labels.append(ref.noise)
     mode = "jaccard" if args.jaccard else "exact"

@@ -296,10 +296,12 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
 
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
     """Write featurizer + classifier as one `noisekit-bundle-v4` JSON document."""
+    # The classifier section is built first, so the peak of its np.unique passes before the
+    # term lists exist. Keys are written sorted, so this order changes no byte.
     payload = {
         "version": BUNDLE_FORMAT,
-        "tfidf": features.to_json(tfidf_model),
         "linear": classify.to_json(linear_model),
+        "tfidf": features.to_json(tfidf_model),
     }
     # Streamed chunk by chunk, as json.dump writes them: one whole-document string costs memory.
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))

@@ -29,8 +29,6 @@ class NoisekitError(Exception):
 class DataError(NoisekitError):
     """Invalid input data or arguments."""
 
-    exit_code = 2
-
 
 class ClientError(NoisekitError):
     """External translator/predictor client failure."""
@@ -50,31 +48,7 @@ class IoFailure(DataError):
     pass
 
 
-class EmptyCorpus(DataError):
-    pass
-
-
-class EmptyTrainingSet(DataError):
-    pass
-
-
-class EmptyWord(DataError):
-    pass
-
-
-class EmptyReference(DataError):
-    pass
-
-
-class EmptyInput(DataError):
-    pass
-
-
 class DimensionMismatch(DataError):
-    pass
-
-
-class ZeroCount(DataError):
     pass
 
 
@@ -86,18 +60,10 @@ class InvalidCounts(DataError):
     pass
 
 
-class LengthMismatch(DataError):
-    pass
-
-
 class MalformedMatrix(DataError):
     """A rating matrix breaks a rule; ``item`` is the offending row's index, when one is."""
 
     item = None
-
-
-class MissingLabels(DataError):
-    pass
 
 
 class InsufficientData(DataError):

@@ -23,7 +23,7 @@ from itertools import repeat
 
 from . import textcore
 from ._lazy import np
-from .errors import DimensionMismatch, EmptyCorpus, InsufficientData, Malformed
+from .errors import DimensionMismatch, InsufficientData, Malformed
 
 _CHAR_TAG = "c" + textcore.NGRAM_JOIN
 _WORD_TAG = "w" + textcore.NGRAM_JOIN
@@ -127,7 +127,7 @@ def fit_tfidf(texts: list[str], config: AnalyzerConfig, min_df: int = 1) -> Tfid
     if min_df < 1:
         raise Malformed(f"min_df must be >= 1, got {min_df}")
     if not texts:
-        raise EmptyCorpus("cannot fit a TF-IDF model on an empty corpus")
+        raise InsufficientData("cannot fit a TF-IDF model on an empty corpus")
     df: dict[str, int] = {}
     for text in texts:
         for term in set(analyzer_terms(text, config)):

@@ -15,7 +15,7 @@ from collections import Counter
 
 from . import textcore
 from ._lazy import np
-from .errors import EmptyInput, EmptyReference, InvalidCounts, LengthMismatch
+from .errors import DimensionMismatch, InsufficientData, InvalidCounts
 
 EPSILON = 1e-9
 # BLEU-4, and beta, the composite score's weight on the semantic term.
@@ -34,7 +34,7 @@ def bleu(cand: list[str], ref: list[str]) -> float:
     whole score; an empty candidate scores 0.
     """
     if not ref:
-        raise EmptyReference("BLEU needs a non-empty reference")
+        raise InsufficientData("BLEU needs a non-empty reference")
     if not cand:
         return 0.0
     log_sum = 0.0
@@ -81,7 +81,7 @@ def word_coverage(tokens: list[str], vocab) -> float:
     """Percentage of word tokens found in the vocabulary; punctuation excluded."""
     words = [t for t in tokens if not textcore.is_punct_token(t)]
     if not words:
-        raise EmptyInput("word coverage needs at least one word token")
+        raise InsufficientData("word coverage needs at least one word token")
     known = sum(1 for t in words if t in vocab)
     return 100.0 * known / len(words)
 
@@ -134,7 +134,7 @@ def prf_report(gold, predicted, class_names) -> dict:
     row may set any bits, a multiclass row sets exactly one.
     """
     if len(gold) != len(predicted):
-        raise LengthMismatch(f"{len(gold)} gold rows vs {len(predicted)} predictions")
+        raise DimensionMismatch(f"{len(gold)} gold rows vs {len(predicted)} predictions")
     bits = [1 << j for j in range(len(class_names))]
     tp, fp, fn = [0] * len(bits), [0] * len(bits), [0] * len(bits)
     for g, p in zip(gold, predicted):
@@ -191,7 +191,7 @@ def evaluate_reduction(
     input_tokens = None
     if inputs is not None:
         if len(inputs) != len(ground_truth):
-            raise LengthMismatch(f"{len(inputs)} inputs vs {len(ground_truth)} references")
+            raise DimensionMismatch(f"{len(inputs)} inputs vs {len(ground_truth)} references")
         input_tokens = _token_lists(inputs)
     vocab = coverage_vocab if coverage_vocab is not None else embeddings
     human_tallies = human_tallies or {}
@@ -200,7 +200,7 @@ def evaluate_reduction(
     for method in sorted(outputs):
         sentences = outputs[method]
         if len(sentences) != len(ground_truth):
-            raise LengthMismatch(
+            raise DimensionMismatch(
                 f"method {method}: {len(sentences)} outputs vs {len(ground_truth)} references"
             )
         bleu_scores, rouge_scores, semantic_scores, composite_scores = [], [], [], []

@@ -22,8 +22,8 @@ from enum import Enum
 from . import textcore
 from .errors import (
     ClientUnavailable,
-    EmptyWord,
     FixtureMiss,
+    InsufficientData,
     InvalidProbability,
     MissingResource,
     PredictorFailure,
@@ -56,7 +56,7 @@ def bengali_phonetic_table() -> dict[str, str]:
 def phonetic_encode(word: str, table: dict[str, str]) -> str:
     """First letter + three consonant-class digits (vowels and marks dropped)."""
     if not word:
-        raise EmptyWord("cannot encode an empty word")
+        raise InsufficientData("cannot encode an empty word")
     digits = []
     for ch in word[1:].lower():
         digit = table.get(ch)
@@ -270,18 +270,15 @@ class SubprocessClient:
     """One exclusive child process speaking line-oriented JSON.
 
     Request: {"id", "task", "src", "tgt", "text"}; response: {"id", "text"},
-    one per line, in order. A dead child shows as a failed write or as end of
-    file on read; either raises `ClientUnavailable` with its exit status.
+    one per line, in order. The child starts when the client is built, so a
+    program that cannot start raises `ClientUnavailable` before any request.
+    A dead child shows as a failed write or as end of file on read; either
+    raises `ClientUnavailable` with its exit status.
     """
 
     def __init__(self, argv: list[str]):
         self.argv = list(argv)
-        self._proc: subprocess.Popen | None = None
         self._next_id = 0
-
-    def _ensure_started(self):
-        if self._proc is not None:
-            return
         try:
             self._proc = subprocess.Popen(
                 self.argv,
@@ -295,7 +292,6 @@ class SubprocessClient:
             raise ClientUnavailable(f"cannot start client {self.argv!r}: {exc}") from exc
 
     def request(self, task: str, src: str, tgt: str, text: str) -> str:
-        self._ensure_started()
         rid = self._next_id
         self._next_id += 1
         message = json.dumps(
@@ -330,8 +326,6 @@ class SubprocessClient:
         return response["text"]
 
     def close(self):
-        if self._proc is None:
-            return
         try:
             self._proc.stdin.close()
             self._proc.wait(timeout=5)

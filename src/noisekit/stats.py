@@ -8,7 +8,7 @@ from collections import Counter
 
 from . import textcore
 from ._lazy import np
-from .errors import InsufficientData, MissingLabels
+from .errors import InsufficientData
 from .textcore import NOISE_CLASSES, Document
 
 # Width in characters of each bin of the text-length histogram.
@@ -38,7 +38,7 @@ def _word_count(text: str) -> int:
 def class_stats(labeled) -> dict[str, dict]:
     """Instance count and mean word-token count per noise class of noise-labeled documents."""
     if not labeled:
-        raise MissingLabels("no document carries noise labels")
+        raise InsufficientData("no document carries noise labels")
     word_counts = [_word_count(d.text) for d in labeled]
     out = {}
     for j, name in enumerate(NOISE_CLASSES):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import noisekit
-from noisekit.errors import DataError, DimensionMismatch, EmptyTrainingSet
+from noisekit.errors import DataError, DimensionMismatch, InsufficientData
 from noisekit.features import FeatureMatrix, TfidfModel, analyzer_terms
 from noisekit.reduce import Dictionary, read_phonetic_table
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
@@ -150,7 +150,7 @@ def sgd_reference(features: FeatureMatrix, labels, k: int, config, direction,
     if n != len(labels):
         raise DimensionMismatch(f"{n} feature rows but {len(labels)} labels")
     if not n:
-        raise EmptyTrainingSet("no training samples")
+        raise InsufficientData("no training samples")
     w = np.zeros((k, features.dim), dtype=np.float64)
     scale = 1.0
     bias = np.zeros(k, dtype=np.float64)

@@ -20,7 +20,7 @@ from noisekit.agreement import RatingMatrix, fleiss_kappa
 from noisekit.classify import compute_class_weights, train_ovr_hinge, TrainConfig, predict_multilabel
 from noisekit.cli import main
 from noisekit.dataio import load_corpus, save_corpus
-from noisekit.errors import EmptyReference
+from noisekit.errors import InsufficientData
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.metrics import (
     bleu,
@@ -201,7 +201,7 @@ def test_criterion_6_property_suites(tmp_path):
             if ref:
                 assert bleu(ref, ref) == 1.0
                 assert rouge_l(ref, ref) == 1.0
-        with pytest.raises(EmptyReference):
+        with pytest.raises(InsufficientData, match="^BLEU needs a non-empty reference$"):
             bleu(["a"], [])
 
         # Spell-correct identity and idempotence on 1,000 dictionary sentences.

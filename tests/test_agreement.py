@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisekit.agreement import RatingMatrix, fleiss_kappa, kappa_noise_labels, trustworthiness
-from noisekit.errors import LengthMismatch, MalformedMatrix
+from noisekit.errors import DimensionMismatch, MalformedMatrix
 from noisekit.textcore import NoiseLabelSet
 
 
@@ -144,7 +144,7 @@ class TestTrustworthiness:
         assert score == pytest.approx(50.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="^1 annotator labels vs 0 gold labels$"):
             trustworthiness(self.bits("1000000000"), [])
 
 
@@ -157,5 +157,5 @@ class TestKappaNoiseLabels:
 
     def test_mismatched_item_counts(self):
         one = [NoiseLabelSet(1)]
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="^annotators labeled different numbers"):
             kappa_noise_labels([one, one * 2])

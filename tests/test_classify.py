@@ -16,7 +16,7 @@ from noisekit.classify import (
     train_ovr_hinge,
     train_softmax_weighted,
 )
-from noisekit.errors import DataError, DimensionMismatch, EmptyTrainingSet, Malformed, ZeroCount
+from noisekit.errors import DataError, DimensionMismatch, InsufficientData, Malformed
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
@@ -40,7 +40,7 @@ class TestClassWeights:
         assert compute_class_weights([1, 1, 2]) == pytest.approx((4 / 3, 4 / 3, 2 / 3))
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ZeroCount):
+        with pytest.raises(InsufficientData, match=r"^all class counts must be positive, got \[3, 0, 2\]$"):
             compute_class_weights([3, 0, 2])
 
     @pytest.mark.parametrize(
@@ -142,7 +142,7 @@ class TestTrainOvrHinge:
     def test_length_mismatch_and_empty(self):
         with pytest.raises(DimensionMismatch):
             train_ovr_hinge(csr([vec((0, 1.0))]), [], TrainConfig())
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(InsufficientData, match="^no training samples$"):
             train_ovr_hinge(csr([]), [], TrainConfig())
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import noisekit.errors
 from noisekit.cli import build_parser, main
 from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
 from noisekit.reduce import NgramMaskFiller
@@ -424,6 +425,16 @@ class TestSentimentPipeline:
         probs = prediction["predictions"][0]["probabilities"]
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-3)
 
+    def test_auto_weights_names_the_file_and_the_missing_classes(self, capsys, tmp_path):
+        train, model = tmp_path / "t.tsv", tmp_path / "s.json"
+        save_corpus(make_docs(["khub bhalo", "onek sundor"], sentiments=["positive"] * 2), train)
+        error = run_data_error(capsys, "train-sentiment", str(train), "--auto-weights", "--out", str(model))
+        assert error == (
+            f"ERROR InsufficientData: {train}: --auto-weights needs every sentiment class; "
+            "no row is labeled neutral, negative"
+        )
+        assert not model.exists()
+
     def test_train_sentiment_deterministic(self, capsys, tmp_path, small_corpus):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -537,6 +548,20 @@ class TestReduceCommand:
         src, out = tmp_path / "empty.tsv", tmp_path / "o.tsv"
         src.write_text(CORPUS_HEADER + "\n", encoding="utf-8")
         assert run_data_error(capsys, "reduce", str(src), *flags, "--out", str(out)) == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["backtranslate", "spell"])
+    def test_unstartable_client_fails_before_any_document(self, capsys, tmp_path, method):
+        # `spell` never sends a request, and a header-only corpus has no document to send.
+        src, out = tmp_path / "empty.tsv", tmp_path / "o.tsv"
+        src.write_text(CORPUS_HEADER + "\n", encoding="utf-8")
+        code, stdout, err = run_cli(
+            capsys, "reduce", str(src), "--method", method, "--dict", str(self.make_dict_file(tmp_path)),
+            "--client", "/nonexistent/prog", "--out", str(out),
+        )
+        assert (code, stdout) == (3, "")
+        errors = err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("ERROR ClientUnavailable: cannot start client ")
         assert not out.exists()
 
     def test_backtranslate_with_fixture(self, capsys, tmp_path, small_corpus):
@@ -926,7 +951,17 @@ class TestAgreementCommands:
             tmp_path, lambda docs: docs[:2] + [Document(id="d2", text="t2")] + docs[3:]
         )
         error = run_data_error(capsys, "agreement", "trust", ann, gold)
-        assert error == "ERROR Malformed: row d2: both files need noise labels"
+        assert error == f"ERROR Malformed: {ann}: row d2: both files need noise labels"
+        # The same rows the other way round: now the gold file lacks the labels.
+        error = run_data_error(capsys, "agreement", "trust", gold, ann)
+        assert error == f"ERROR Malformed: {ann}: row d2: both files need noise labels"
+
+    def test_trust_of_header_only_files_names_the_annotator_file(self, capsys, tmp_path):
+        ann, gold = tmp_path / "ann.tsv", tmp_path / "gold.tsv"
+        for path in (ann, gold):
+            path.write_text(CORPUS_HEADER + "\n", encoding="utf-8")
+        error = run_data_error(capsys, "agreement", "trust", str(ann), str(gold))
+        assert error == f"ERROR InsufficientData: {ann}: no control samples"
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "100.5"])
     def test_trust_threshold_outside_percent_range_is_usage_error(self, capsys, small_corpus, threshold):
@@ -1145,9 +1180,12 @@ class TestErrorsAndUx:
         assert proc.stderr == "ERROR IoFailure: cannot write stdout: No space left on device\n"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_cli_examples() -> list[str]:
     """Every `noisekit ...` command line in README's bash blocks, continuations joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [line.strip() for line in lines if line.strip().startswith("noisekit ")]
@@ -1161,6 +1199,23 @@ def test_readme_cli_examples_parse(capsys):
             build_parser().parse_args(shlex.split(example, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {example}\n{capsys.readouterr().err}")
+
+
+def readme_error_codes() -> dict[str, int]:
+    """{code: exit status} from the error-code table of README's "Command line" section."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \|", section, flags=re.MULTILINE)
+    codes = dict(rows)
+    assert len(codes) == len(rows), "a code is listed twice"
+    return {code: int(status) for code, status in codes.items()}
+
+
+def test_readme_error_table_lists_every_code():
+    module = vars(noisekit.errors).values()
+    classes = [c for c in module if isinstance(c, type) and issubclass(c, Exception)]
+    # DataError is a base class, and is raised as itself when training diverges.
+    printable = [c for c in classes if not c.__subclasses__()] + [noisekit.errors.DataError]
+    assert readme_error_codes() == {"Usage": 1} | {c.__name__: c.exit_code for c in printable}
 
 
 def test_reduce_and_textcore_import_without_numpy():
@@ -1287,3 +1342,5 @@ class TestMalformedInputSweep:
         errors = [line for line in err.splitlines() if line.startswith("ERROR")]
         assert len(errors) == 1 and re.match(r"ERROR \w+: ", errors[0]), err
         assert "Traceback" not in err
+        name = errors[0].split(":", 1)[0].removeprefix("ERROR ")
+        assert readme_error_codes().get(name) == code, f"{name} exits {code}; README says otherwise"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisekit.errors import EmptyCorpus, Malformed
+from noisekit.errors import InsufficientData, Malformed
 from noisekit.features import (
     AnalyzerConfig,
     AnalyzerMode,
@@ -58,7 +58,7 @@ class TestFitTfidf:
         assert model.idf.tobytes() == reference.tobytes()
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(InsufficientData, match="^cannot fit a TF-IDF model on an empty corpus$"):
             fit_tfidf([], WORD)
 
     def test_permutation_invariant(self):

@@ -6,8 +6,8 @@ import pytest
 
 from noisekit.errors import (
     ClientUnavailable,
-    EmptyWord,
     FixtureMiss,
+    InsufficientData,
     InvalidProbability,
     MissingResource,
     PredictorFailure,
@@ -55,7 +55,7 @@ class TestPhoneticEncode:
         assert phonetic_encode("abtkbtk", latin_table) == "A123"
 
     def test_empty_word(self, latin_table):
-        with pytest.raises(EmptyWord):
+        with pytest.raises(InsufficientData, match="^cannot encode an empty word$"):
             phonetic_encode("", latin_table)
 
     def test_vowel_insensitive_exhaustive(self, latin_table):
@@ -318,9 +318,8 @@ class TestClients:
             assert back_translate("the cat", client) == "the cat"
 
     def test_subprocess_spawn_failure(self):
-        client = SubprocessClient(["/nonexistent/binary"])
-        with pytest.raises(ClientUnavailable):
-            client.request("translate", "bn", "en", "x")
+        with pytest.raises(ClientUnavailable, match="^cannot start client"):
+            SubprocessClient(["/nonexistent/binary"])
 
     def test_subprocess_child_dies(self):
         client = SubprocessClient([sys.executable, "-c", "import sys; sys.exit(3)"])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from noisekit.errors import InsufficientData, MissingLabels
+from noisekit.errors import InsufficientData
 from noisekit.stats import (
     class_stats,
     corpus_summary,
@@ -62,7 +62,7 @@ class TestClassStats:
         assert class_stats(docs)["mixed_language"]["mean_words"] == 3.0
 
     def test_missing_labels(self):
-        with pytest.raises(MissingLabels):
+        with pytest.raises(InsufficientData, match="^no document carries noise labels$"):
             class_stats([])
 
 
