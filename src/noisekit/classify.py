@@ -130,7 +130,9 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
          loss_multiplier: float, l2_divisor: float):
     """Seeded SGD over the rows of `features`; returns the (D, K) weights and (K,) bias.
 
-    Each step visits row i of a fresh permutation per epoch, asks
+    Each epoch visits the rows in the order of the next
+    ``np.random.default_rng(seed).permutation(n)``, drawn by `_pcg64` without
+    numpy.random. Each step visits row i, asks
     ``direction(i, z)`` for the descent direction g (K,) at the scores
     z = x_i W + b, shrinks W by 1 - lr/l2_divisor and adds
     (lr*loss_multiplier) * x_i^T g to W and (lr*loss_multiplier) * g to b.
@@ -142,6 +144,8 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
     updated block back with one record put. The bits equal those of the
     (K, D) oracle ``conftest.sgd_reference``.
     """
+    from ._pcg64 import permutations  # here, so that only the train commands compile it
+
     n = len(features)
     if n != len(labels):
         raise DimensionMismatch(f"{n} feature rows but {len(labels)} labels")
@@ -151,12 +155,11 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
     terms = w.view(np.dtype((np.void, 8 * k))).reshape(-1)
     scale = 1.0
     bias = np.zeros(k, dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
     indptr, indices, values = features.indptr.tolist(), features.indices, features.values
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        for _ in range(config.epochs):
-            for i in rng.permutation(n).tolist():
+        for _, order in zip(range(config.epochs), permutations(config.seed, n)):
+            for i in order:
                 lr = config.learning_rate / (1.0 + step / n)
                 step += 1
                 lo, hi = indptr[i], indptr[i + 1]
@@ -266,19 +269,30 @@ def to_json(model: LinearModel) -> dict:
     Rows are compared by raw bytes, so -0.0 and 0.0 stay apart.
     """
     by_term = np.ascontiguousarray(model.weights, dtype="<f8")
+    # np.unique's stable sort without its copies of the table: the rows argsorted
+    # as byte records, a flag on each sorted row whose <u8 words differ from the
+    # row before, and each term's rank among the distinct rows, scattered back
+    # through the order.
     keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = keys.argsort(kind="stable")
+    sorted_words = by_term.view("<u8")[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    (sorted_words[1:] != sorted_words[:-1]).any(axis=1, out=first[1:])
+    del sorted_words  # one table-sized copy at a time
+    ranks = np.cumsum(first, dtype="<u4")
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
     return {
         "kind": model.kind.value,
         "class_names": list(model.class_names),
         "biases": model.bias.tolist(),
-        "columns": _b64encode(by_term[first]),
-        "column_index": _b64encode(inverse.astype("<u4")),
+        # Base64 of each array's buffer, read in place; the gathered rows are
+        # freed before their text is decoded.
+        "columns": base64.b64encode(by_term[order[first]]).decode("ascii"),
+        "column_index": base64.b64encode(inverse).decode("ascii"),
     }
-
-
-def _b64encode(array: np.ndarray) -> str:
-    return base64.b64encode(array.tobytes()).decode("ascii")
 
 
 def _b64decode(section: dict, key: str) -> bytes:

@@ -296,8 +296,8 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
 
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
     """Write featurizer + classifier as one `noisekit-bundle-v4` JSON document."""
-    # The classifier section is built first, so the peak of its np.unique passes before the
-    # term lists exist. Keys are written sorted, so this order changes no byte.
+    # The classifier section is built first, so the peak of its sort and gathers passes before
+    # the term lists exist. Keys are written sorted, so this order changes no byte.
     payload = {
         "version": BUNDLE_FORMAT,
         "linear": classify.to_json(linear_model),

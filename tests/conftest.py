@@ -1,3 +1,4 @@
+import base64
 import os
 import random
 import sys
@@ -192,6 +193,23 @@ def decision_reference(weights: np.ndarray, bias: np.ndarray, features: FeatureM
         if len(idx):
             out[i] = weights[:, idx] @ val + bias
     return out
+
+
+def to_json_reference(model) -> dict:
+    """`classify.to_json` by `np.unique` over the (D, K) weights as one byte record per term.
+
+    The bundle section `classify.to_json` builds must equal this one byte for byte.
+    """
+    by_term = np.ascontiguousarray(model.weights, dtype="<f8")
+    keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return {
+        "kind": model.kind.value,
+        "class_names": list(model.class_names),
+        "biases": model.bias.tolist(),
+        "columns": base64.b64encode(by_term[first].tobytes()).decode("ascii"),
+        "column_index": base64.b64encode(inverse.astype("<u4").tobytes()).decode("ascii"),
+    }
 
 
 def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):

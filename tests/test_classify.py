@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,19 @@ from noisekit.classify import (
     train_ovr_hinge,
     train_softmax_weighted,
 )
+from noisekit._pcg64 import permutations
 from noisekit.errors import DataError, DimensionMismatch, InsufficientData, Malformed
 from noisekit.features import AnalyzerConfig, AnalyzerMode, fit_tfidf, transform
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, SentimentLabel
 
-from conftest import csr, decision_reference, hinge_objective, sgd_reference, softmax_loss_grad
+from conftest import (
+    csr,
+    decision_reference,
+    hinge_objective,
+    sgd_reference,
+    softmax_loss_grad,
+    to_json_reference,
+)
 
 
 def vec(*pairs):
@@ -408,6 +417,21 @@ class TestSgdMatchesReference:
             train(features, labels, config)
 
 
+class TestEpochOrderMatchesNumpy:
+    """`_pcg64.permutations` is the stream of ``np.random.default_rng(seed).permutation(n)``.
+
+    Seeds from 2**32 up take more than one 32-bit word of entropy.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 10**30])
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 500, 4097])
+    def test_three_epochs(self, seed, n):
+        rng = np.random.default_rng(seed)
+        orders = permutations(seed, n)
+        for epoch in range(3):
+            assert next(orders) == rng.permutation(n).tolist(), epoch
+
+
 class TestDecisionValuesMatchReference:
     """`decision_values` gives the bits of `conftest.decision_reference`, the (K, D) predict loop."""
 
@@ -503,6 +527,39 @@ class TestModelSerialization:
         # A model that could not be loaded back is never built, so never saved.
         with pytest.raises(DimensionMismatch, match=message):
             LinearModel(kind, weights, bias)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("dim", [1, 2, 40, 700])
+    def test_bytes_equal_np_unique_reference(self, k, dim):
+        kind = ModelKind.SOFTMAX_WEIGHTED if k == 3 else ModelKind.OVR_HINGE
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            weights = rng.normal(size=(dim, k))
+            # Repeat some rows; zero others with both signs, which must stay apart.
+            repeated = rng.random(dim) < 0.4
+            weights[repeated] = weights[rng.integers(0, dim, repeated.sum())]
+            weights[rng.random(dim) < 0.2] = 0.0
+            weights[rng.random(dim) < 0.2] = -0.0
+            weights[rng.random((dim, k)) < 0.1] *= -0.0
+            model = LinearModel(kind, weights, rng.normal(size=k))
+            section = to_json(model)
+            assert section == to_json_reference(model), seed
+            assert from_json(section).weights.tobytes() == weights.tobytes()
+
+    def test_peak_memory_below_three_weight_tables(self):
+        # np.unique's copies peak near four tables of this size.
+        rng = np.random.default_rng(0)
+        weights = rng.normal(size=(20639, 10))
+        repeated = rng.random(len(weights)) < 0.4
+        weights[repeated] = weights[rng.integers(0, len(weights), repeated.sum())]
+        model = LinearModel(ModelKind.OVR_HINGE, weights, np.zeros(10))
+        tracemalloc.start()
+        try:
+            to_json(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * weights.nbytes
 
     def test_serialization_deterministic(self):
         features, labels = separable_points()

@@ -129,6 +129,18 @@ def test_which_commands_execute_numpy(work, argv, executes_numpy):
     assert run_python(RUN_COMMAND, *argv, cwd=work) == f"0 {executes_numpy}"
 
 
+@pytest.mark.parametrize("command", ["train-noise", "train-sentiment"])
+def test_training_never_loads_numpy_random(work, command):
+    # numpy.random is several MB of memory; the epoch order comes from noisekit._pcg64.
+    code = (
+        "import sys\n"
+        "from noisekit.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(status, 'numpy.random' in sys.modules)\n"
+    )
+    assert run_python(code, *WITH_NUMPY[command], cwd=work) == "0 False"
+
+
 def test_cli_import_loads_every_module_but_executes_no_numpy():
     code = (
         "import sys\n"
