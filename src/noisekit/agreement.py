@@ -65,7 +65,7 @@ def fleiss_kappa(matrix: RatingMatrix) -> float:
     per_item = ((counts * counts).sum(axis=1) - n) / (n * (n - 1))
     observed = float(per_item.mean())
     proportions = counts.sum(axis=0) / counts.sum()
-    expected = float(np.dot(proportions, proportions))
+    expected = float((proportions * proportions).sum())
     if expected == 1.0:
         return 1.0
     return (observed - expected) / (1.0 - expected)

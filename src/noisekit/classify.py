@@ -9,7 +9,9 @@ with the decaying step size lr_t = lr0 / (1 + t/n) over global step t and
 the L2 shrink folded into a scale factor so updates stay sparse. A trainer
 supplies only its per-sample direction, its loss multiplier (c for hinge,
 1 for softmax) and its L2 divisor (n for hinge, c*n for softmax).
-Training is bit-deterministic given the data order and the seed.
+Training is bit-deterministic given the data order and the seed: every sum
+runs in an order this module fixes (`_score`, `_softmax`), never in one a
+BLAS kernel or numpy's SIMD dispatch picks.
 
 A model's weights are one (D, K) table with a row per term, used as is by
 training, the bundle and prediction.
@@ -24,6 +26,7 @@ import base64
 import binascii
 import enum
 import math
+import random
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -122,17 +125,29 @@ class LinearModel:
         for i in range(len(features)):
             idx, val = features.row(i)
             if len(idx):
-                out[i] = self.weights.take(idx, axis=0).T @ val + self.bias
+                out[i] = _score(self.weights.take(idx, axis=0), val) + self.bias
         return out
+
+
+def _score(block: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """x W for a row's (nnz, K) weight block: per class, the nnz products added in row order.
+
+    einsum's two-operand loop adds each product to a zeroed output in turn;
+    a BLAS ``block.T @ val`` sums in whatever order its kernel picks.
+    """
+    return np.einsum("ij,i->j", block, val)
 
 
 def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction,
          loss_multiplier: float, l2_divisor: float):
     """Seeded SGD over the rows of `features`; returns the (D, K) weights and (K,) bias.
 
-    Each epoch visits the rows in the order of the next
-    ``np.random.default_rng(seed).permutation(n)``, drawn by `_pcg64` without
-    numpy.random. Each step visits row i, asks
+    The epochs visit the rows in the order of one list, first 0..n-1, shuffled
+    in place before each epoch by Fisher-Yates: for i from n-1 down to 1, swap
+    items i and j = int(random() * (i + 1)), with ``random`` the method of one
+    ``random.Random(seed)``. Python keeps the `random()` stream of a seed
+    across releases; it does not promise that of `shuffle` or `randrange`.
+    Each step visits row i, asks
     ``direction(i, z)`` for the descent direction g (K,) at the scores
     z = x_i W + b, shrinks W by 1 - lr/l2_divisor and adds
     (lr*loss_multiplier) * x_i^T g to W and (lr*loss_multiplier) * g to b.
@@ -140,12 +155,10 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
     (Bottou, "Stochastic Gradient Descent Tricks", 2012).
 
     w is viewed as one K-float record per term. A step takes the row's
-    (nnz, K) block in one gather, scores it as ``block.T @ x`` and puts the
+    (nnz, K) block in one gather, scores it with `_score` and puts the
     updated block back with one record put. The bits equal those of the
     (K, D) oracle ``conftest.sgd_reference``.
     """
-    from ._pcg64 import permutations  # here, so that only the train commands compile it
-
     n = len(features)
     if n != len(labels):
         raise DimensionMismatch(f"{n} feature rows but {len(labels)} labels")
@@ -156,9 +169,14 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
     scale = 1.0
     bias = np.zeros(k, dtype=np.float64)
     indptr, indices, values = features.indptr.tolist(), features.indices, features.values
+    draw = random.Random(config.seed).random
+    order = list(range(n))
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        for _, order in zip(range(config.epochs), permutations(config.seed, n)):
+        for _ in range(config.epochs):
+            for last in range(n - 1, 0, -1):
+                j = int(draw() * (last + 1))
+                order[last], order[j] = order[j], order[last]
             for i in order:
                 lr = config.learning_rate / (1.0 + step / n)
                 step += 1
@@ -167,7 +185,7 @@ def _sgd(features: FeatureMatrix, labels, k: int, config: TrainConfig, direction
                 # An empty row scores bias + 0.0, which is bias bit for bit: b starts
                 # at +0.0, and a sum is -0.0 only when both terms are.
                 block = w.take(idx, axis=0)
-                g = direction(i, scale * (block.T @ val) + bias)
+                g = direction(i, scale * _score(block, val) + bias)
                 # Extreme learning rates could flip the sign; clamp instead.
                 scale *= max(1.0 - lr / l2_divisor, 1e-12)
                 if scale < 1e-9:
@@ -220,9 +238,16 @@ def predict_multilabel(model: LinearModel, features: FeatureMatrix) -> list[Nois
     return [NoiseLabelSet(int(m)) for m in masks]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z: list[float]) -> list[float]:
+    """exp(z - max z), normalized, over K Python floats.
+
+    libm's `math.exp` and the exactly rounded `math.fsum`, so no SIMD exp and
+    no summation order that differs between numpy or Python releases.
+    """
+    top = max(z)
+    e = [math.exp(v - top) for v in z]
+    total = math.fsum(e)
+    return [v / total for v in e]
 
 
 def train_softmax_weighted(features: FeatureMatrix, labels, config: TrainConfig) -> LinearModel:
@@ -243,9 +268,9 @@ def train_softmax_weighted(features: FeatureMatrix, labels, config: TrainConfig)
         # The negated gradient of cw[y] * CE at z.
         yi = label_idx[i]
         weight = cw[yi]
-        g = -weight * _softmax(z)
+        g = [-weight * p for p in _softmax(z.tolist())]
         g[yi] += weight
-        return g
+        return np.array(g)
 
     weights, bias = _sgd(features, labels, k, config, direction, 1.0, config.c * len(features))
     return LinearModel(ModelKind.SOFTMAX_WEIGHTED, weights, bias)
@@ -255,7 +280,8 @@ def predict_sentiment(model: LinearModel, features: FeatureMatrix):
     """Return (labels, (rows, K) probabilities); argmax ties go to the lowest class index."""
     if model.kind is not ModelKind.SOFTMAX_WEIGHTED:
         raise Malformed(f"expected a softmax model, got {model.kind.value}")
-    probs = _softmax(model.decision_values(features))
+    decision = model.decision_values(features)
+    probs = np.array([_softmax(row) for row in decision.tolist()]).reshape(decision.shape)
     labels = [SentimentLabel(int(j)) for j in np.argmax(probs, axis=1)]
     return labels, probs
 

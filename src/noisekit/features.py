@@ -175,7 +175,8 @@ def transform(model: TfidfModel, texts: list[str]) -> FeatureMatrix:
         ends = np.bincount(rows, minlength=len(lengths)).cumsum().tolist()
         for lo, hi in zip([0, *ends], ends):
             row = row_val[lo:hi]
-            norm = np.sqrt(np.dot(row, row))
+            # numpy's own pairwise sum, not BLAS ddot, whose order depends on the kernel.
+            norm = math.sqrt((row * row).sum())
             if norm > 0:
                 row /= norm
         offset = len(indices)

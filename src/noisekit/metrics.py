@@ -95,10 +95,11 @@ def sentence_similarity(cand: list[str], ref: list[str], vectors: dict[str, np.n
             return 0.0
         sides.append(np.mean(vecs, axis=0))
     a, b = sides
-    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+    # numpy's pairwise sums, not BLAS ddot, whose order depends on the kernel.
+    norm = math.sqrt((a * a).sum()) * math.sqrt((b * b).sum())
     if norm == 0.0:
         return 0.0
-    return float(np.dot(a, b) / norm)
+    return float((a * b).sum()) / norm
 
 
 def composite_similarity(semantic: float, surface_bleu: float) -> float:

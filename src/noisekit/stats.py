@@ -68,7 +68,8 @@ def label_correlation(labeled) -> np.ndarray:
     std = centered.std(axis=0)
     constant = std == 0.0
     z = centered / np.where(constant, 1.0, std)
-    corr = (z.T @ z) / len(labeled)
+    # einsum adds the rows' outer products in row order; BLAS ``z.T @ z`` picks its own order.
+    corr = np.einsum("ij,ik->jk", z, z) / len(labeled)
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
     np.fill_diagonal(corr, 1.0)

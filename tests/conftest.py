@@ -1,4 +1,5 @@
 import base64
+import math
 import os
 import random
 import sys
@@ -117,7 +118,7 @@ def transform_reference(model: TfidfModel, texts: list[str]) -> FeatureMatrix:
         if counts:
             row_idx = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
             row_val = np.array([counts[i] for i in row_idx], dtype=np.float64) * model.idf[row_idx]
-            norm = np.sqrt(np.dot(row_val, row_val))
+            norm = math.sqrt((row_val * row_val).sum())
             if norm > 0:
                 row_val /= norm
             indices.frombytes(row_idx.tobytes())
@@ -141,10 +142,20 @@ def hinge_objective(w: np.ndarray, b: float, features: FeatureMatrix, y, c: floa
     return total
 
 
+def sequential_score(weights: np.ndarray, idx: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """``weights[:, idx] @ val`` over (K, D) weights, each product added to a zeroed (K,) in row order."""
+    z = np.zeros(weights.shape[0], dtype=np.float64)
+    for t, v in zip(idx.tolist(), val.tolist()):
+        z += weights[:, t] * v
+    return z
+
+
 def sgd_reference(features: FeatureMatrix, labels, k: int, config, direction,
                   loss_multiplier: float, l2_divisor: float):
     """The SGD loop of `classify._sgd` over (K, D) weights indexed as ``w[:, idx]``.
 
+    Each epoch reshuffles one order list with Fisher-Yates over
+    ``random.Random(seed).random()``, and each score is `sequential_score`.
     `classify._sgd` must return the same weight and bias bits.
     """
     n = len(features)
@@ -155,16 +166,19 @@ def sgd_reference(features: FeatureMatrix, labels, k: int, config, direction,
     w = np.zeros((k, features.dim), dtype=np.float64)
     scale = 1.0
     bias = np.zeros(k, dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
+    order = list(range(n))
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for _ in range(config.epochs):
-            for i in rng.permutation(n):
+            for last in reversed(range(1, n)):
+                j = int(rng.random() * (last + 1))
+                order[last], order[j] = order[j], order[last]
+            for i in order:
                 lr = config.learning_rate / (1.0 + step / n)
                 step += 1
                 idx, val = features.row(i)
-                z = scale * (w[:, idx] @ val) + bias if len(idx) else bias.copy()
-                g = direction(i, z)
+                g = direction(i, scale * sequential_score(w, idx, val) + bias)
                 # Extreme learning rates could flip the sign; clamp instead.
                 scale *= max(1.0 - lr / l2_divisor, 1e-12)
                 if scale < 1e-9:
@@ -183,7 +197,7 @@ def sgd_reference(features: FeatureMatrix, labels, k: int, config, direction,
 
 
 def decision_reference(weights: np.ndarray, bias: np.ndarray, features: FeatureMatrix):
-    """(rows, K) scores over C-ordered (K, D) weights as ``w[:, idx] @ val + b``.
+    """(rows, K) scores over C-ordered (K, D) weights as ``sequential_score + b``.
 
     `LinearModel.decision_values` on the (D, K) transpose must give the same bits.
     """
@@ -191,7 +205,7 @@ def decision_reference(weights: np.ndarray, bias: np.ndarray, features: FeatureM
     for i in range(len(features)):
         idx, val = features.row(i)
         if len(idx):
-            out[i] = weights[:, idx] @ val + bias
+            out[i] = sequential_score(weights, idx, val) + bias
     return out
 
 

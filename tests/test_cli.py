@@ -317,14 +317,14 @@ class TestNoisePipeline:
 class TestGoldenPredictions:
     """Pinned sha256 of the predict stdout; a change that moves a pin changes predictions."""
 
-    NOISE_SHA256 = "d492be4f6ef4b54238ce5b4245461823bf9982a1c17f49d014d2759f9c4c9ad9"
-    SENTIMENT_SHA256 = "f688a2639c4881dcb5a6f8add68ec45f053664ec798d4659e3f40d8b1c070d62"
+    NOISE_SHA256 = "ac51855ba20ae17f017db6fe6a2682e795e2c09cc05c33a8bbb52ccc7572b1f0"
+    SENTIMENT_SHA256 = "9b076b90e0c0c49e62f3e1550872eabbe3d47303041d7fc8ea53b16a5537caca"
     # The noisekit-bundle-v4 file of the noise training run; moves when the format drifts.
-    NOISE_BUNDLE_SHA256 = "0d9ec4bbe8c12f983380ef5fde246161b5da897ed466be5641e91ad0d1d23623"
+    NOISE_BUNDLE_SHA256 = "5f0f0093de114358dfc8c17a05bd4e9b910dcf236289e68c3ae95cfe9acf601d"
     # Full-precision bundles; with c != 1 they move if the SGD arithmetic is re-associated.
-    SENTIMENT_BUNDLE_SHA256 = "d77034286898164ed230573fc240d467215c1673e854065fd7a831441a3abe53"
-    NOISE_BUNDLE_C_SHA256 = "15be3f97750b22d5c072df9acf80d383a0517de2b5e811fa6e29a956fce82608"
-    SENTIMENT_BUNDLE_C_SHA256 = "363c056098433262a02059960ab4a7f559b0080d4854e02501c2e18e5090e7e9"
+    SENTIMENT_BUNDLE_SHA256 = "af898961c0aebb216bcaa2639ddd7c28ce4b782b57e73943db945250da9fb666"
+    NOISE_BUNDLE_C_SHA256 = "118344d2eda4fa631e7eaad8552badc7c107544dfbffa15ca1191f9a2015c984"
+    SENTIMENT_BUNDLE_C_SHA256 = "9d352b730b33d5eaae623a2e26c844ddf8548b527ad81623141ad771273e1e5b"
     SENTIMENT_FLAGS = (
         "--analyzer", "char+word", "--nmax", "2", "--auto-weights", "--epochs", "8", "--seed", "4",
     )

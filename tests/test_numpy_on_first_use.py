@@ -131,7 +131,7 @@ def test_which_commands_execute_numpy(work, argv, executes_numpy):
 
 @pytest.mark.parametrize("command", ["train-noise", "train-sentiment"])
 def test_training_never_loads_numpy_random(work, command):
-    # numpy.random is several MB of memory; the epoch order comes from noisekit._pcg64.
+    # numpy.random is several MB of memory; the epoch order comes from the random module.
     code = (
         "import sys\n"
         "from noisekit.cli import main\n"

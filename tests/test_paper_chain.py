@@ -7,7 +7,8 @@ then predict sentiment on the noisy and on each noise-reduced test split. Each
 command reads what the one before it wrote, so the chain checks that every
 output is a valid input of the next command. The sha256 pins cover the
 sentiment predictions and the reduction report; a change that moves one is an
-output change.
+output change. The last test reruns both trainers and `eval-reduction` under
+other BLAS and SIMD kernels and requires the same bytes.
 """
 
 import contextlib
@@ -16,6 +17,8 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +27,7 @@ from noisekit.dataio import load_corpus, load_dictionary, save_corpus
 from noisekit.reduce import spell_correct
 from noisekit.textcore import NOISE_CLASSES, Document
 
+from conftest import subprocess_env
 from test_cli import MARKERS, WORD_POOL, synth_noise_corpus
 
 METHODS = ("spell", "paraphrase", "backtranslate", "mask-oov", "mask-random")
@@ -32,14 +36,22 @@ TRAIN_FLAGS = ("--epochs", "8", "--seed", "4")
 NOISE_COLUMNS = [f"n{j}" for j in range(len(NOISE_CLASSES))]
 
 PREDICT_SENTIMENT_SHA256 = {
-    "noisy": "6cde5206c902a11b0b4b4c30978530cc302110fe5213096101f474fcd43f38ee",
-    "spell": "325fb3b82413ea4eac725d46a9bd3f9336dfd5c5f1cb2ab74c4334ced8034edb",
-    "paraphrase": "f521667d387c5822083c0de145c631a0d2de5914a502c0ab8091af4978870aba",
-    "backtranslate": "5623acb08a7702c753fad53e76708f82dfa993b1f6a947908e70f8ba79f9b50c",
-    "mask-oov": "e27f048e1f7f6f9b4a3d0d1a55a95869930068d009944a3bf860bab381827c7d",
-    "mask-random": "e21c098cd0945748c6d1377f2640d0b90a787edefcb3252e08399b5ac357c278",
+    "noisy": "ceceb2d2002a87abde571e9680c06a5d125f631220ed202892de793798a5e350",
+    "spell": "8f6246690fcaccdc0860bf7e0d1e4bf84a5bd106b85f708603a6c9ebc4ae3d55",
+    "paraphrase": "4f1f1d699c045539334c9e5de3ae43031be82309a445af5390c8ecc2532445b7",
+    "backtranslate": "acda1f53787defe28e7945a95785d84c4b71208f7a4f31903c9d8d49d5bcae75",
+    "mask-oov": "67e263c8309e584f1977985b8e0292ba1615723029b099b3da04ff260a63537a",
+    "mask-random": "0a34dc4620746e83825213be880473012e2a90365d802aeb76c1e1f4e5963648",
 }
 EVAL_REDUCTION_SHA256 = "89de240f19a444e77f36bb82244a942d7e6fd8a0130a9ccb8b74d8dc42a07df8"
+# Settings that change which kernels numpy and its BLAS run. OPENBLAS_CORETYPE acts
+# only on an x86 numpy wheel whose OpenBLAS is built DYNAMIC_ARCH (PyPI's are), and
+# NPY_DISABLE_CPU_FEATURES only on an x86 CPU that has the features it names. Elsewhere
+# a setting runs the default kernels, and its comparison holds without testing anything.
+CPU_SETTINGS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy-without-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
 
 
 def cli(*argv) -> str:
@@ -197,3 +209,40 @@ def test_sentiment_predictions_pinned(chain):
 
 def test_reduction_report_pinned(chain):
     assert sha256(chain["eval"]) == EVAL_REDUCTION_SHA256
+
+
+def output_digests(chain, cwd, setting: dict) -> dict:
+    """sha256 of the stdout and written files of both trainers and eval-reduction, run as children."""
+    work = chain["work"]
+    commands = {
+        "train-noise": ("train-noise", work / "train.tsv", *TRAIN_FLAGS, "--out", "noise.json"),
+        "train-sentiment": ("train-sentiment", work / "train.tsv", "--auto-weights", *TRAIN_FLAGS,
+                            "--out", "senti.json"),
+        "eval-reduction": ("eval-reduction", *(work / f"{m}.tsv" for m in METHODS),
+                           "--truth", work / "corrected.tsv", "--inputs", work / "test.tsv",
+                           "--embeddings", work / "vectors.txt"),
+    }
+    # The default run drops both variables, in case the tests run under one of them.
+    env = {k: v for k, v in subprocess_env().items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    outputs = {}
+    for name, argv in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisekit.cli", *map(str, argv)],
+            capture_output=True, cwd=cwd, env={**env, **setting},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = hashlib.sha256(proc.stdout).hexdigest()
+    for bundle in ("noise.json", "senti.json"):
+        outputs[bundle] = hashlib.sha256((cwd / bundle).read_bytes()).hexdigest()
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def default_digests(chain, tmp_path_factory):
+    return output_digests(chain, tmp_path_factory.mktemp("default-kernels"), {})
+
+
+@pytest.mark.parametrize("setting", CPU_SETTINGS)
+def test_outputs_do_not_depend_on_cpu_kernels(chain, default_digests, tmp_path, setting):
+    assert output_digests(chain, tmp_path, CPU_SETTINGS[setting]) == default_digests
