@@ -22,8 +22,6 @@ live in `TrainConfig.class_weights`.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import enum
 import math
 import random
@@ -287,12 +285,12 @@ def predict_sentiment(model: LinearModel, features: FeatureMatrix):
 
 
 def to_json(model: LinearModel) -> dict:
-    """JSON-ready bundle section; the (D, K) weights are stored as a table of distinct rows.
+    """Bundle section: JSON-ready fields, and the (D, K) weights as a table of distinct rows.
 
-    ``columns`` holds the U distinct weight rows (U x K little-endian
-    float64, in the order of their raw bytes) and ``column_index`` one
-    little-endian uint32 per term naming its row; both are base64.
-    Rows are compared by raw bytes, so -0.0 and 0.0 stay apart.
+    ``columns`` is the (U, K) little-endian float64 array of the U distinct
+    weight rows, in the order of their raw bytes, and ``column_index`` the D
+    little-endian uint32 entries naming each term's row; the bundle stores
+    both as raw bytes. Rows are compared by raw bytes, so -0.0 and 0.0 stay apart.
     """
     by_term = np.ascontiguousarray(model.weights, dtype="<f8")
     # np.unique's stable sort without its copies of the table: the rows argsorted
@@ -314,18 +312,9 @@ def to_json(model: LinearModel) -> dict:
         "kind": model.kind.value,
         "class_names": list(model.class_names),
         "biases": model.bias.tolist(),
-        # Base64 of each array's buffer, read in place; the gathered rows are
-        # freed before their text is decoded.
-        "columns": base64.b64encode(by_term[order[first]]).decode("ascii"),
-        "column_index": base64.b64encode(inverse).decode("ascii"),
+        "columns": by_term[order[first]],
+        "column_index": inverse,
     }
-
-
-def _b64decode(section: dict, key: str) -> bytes:
-    try:
-        return base64.b64decode(section[key], validate=True)
-    except binascii.Error as exc:
-        raise Malformed(f"{key} is not valid base64: {exc}") from None
 
 
 def from_json(section: dict) -> LinearModel:
@@ -336,17 +325,7 @@ def from_json(section: dict) -> LinearModel:
             f"class_names must be the {kind.value} classes {list(kind.class_names)}, "
             f"got {section['class_names']!r}"
         )
-    k = len(kind.class_names)
-    columns_raw = _b64decode(section, "columns")
-    if len(columns_raw) % (8 * k):
-        raise DimensionMismatch(
-            f"columns hold {len(columns_raw)} weight bytes, not a multiple of 8 * {k} classes"
-        )
-    index_raw = _b64decode(section, "column_index")
-    if len(index_raw) % 4:
-        raise DimensionMismatch(f"{len(index_raw)} column index bytes are not a multiple of 4")
-    columns = np.frombuffer(columns_raw, dtype="<f8").reshape(-1, k)
-    index = np.frombuffer(index_raw, dtype="<u4")
+    columns, index = section["columns"], section["column_index"]
     if index.size and int(index.max()) >= len(columns):
         raise Malformed(
             f"column index {int(index.max())} is out of range for {len(columns)} columns"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -17,13 +18,14 @@ from dataclasses import dataclass, field
 from . import classify, features
 from ._lazy import np
 from .agreement import INT64_MAX, RatingMatrix
-from .errors import DataError, DimensionMismatch, InvalidCounts, Malformed, MalformedMatrix
+from .errors import BadEncoding, DataError, DimensionMismatch, InvalidCounts, IoFailure, Malformed
+from .errors import MalformedMatrix
 from .reduce import Dictionary, FixtureClient
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
-from .textcore import read_text, write_text
+from .textcore import read_text, write_bytes, write_text
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
-BUNDLE_FORMAT = "noisekit-bundle-v4"
+BUNDLE_FORMAT = "noisekit-bundle-v5"
 
 _ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
@@ -295,36 +297,64 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
 
 
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
-    """Write featurizer + classifier as one `noisekit-bundle-v4` JSON document."""
+    """Write featurizer + classifier as a v5 bundle: one JSON header line, then the two arrays."""
     # The classifier section is built first, so the peak of its sort and gathers passes before
     # the term lists exist. Keys are written sorted, so this order changes no byte.
-    payload = {
-        "version": BUNDLE_FORMAT,
-        "linear": classify.to_json(linear_model),
-        "tfidf": features.to_json(tfidf_model),
-    }
-    # Streamed chunk by chunk, as json.dump writes them: one whole-document string costs memory.
+    linear = classify.to_json(linear_model)
+    arrays = linear.pop("columns"), linear.pop("column_index")
+    linear["distinct_rows"] = len(arrays[0])
+    header = {"version": BUNDLE_FORMAT, "linear": linear, "tfidf": features.to_json(tfidf_model)}
+    # Streamed chunk by chunk: a one-shot `encode` holds a chunk list for the whole header.
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    write_text(path, itertools.chain(encoder.iterencode(payload), ("\n",)))
+    text = itertools.chain(encoder.iterencode(header), ("\n",))
+    write_bytes(path, itertools.chain(map(str.encode, text), arrays))
 
 
 def load_model_bundle(path, kind: classify.ModelKind):
-    """Read a v4 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
-    payload = _parse_json(read_text(path), path)
-    version = payload.get("version") if isinstance(payload, dict) else None
+    """Read a v5 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
+    try:
+        with open(path, "rb") as fh:
+            tfidf_model, linear_model = _read_bundle(fh, path)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if linear_model.kind is not kind:
+        raise Malformed(f"expected model kind {kind.value}, got {linear_model.kind.value}", path=path)
+    return tfidf_model, linear_model
+
+
+def _read_bundle(fh, path):
+    """The header line, then exactly the U x K weights and D indices it calls for, read in place."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise Malformed("expected a JSON header line ending in a newline", path=path, line=1)
+    try:
+        header = _parse_json(line.decode("utf-8"), path, line=1)
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"header is not UTF-8 at byte {exc.start}", path=path, line=1) from None
+    version = header.get("version") if isinstance(header, dict) else None
     if version != BUNDLE_FORMAT:
         raise Malformed(f"unsupported bundle version {version!r}", path=path)
     try:
-        tfidf_model = features.from_json(payload["tfidf"])
-        linear_model = classify.from_json(payload["linear"])
+        tfidf_model = features.from_json(header["tfidf"])
+        linear = header["linear"]
+        k = len(classify.ModelKind(linear["kind"]).class_names)
+        rows, dim = linear["distinct_rows"], tfidf_model.dim
+        if not (type(rows) is int and rows >= 0):
+            raise Malformed(f"distinct_rows must be a non-negative integer, got {rows!r}")
+        expected = rows * k * 8 + dim * 4
+        got = os.fstat(fh.fileno()).st_size - fh.tell()
+        if got == expected:  # so the arrays never outgrow the file
+            columns, index = np.empty((rows, k), dtype="<f8"), np.empty(dim, dtype="<u4")
+            got = fh.readinto(columns) + fh.readinto(index)  # less if the file shrank
+        if got != expected:
+            raise DimensionMismatch(
+                f"featurizer has {dim} terms, classifier {rows} distinct rows of {k} weights, "
+                f"so {rows * k * 8} weight bytes and {dim * 4} column index bytes must follow "
+                f"the header, not {got}"
+            )
+        linear_model = classify.from_json({**linear, "columns": columns, "column_index": index})
     except DataError as exc:
         raise type(exc)(exc.reason, path=path, line=exc.line, column=exc.column) from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"bad bundle entry ({type(exc).__name__}: {exc})", path=path) from None
-    if tfidf_model.dim != linear_model.dim:
-        raise DimensionMismatch(
-            f"featurizer has {tfidf_model.dim} terms, classifier {linear_model.dim}", path=path
-        )
-    if linear_model.kind is not kind:
-        raise Malformed(f"expected model kind {kind.value}, got {linear_model.kind.value}", path=path)
     return tfidf_model, linear_model

@@ -11,7 +11,7 @@ here are deliberately small and fixed:
 
 The punctuation canonicalization table is a versioned data file shipped with
 the package (``data/punctuation.tsv``) so the mapping stays auditable. Text
-files are read and written here too; this module imports no numpy.
+files are read and all output files written here; this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -152,7 +152,12 @@ def read_text(path) -> str:
 
 
 def write_text(path, content) -> None:
-    """Write UTF-8 text (a string or string chunks) with LF endings; OS errors become IoFailure.
+    """Write UTF-8 text (a string or string chunks) through `write_bytes`, line endings as given."""
+    write_bytes(path, map(str.encode, (content,) if isinstance(content, str) else content))
+
+
+def write_bytes(path, chunks) -> None:
+    """Write bytes-like chunks (bytes, numpy arrays) in order; OS errors become IoFailure.
 
     A regular file is replaced by a temporary file written beside it, so a failed write
     leaves the old file, or none, and no temporary file; a device or FIFO is written in place.
@@ -164,8 +169,8 @@ def write_text(path, content) -> None:
         head, name = os.path.split(target)
         tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp or target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines((content,) if isinstance(content, str) else content)
+        with open(tmp or target, "wb") as fh:
+            fh.writelines(chunks)
         if tmp:
             if old is not None:  # keep the mode, as writing in place would
                 os.chmod(tmp, stat.S_IMODE(old.st_mode))

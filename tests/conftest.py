@@ -1,4 +1,5 @@
 import base64
+import json
 import math
 import os
 import random
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import noisekit
-from noisekit.errors import DataError, DimensionMismatch, InsufficientData
+from noisekit.errors import BadEncoding, DataError, DimensionMismatch, InsufficientData, Malformed
 from noisekit.features import FeatureMatrix, TfidfModel, analyzer_terms
 from noisekit.reduce import Dictionary, read_phonetic_table
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
@@ -212,7 +213,7 @@ def decision_reference(weights: np.ndarray, bias: np.ndarray, features: FeatureM
 def to_json_reference(model) -> dict:
     """`classify.to_json` by `np.unique` over the (D, K) weights as one byte record per term.
 
-    The bundle section `classify.to_json` builds must equal this one byte for byte.
+    The bundle section `classify.to_json` builds must equal this one, its arrays byte for byte.
     """
     by_term = np.ascontiguousarray(model.weights, dtype="<f8")
     keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
@@ -221,9 +222,97 @@ def to_json_reference(model) -> dict:
         "kind": model.kind.value,
         "class_names": list(model.class_names),
         "biases": model.bias.tolist(),
-        "columns": base64.b64encode(by_term[first].tobytes()).decode("ascii"),
-        "column_index": base64.b64encode(inverse.astype("<u4").tobytes()).decode("ascii"),
+        "columns": by_term[first],
+        "column_index": inverse.astype("<u4"),
     }
+
+
+def repeated_rows_table() -> np.ndarray:
+    """(20639, 10) random weights, the benchmark noise model's shape, about 40 % of rows repeated."""
+    rng = np.random.default_rng(0)
+    weights = rng.normal(size=(20639, 10))
+    repeated = rng.random(len(weights)) < 0.4
+    weights[repeated] = weights[rng.integers(0, len(weights), repeated.sum())]
+    return weights
+
+
+def raw_section(section: dict) -> dict:
+    """A bundle section with each array as (dtype, shape, raw bytes), so `==` compares bytes."""
+    return {
+        key: (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+        for key, value in section.items()
+    }
+
+
+def read_bundle(path) -> dict:
+    """A v5 bundle as its JSON header, with the raw bytes of its two arrays added to ``linear``.
+
+    ``columns`` gets the header's ``distinct_rows`` x K weights, and
+    ``column_index`` every byte after them.
+    """
+    header, _, arrays = Path(path).read_bytes().partition(b"\n")
+    bundle = json.loads(header)
+    linear = bundle["linear"]
+    split = linear["distinct_rows"] * len(linear["class_names"]) * 8
+    linear["columns"], linear["column_index"] = arrays[:split], arrays[split:]
+    return bundle
+
+
+def _header_and_arrays(bundle: dict) -> tuple[bytes, bytes]:
+    linear = dict(bundle["linear"])
+    arrays = bytes(linear.pop("columns")) + bytes(linear.pop("column_index"))
+    return json.dumps({**bundle, "linear": linear}, ensure_ascii=False).encode("utf-8"), arrays
+
+
+def write_bundle(path, bundle: dict) -> None:
+    """Inverse of `read_bundle`: the header as one JSON line, then the arrays' bytes as given."""
+    header, arrays = _header_and_arrays(bundle)
+    Path(path).write_bytes(header + b"\n" + arrays)
+
+
+def edit_bundle(path, edit) -> None:
+    """Rewrite the bundle at `path` after ``edit(read_bundle(path))``.
+
+    `edit` changes the bundle in place, or returns the whole file's new bytes.
+    """
+    bundle = read_bundle(path)
+    raw = edit(bundle)
+    if isinstance(raw, bytes):
+        Path(path).write_bytes(raw)
+    else:
+        write_bundle(path, bundle)
+
+
+def v4_bundle(bundle: dict) -> bytes:
+    """The noisekit-bundle-v4 file of a `read_bundle` bundle: one JSON line, arrays in base64."""
+    linear = {key: value for key, value in bundle["linear"].items() if key != "distinct_rows"}
+    for key in ("columns", "column_index"):
+        linear[key] = base64.b64encode(linear[key]).decode("ascii")
+    payload = {**bundle, "version": "noisekit-bundle-v4", "linear": linear}
+    return (json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _set_rows(bundle, rows):
+    bundle["linear"]["distinct_rows"] = rows
+
+
+# v5 files that break the layout: (edit for `edit_bundle`, error class, message pattern).
+BROKEN_BUNDLES = {
+    "arrays-cut-short": (lambda b: b["linear"].update(column_index=b["linear"]["column_index"][:-1]),
+                         DimensionMismatch, "column index bytes must follow the header, not"),
+    "trailing-bytes": (lambda b: b["linear"].update(column_index=b["linear"]["column_index"] + b"tail"),
+                       DimensionMismatch, "must follow the header, not"),
+    "rows-off-by-one": (lambda b: _set_rows(b, b["linear"]["distinct_rows"] + 1),
+                        DimensionMismatch, r"classifier \d+ distinct rows of \d+ weights"),
+    "empty-file": (lambda b: b"", Malformed, "expected a JSON header line ending in a newline"),
+    "header-without-newline": (lambda b: _header_and_arrays(b)[0], Malformed, "header line ending in a newline"),
+    "header-not-utf8": (lambda b: b'{"version": "\xff"}\n', BadEncoding, "header is not UTF-8 at byte 13"),
+    "header-not-json": (lambda b: b"noisekit-bundle-v5\n", Malformed, "invalid JSON"),
+    "rows-bool": (lambda b: _set_rows(b, True), Malformed, "distinct_rows must be a non-negative integer, got True"),
+    "rows-negative": (lambda b: _set_rows(b, -1), Malformed, "distinct_rows must be a non-negative integer, got -1"),
+    "rows-float": (lambda b: _set_rows(b, float(b["linear"]["distinct_rows"])), Malformed, r"got \d+\.0"),
+    "v4-file": (v4_bundle, Malformed, "unsupported bundle version 'noisekit-bundle-v4'"),
+}
 
 
 def softmax_loss_grad(weights, bias, features, label_idx, class_weights, c):

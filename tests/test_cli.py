@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import hashlib
 import json
@@ -20,7 +19,7 @@ from noisekit.dataio import CORPUS_HEADER, load_corpus, save_corpus
 from noisekit.reduce import NgramMaskFiller
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
-from conftest import INT_DIGIT_LIMIT, make_docs, subprocess_env
+from conftest import BROKEN_BUNDLES, INT_DIGIT_LIMIT, edit_bundle, make_docs, subprocess_env
 
 WORD_POOL = ["khub", "bhalo", "laglo", "onek", "sundor", "video", "dada", "dekhe"]
 # Tokens that mark two synthetic noise classes and one "everything else" class.
@@ -207,10 +206,12 @@ class TestNoisePipeline:
     def test_bundle_with_short_vocabulary_rejected(self, capsys, tmp_path, small_corpus):
         model = tmp_path / "noise.json"
         run_json(capsys, "train-noise", str(small_corpus), "--epochs", "5", "--out", str(model))
-        bundle = json.loads(model.read_text(encoding="utf-8"))
-        del bundle["tfidf"]["terms"][-10:]
-        del bundle["tfidf"]["df"][-10:]
-        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+
+        def shorten(bundle):
+            del bundle["tfidf"]["terms"][-10:]
+            del bundle["tfidf"]["df"][-10:]
+
+        edit_bundle(model, shorten)
         error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
         assert error.startswith("ERROR DimensionMismatch:")
 
@@ -229,15 +230,16 @@ class TestNoisePipeline:
     def test_bundle_with_non_finite_parameters_rejected(self, capsys, tmp_path, small_corpus, key):
         model = tmp_path / "noise.json"
         run_json(capsys, "train-noise", str(small_corpus), "--epochs", "5", "--out", str(model))
-        bundle = json.loads(model.read_text(encoding="utf-8"))
-        if key == "biases":
-            bundle["linear"]["biases"][0] = float("nan")
-        else:
-            raw = base64.b64decode(bundle["linear"]["columns"])
-            columns = np.frombuffer(raw, dtype="<f8").copy()
-            columns[0] = np.inf
-            bundle["linear"]["columns"] = base64.b64encode(columns.tobytes()).decode("ascii")
-        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+
+        def poison(bundle):
+            if key == "biases":
+                bundle["linear"]["biases"][0] = float("nan")
+            else:
+                columns = np.frombuffer(bundle["linear"]["columns"], dtype="<f8").copy()
+                columns[0] = np.inf
+                bundle["linear"]["columns"] = columns.tobytes()
+
+        edit_bundle(model, poison)
         error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
         assert error.startswith("ERROR Malformed:") and str(model) in error
 
@@ -245,12 +247,14 @@ class TestNoisePipeline:
     def test_bundle_with_wrongly_typed_field_rejected(self, capsys, tmp_path, small_corpus, task):
         model = tmp_path / f"{task}.json"
         run_json(capsys, f"train-{task}", str(small_corpus), "--epochs", "2", "--out", str(model))
-        bundle = json.loads(model.read_text(encoding="utf-8"))
-        if task == "noise":  # integer terms, still strictly increasing
-            bundle["tfidf"]["terms"] = list(range(len(bundle["tfidf"]["terms"])))
-        else:  # a string of three characters, one per class
-            bundle["linear"]["biases"] = "abc"
-        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+
+        def retype(bundle):
+            if task == "noise":  # integer terms, still strictly increasing
+                bundle["tfidf"]["terms"] = list(range(len(bundle["tfidf"]["terms"])))
+            else:  # a string of three characters, one per class
+                bundle["linear"]["biases"] = "abc"
+
+        edit_bundle(model, retype)
         error = run_data_error(capsys, f"predict-{task}", str(model), str(small_corpus))
         assert error.startswith(f"ERROR Malformed: {model}: ")
 
@@ -264,9 +268,7 @@ class TestNoisePipeline:
     def test_reversed_class_names_rejected(self, capsys, tmp_path, small_corpus):
         model = tmp_path / "noise.json"
         run_json(capsys, "train-noise", str(small_corpus), "--epochs", "2", "--out", str(model))
-        bundle = json.loads(model.read_text(encoding="utf-8"))
-        bundle["linear"]["class_names"].reverse()
-        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+        edit_bundle(model, lambda bundle: bundle["linear"]["class_names"].reverse())
         error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
         assert error.startswith(f"ERROR Malformed: {model}: class_names must be the ovr_hinge classes")
 
@@ -300,9 +302,7 @@ class TestNoisePipeline:
     def test_v3_bundle_must_be_retrained(self, capsys, tmp_path, small_corpus):
         model = tmp_path / "noise.json"
         run_json(capsys, "train-noise", str(small_corpus), "--epochs", "2", "--out", str(model))
-        bundle = json.loads(model.read_text(encoding="utf-8"))
-        bundle["version"] = "noisekit-bundle-v3"
-        model.write_text(json.dumps(bundle, ensure_ascii=False), encoding="utf-8")
+        edit_bundle(model, lambda bundle: bundle.update(version="noisekit-bundle-v3"))
         error = run_data_error(capsys, "predict-noise", str(model), str(small_corpus))
         assert error == f"ERROR Malformed: {model}: unsupported bundle version 'noisekit-bundle-v3'"
 
@@ -319,12 +319,12 @@ class TestGoldenPredictions:
 
     NOISE_SHA256 = "ac51855ba20ae17f017db6fe6a2682e795e2c09cc05c33a8bbb52ccc7572b1f0"
     SENTIMENT_SHA256 = "9b076b90e0c0c49e62f3e1550872eabbe3d47303041d7fc8ea53b16a5537caca"
-    # The noisekit-bundle-v4 file of the noise training run; moves when the format drifts.
-    NOISE_BUNDLE_SHA256 = "5f0f0093de114358dfc8c17a05bd4e9b910dcf236289e68c3ae95cfe9acf601d"
+    # The noisekit-bundle-v5 file of the noise training run; moves when the format drifts.
+    NOISE_BUNDLE_SHA256 = "8a96b323871604053e9ea95ae2c7117e519593a5892e8eaf118522bf5a8643a3"
     # Full-precision bundles; with c != 1 they move if the SGD arithmetic is re-associated.
-    SENTIMENT_BUNDLE_SHA256 = "af898961c0aebb216bcaa2639ddd7c28ce4b782b57e73943db945250da9fb666"
-    NOISE_BUNDLE_C_SHA256 = "118344d2eda4fa631e7eaad8552badc7c107544dfbffa15ca1191f9a2015c984"
-    SENTIMENT_BUNDLE_C_SHA256 = "9d352b730b33d5eaae623a2e26c844ddf8548b527ad81623141ad771273e1e5b"
+    SENTIMENT_BUNDLE_SHA256 = "437f91267a39d4f5d84b290b62f870f060774dff88a42ab0a64957706648a487"
+    NOISE_BUNDLE_C_SHA256 = "08f4f96a22c1e08a0b78d0f623e389a0dad13db62b51c10d18bd4f99ac3fe558"
+    SENTIMENT_BUNDLE_C_SHA256 = "17fbc511433b631d5e81bc2d44570595561053210da782cb4471159809182d89"
     SENTIMENT_FLAGS = (
         "--analyzer", "char+word", "--nmax", "2", "--auto-weights", "--epochs", "8", "--seed", "4",
     )
@@ -1281,6 +1281,10 @@ MALFORMED_INPUT_CASES = {
     "trust-non-utf8": ["agreement", "trust", "{binary}", "{corpus}"],
     "trust-wrong-header": ["agreement", "trust", "{corpus}", "{wrong_header}"],
 }
+# Each way a v5 bundle file can break its layout, for predict-noise.
+MALFORMED_INPUT_CASES.update(
+    {f"predict-noise-{name}-bundle": ["predict-noise", f"{{{name}}}", "{corpus}"] for name in BROKEN_BUNDLES}
+)
 # Each outside JSON input gets each payload that json.loads fails on beyond syntax errors.
 JSON_PAYLOADS = {"deep_json": "[" * 100_000, "long_int": "1" * (INT_DIGIT_LIMIT + 1)}
 for _name in JSON_PAYLOADS:
@@ -1313,9 +1317,12 @@ class TestMalformedInputSweep:
             for d in load_corpus(small_corpus).documents
         ), encoding="utf-8")
         assert main(["train-noise", str(small_corpus), "--epochs", "2", "--out", str(files["bundle"])]) == 0
-        bundle = json.loads(files["bundle"].read_text(encoding="utf-8"))
-        bundle["linear"]["biases"][0] = float("nan")
-        files["nan_bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+        files["nan_bundle"].write_bytes(files["bundle"].read_bytes())
+        edit_bundle(files["nan_bundle"], lambda bundle: bundle["linear"]["biases"].__setitem__(0, float("nan")))
+        for name, (edit, _, _) in BROKEN_BUNDLES.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_bytes(files["bundle"].read_bytes())
+            edit_bundle(files[name], edit)
         files["corpus"] = small_corpus
         for name, payload in JSON_PAYLOADS.items():
             files[name] = tmp_path / f"{name}.json"
@@ -1344,3 +1351,11 @@ class TestMalformedInputSweep:
         assert "Traceback" not in err
         name = errors[0].split(":", 1)[0].removeprefix("ERROR ")
         assert readme_error_codes().get(name) == code, f"{name} exits {code}; README says otherwise"
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_BUNDLES))
+    def test_broken_bundle_names_the_file(self, capsys, sweep_files, name):
+        capsys.readouterr()
+        assert main(["predict-noise", sweep_files[name], sweep_files["corpus"]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"ERROR {BROKEN_BUNDLES[name][1].__name__}: {sweep_files[name]}")

@@ -1,7 +1,7 @@
-import base64
 import json
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from noisekit.features import AnalyzerConfig, AnalyzerMode, TfidfModel, fit_tfid
 from noisekit.reduce import Dictionary
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
-from conftest import INT_DIGIT_LIMIT, make_docs
+from conftest import BROKEN_BUNDLES, INT_DIGIT_LIMIT, edit_bundle, make_docs, read_bundle, repeated_rows_table
 
 
 def write(tmp_path, name, content, encoding="utf-8"):
@@ -343,20 +343,21 @@ def _drop_last_term(tfidf):
 
 
 def _recode(linear, key, edit):
-    """Decode a base64 field of the linear section, apply `edit` to its bytes, re-encode."""
-    raw = edit(base64.b64decode(linear[key]))
-    linear[key] = base64.b64encode(raw).decode("ascii")
+    """Apply `edit` to the raw bytes of an array of the linear section."""
+    linear[key] = edit(linear[key])
 
 
 def _sentiment_classifier(bundle, class_names):
     """Swap in a valid sentiment classifier of the same dimension, then set its class_names."""
     dim = len(bundle["tfidf"]["terms"])
-    bundle["linear"] = to_json(LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((dim, 3)), np.zeros(3)))
+    linear = to_json(LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((dim, 3)), np.zeros(3)))
+    linear["distinct_rows"] = len(linear["columns"])
+    bundle["linear"] = linear
     bundle["linear"]["class_names"] = class_names
 
 
 def _index_past_end(linear):
-    columns = len(base64.b64decode(linear["columns"])) // (8 * len(linear["class_names"]))
+    columns = linear["distinct_rows"]
     _recode(linear, "column_index", lambda raw: np.array([columns], dtype="<u4").tobytes() + raw[4:])
 
 
@@ -384,9 +385,9 @@ class TestModelBundle:
         tfidf, model = hand_built_bundle(HAND_BUILT_WEIGHTS["repeated-and-signed-zero"])
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
-        linear = json.loads(path.read_text(encoding="utf-8"))["linear"]
-        assert len(base64.b64decode(linear["columns"])) == 4 * 3 * 8
-        index = np.frombuffer(base64.b64decode(linear["column_index"]), dtype="<u4")
+        linear = read_bundle(path)["linear"]
+        assert linear["distinct_rows"] == 4 and len(linear["columns"]) == 4 * 3 * 8
+        index = np.frombuffer(linear["column_index"], dtype="<u4")
         assert len(index) == 6 and index[0] == index[2] == index[4] != index[1] != index[3]
 
     def test_failed_save_keeps_the_old_bundle(self, tmp_path, monkeypatch):
@@ -400,6 +401,26 @@ class TestModelBundle:
             save_model_bundle(path, tfidf, model)
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_save_peak_memory_below_one_and_a_half_weight_tables(self, tmp_path):
+        # The arrays are written from their buffers, so the write adds nothing to `to_json`'s
+        # peak of about 1.24 tables; a text copy of the distinct rows would cross the bound.
+        weights = repeated_rows_table()
+        dim = len(weights)
+        tfidf = TfidfModel(
+            vocabulary={f"t{i:05d}": i for i in range(dim)},
+            df=np.ones(dim, dtype=np.int64),
+            config=AnalyzerConfig(),
+            corpus_size=1,
+        )
+        model = LinearModel(ModelKind.OVR_HINGE, weights, np.zeros(10))
+        tracemalloc.start()
+        try:
+            save_model_bundle(tmp_path / "model.json", tfidf, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * weights.nbytes
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "model.json"
@@ -422,23 +443,27 @@ class TestModelBundle:
         tfidf, model = small_bundle()
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == "noisekit-bundle-v4"
+        payload = read_bundle(path)
+        assert payload["version"] == "noisekit-bundle-v5"
         assert payload["tfidf"]["terms"] == sorted(tfidf.vocabulary)
         assert payload["tfidf"]["df"] == [int(v) for v in tfidf.df]
         assert "idf" not in payload["tfidf"] and "weights" not in payload["linear"]
-        assert isinstance(payload["linear"]["columns"], str)
-        assert isinstance(payload["linear"]["column_index"], str)
+        assert isinstance(payload["linear"]["columns"], bytes)
+        assert isinstance(payload["linear"]["column_index"], bytes)
+        # After the header line, the two arrays' little-endian bytes and nothing else.
+        section = to_json(model)
+        arrays = path.read_bytes().partition(b"\n")[2]
+        assert arrays == section["columns"].tobytes() + section["column_index"].tobytes()
 
     def test_bundle_stores_only_what_loading_reads(self, tmp_path):
         tfidf, model = small_bundle()
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_bytes().partition(b"\n")[0])
         assert set(payload) == {"version", "tfidf", "linear"}
         assert set(payload["tfidf"]) == {"config", "corpus_size", "terms", "df"}
         assert set(payload["tfidf"]["config"]) == {"mode", "n_min", "n_max"}
-        assert set(payload["linear"]) == {"kind", "class_names", "biases", "columns", "column_index"}
+        assert set(payload["linear"]) == {"kind", "class_names", "biases", "distinct_rows"}
 
     @pytest.mark.parametrize(
         "corrupt, error, message",
@@ -450,8 +475,6 @@ class TestModelBundle:
             (lambda b: b["tfidf"]["df"].__setitem__(0, 4), Malformed, r"integers in \[1, 3\]"),
             (lambda b: b["tfidf"]["df"].__setitem__(0, True), Malformed, "df values must be"),
             (lambda b: b["tfidf"]["df"].__setitem__(0, 1.0), Malformed, "df values must"),
-            (lambda b: b["linear"].update(columns="not base64!"), Malformed, "base64"),
-            (lambda b: b["linear"].update(column_index="not base64!"), Malformed, "column_index is not valid"),
             (lambda b: b["linear"].update(columns=b["linear"]["columns"][:-4]), DimensionMismatch, "weight bytes"),
             (lambda b: _recode(b["linear"], "column_index", lambda raw: raw + b"\0"), DimensionMismatch, "column index bytes"),
             (lambda b: _index_past_end(b["linear"]), Malformed, "out of range for"),
@@ -472,15 +495,14 @@ class TestModelBundle:
             (lambda b: _sentiment_classifier(b, ["a", "b", "c"]), Malformed, r"got \['a', 'b', 'c'\]"),
             (lambda b: b["linear"]["biases"].__setitem__(0, "0.5"), Malformed, "biases must be finite numbers"),
             (lambda b: b["linear"]["biases"].__setitem__(0, float("-inf")), Malformed, "biases must be finite"),
+            *(pytest.param(*case, id=name) for name, case in BROKEN_BUNDLES.items()),
         ],
     )
     def test_inconsistent_bundle_rejected(self, tmp_path, corrupt, error, message):
         tfidf, model = small_bundle()
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        corrupt(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        edit_bundle(path, corrupt)
         with pytest.raises(error, match=message) as excinfo:
             load_model_bundle(path, ModelKind.OVR_HINGE)
         assert str(path) in str(excinfo.value)
@@ -491,9 +513,7 @@ class TestModelBundle:
         tfidf, model = small_bundle()
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        _sentiment_classifier(payload, ["neutral", "positive", "negative"])
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        edit_bundle(path, lambda b: _sentiment_classifier(b, ["neutral", "positive", "negative"]))
         _, loaded = load_model_bundle(path, ModelKind.SOFTMAX_WEIGHTED)
         assert loaded.class_names == ("neutral", "positive", "negative")
 
