@@ -14,7 +14,7 @@ runs in an order this module fixes (`_score`, `_softmax`), never in one a
 BLAS kernel or numpy's SIMD dispatch picks.
 
 A model's weights are one (D, K) table with a row per term, used as is by
-training, the bundle and prediction.
+training and prediction; `dataio` stores it in the bundle.
 
 Class weights for cost-sensitive training follow w_c = N / (K * n_c) and
 live in `TrainConfig.class_weights`.
@@ -91,8 +91,8 @@ def compute_class_weights(counts) -> tuple[float, ...]:
 @dataclass
 class LinearModel:
     kind: ModelKind
-    weights: np.ndarray  # (dim, n_classes)
-    bias: np.ndarray  # (n_classes,)
+    weights: np.ndarray  # (D, K): a row of K class weights per term
+    bias: np.ndarray  # (K,)
 
     def __post_init__(self):
         k = len(self.kind.class_names)
@@ -285,58 +285,23 @@ def predict_sentiment(model: LinearModel, features: FeatureMatrix):
 
 
 def to_json(model: LinearModel) -> dict:
-    """Bundle section: JSON-ready fields, and the (D, K) weights as a table of distinct rows.
-
-    ``columns`` is the (U, K) little-endian float64 array of the U distinct
-    weight rows, in the order of their raw bytes, and ``column_index`` the D
-    little-endian uint32 entries naming each term's row; the bundle stores
-    both as raw bytes. Rows are compared by raw bytes, so -0.0 and 0.0 stay apart.
-    """
-    by_term = np.ascontiguousarray(model.weights, dtype="<f8")
-    # np.unique's stable sort without its copies of the table: the rows argsorted
-    # as byte records, a flag on each sorted row whose <u8 words differ from the
-    # row before, and each term's rank among the distinct rows, scattered back
-    # through the order.
-    keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
-    order = keys.argsort(kind="stable")
-    sorted_words = by_term.view("<u8")[order]
-    first = np.empty(len(order), dtype=bool)
-    first[:1] = True
-    (sorted_words[1:] != sorted_words[:-1]).any(axis=1, out=first[1:])
-    del sorted_words  # one table-sized copy at a time
-    ranks = np.cumsum(first, dtype="<u4")
-    ranks -= 1
-    inverse = np.empty_like(ranks)
-    inverse[order] = ranks
+    """Bundle section: the JSON fields `kind`, `class_names` and `biases`; no weights."""
     return {
         "kind": model.kind.value,
         "class_names": list(model.class_names),
         "biases": model.bias.tolist(),
-        "columns": by_term[order[first]],
-        "column_index": inverse,
     }
 
 
-def from_json(section: dict) -> LinearModel:
-    """Inverse of `to_json`; D is the length of ``column_index``."""
+def from_json(section: dict, weights: np.ndarray) -> LinearModel:
+    """Inverse of `to_json`, given the model's (D, K) weights."""
     kind = ModelKind(section["kind"])
     if section["class_names"] != list(kind.class_names):
         raise Malformed(
             f"class_names must be the {kind.value} classes {list(kind.class_names)}, "
             f"got {section['class_names']!r}"
         )
-    columns, index = section["columns"], section["column_index"]
-    if index.size and int(index.max()) >= len(columns):
-        raise Malformed(
-            f"column index {int(index.max())} is out of range for {len(columns)} columns"
-        )
     biases = section["biases"]
     if not (isinstance(biases, list) and all(map(_finite_number, biases))):
         raise Malformed("biases must be finite numbers")
-    if not np.isfinite(columns).all():
-        raise Malformed("weights must be finite")
-    return LinearModel(
-        kind=kind,
-        weights=columns[index],
-        bias=np.array(biases, dtype=np.float64),
-    )
+    return LinearModel(kind=kind, weights=weights, bias=np.array(biases, dtype=np.float64))

@@ -296,18 +296,40 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
     return tallies
 
 
+def _distinct_rows(weights):
+    """The (U, K) `<f8` distinct rows of the (D, K) weights, and the (D,) `<u4` row of each term.
+
+    The rows are in the order of their raw bytes and compared by them, so -0.0 and 0.0 stay
+    apart. This is np.unique's stable sort without its copies of the table: the rows argsorted
+    as byte records, a flag on each sorted row whose <u8 words differ from the row before, and
+    each term's rank among the distinct rows, scattered back through the order.
+    """
+    by_term = np.ascontiguousarray(weights, dtype="<f8")
+    keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
+    order = keys.argsort(kind="stable")
+    sorted_words = by_term.view("<u8")[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    (sorted_words[1:] != sorted_words[:-1]).any(axis=1, out=first[1:])
+    del sorted_words  # one table-sized copy at a time
+    ranks = np.cumsum(first, dtype="<u4")
+    ranks -= 1
+    index = np.empty_like(ranks)
+    index[order] = ranks
+    return by_term[order[first]], index
+
+
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
     """Write featurizer + classifier as a v5 bundle: one JSON header line, then the two arrays."""
-    # The classifier section is built first, so the peak of its sort and gathers passes before
+    # The distinct rows are found first, so the peak of their sort and gathers passes before
     # the term lists exist. Keys are written sorted, so this order changes no byte.
-    linear = classify.to_json(linear_model)
-    arrays = linear.pop("columns"), linear.pop("column_index")
-    linear["distinct_rows"] = len(arrays[0])
+    rows, index = _distinct_rows(linear_model.weights)
+    linear = {**classify.to_json(linear_model), "distinct_rows": len(rows)}
     header = {"version": BUNDLE_FORMAT, "linear": linear, "tfidf": features.to_json(tfidf_model)}
     # Streamed chunk by chunk: a one-shot `encode` holds a chunk list for the whole header.
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     text = itertools.chain(encoder.iterencode(header), ("\n",))
-    write_bytes(path, itertools.chain(map(str.encode, text), arrays))
+    write_bytes(path, itertools.chain(map(str.encode, text), (rows, index)))
 
 
 def load_model_bundle(path, kind: classify.ModelKind):
@@ -352,7 +374,11 @@ def _read_bundle(fh, path):
                 f"so {rows * k * 8} weight bytes and {dim * 4} column index bytes must follow "
                 f"the header, not {got}"
             )
-        linear_model = classify.from_json({**linear, "columns": columns, "column_index": index})
+        if index.size and int(index.max()) >= rows:
+            raise Malformed(f"column index {int(index.max())} is out of range for {rows} columns")
+        if not np.isfinite(columns).all():
+            raise Malformed("weights must be finite")
+        linear_model = classify.from_json(linear, columns[index])
     except DataError as exc:
         raise type(exc)(exc.reason, path=path, line=exc.line, column=exc.column) from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -151,9 +151,9 @@ def read_text(path) -> str:
         raise BadEncoding(f"not valid UTF-8 at byte {exc.start}", path=path) from exc
 
 
-def write_text(path, content) -> None:
-    """Write UTF-8 text (a string or string chunks) through `write_bytes`, line endings as given."""
-    write_bytes(path, map(str.encode, (content,) if isinstance(content, str) else content))
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 through `write_bytes`, line endings as given."""
+    write_bytes(path, (text.encode("utf-8"),))
 
 
 def write_bytes(path, chunks) -> None:

@@ -210,21 +210,16 @@ def decision_reference(weights: np.ndarray, bias: np.ndarray, features: FeatureM
     return out
 
 
-def to_json_reference(model) -> dict:
-    """`classify.to_json` by `np.unique` over the (D, K) weights as one byte record per term.
+def distinct_rows_reference(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`dataio._distinct_rows` by `np.unique` over the (D, K) weights as one byte record per term.
 
-    The bundle section `classify.to_json` builds must equal this one, its arrays byte for byte.
+    The (U, K) `<f8` distinct rows and the (D,) `<u4` index the bundle stores must equal these,
+    byte for byte.
     """
-    by_term = np.ascontiguousarray(model.weights, dtype="<f8")
+    by_term = np.ascontiguousarray(weights, dtype="<f8")
     keys = by_term.view(np.dtype((np.void, 8 * by_term.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return {
-        "kind": model.kind.value,
-        "class_names": list(model.class_names),
-        "biases": model.bias.tolist(),
-        "columns": by_term[first],
-        "column_index": inverse.astype("<u4"),
-    }
+    return by_term[first], inverse.astype("<u4")
 
 
 def repeated_rows_table() -> np.ndarray:
@@ -236,12 +231,9 @@ def repeated_rows_table() -> np.ndarray:
     return weights
 
 
-def raw_section(section: dict) -> dict:
-    """A bundle section with each array as (dtype, shape, raw bytes), so `==` compares bytes."""
-    return {
-        key: (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
-        for key, value in section.items()
-    }
+def raw_arrays(*arrays: np.ndarray) -> list[tuple]:
+    """Each array as (dtype, shape, raw bytes), so `==` compares bytes: -0.0 and 0.0 differ."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 def read_bundle(path) -> dict:

@@ -1201,6 +1201,23 @@ def test_readme_cli_examples_parse(capsys):
             pytest.fail(f"README example does not parse: {example}\n{capsys.readouterr().err}")
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"^```python\n(.*?)^```", section, flags=re.MULTILINE | re.DOTALL)
+    docs = make_docs(
+        ["khub bhalo laglo", "english nice video", "bannan bhull ache", "onek sundor dada",
+         "wow dekhe bhalo", "vhul bannan khub"],
+        sentiments=["positive", "neutral", "negative", "positive", "neutral", "negative"],
+        noises=["0000000001", "0000100000", "0000000100", "0000000001", "0000100000", "0000000100"],
+    )
+    save_corpus(docs, tmp_path / "train.tsv")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert len(namespace["label_sets"]) == len(namespace["new_texts"])
+    assert namespace["senti"].class_names == ("neutral", "positive", "negative")
+
+
 def readme_error_codes() -> dict[str, int]:
     """{code: exit status} from the error-code table of README's "Command line" section."""
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]

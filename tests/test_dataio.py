@@ -26,7 +26,15 @@ from noisekit.features import AnalyzerConfig, AnalyzerMode, TfidfModel, fit_tfid
 from noisekit.reduce import Dictionary
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
-from conftest import BROKEN_BUNDLES, INT_DIGIT_LIMIT, edit_bundle, make_docs, read_bundle, repeated_rows_table
+from conftest import (
+    BROKEN_BUNDLES,
+    INT_DIGIT_LIMIT,
+    distinct_rows_reference,
+    edit_bundle,
+    make_docs,
+    read_bundle,
+    repeated_rows_table,
+)
 
 
 def write(tmp_path, name, content, encoding="utf-8"):
@@ -350,9 +358,10 @@ def _recode(linear, key, edit):
 def _sentiment_classifier(bundle, class_names):
     """Swap in a valid sentiment classifier of the same dimension, then set its class_names."""
     dim = len(bundle["tfidf"]["terms"])
-    linear = to_json(LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((dim, 3)), np.zeros(3)))
-    linear["distinct_rows"] = len(linear["columns"])
-    bundle["linear"] = linear
+    model = LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((dim, 3)), np.zeros(3))
+    rows, index = distinct_rows_reference(model.weights)
+    bundle["linear"] = {**to_json(model), "distinct_rows": len(rows),
+                        "columns": rows.tobytes(), "column_index": index.tobytes()}
     bundle["linear"]["class_names"] = class_names
 
 
@@ -403,8 +412,8 @@ class TestModelBundle:
         assert os.listdir(tmp_path) == ["model.json"]
 
     def test_save_peak_memory_below_one_and_a_half_weight_tables(self, tmp_path):
-        # The arrays are written from their buffers, so the write adds nothing to `to_json`'s
-        # peak of about 1.24 tables; a text copy of the distinct rows would cross the bound.
+        # The arrays are written from their buffers, so the write adds nothing to the peak of
+        # about 1.24 tables of `_distinct_rows`; a text copy of the distinct rows would cross it.
         weights = repeated_rows_table()
         dim = len(weights)
         tfidf = TfidfModel(
@@ -451,9 +460,9 @@ class TestModelBundle:
         assert isinstance(payload["linear"]["columns"], bytes)
         assert isinstance(payload["linear"]["column_index"], bytes)
         # After the header line, the two arrays' little-endian bytes and nothing else.
-        section = to_json(model)
+        rows, index = distinct_rows_reference(model.weights)
         arrays = path.read_bytes().partition(b"\n")[2]
-        assert arrays == section["columns"].tobytes() + section["column_index"].tobytes()
+        assert arrays == rows.tobytes() + index.tobytes()
 
     def test_bundle_stores_only_what_loading_reads(self, tmp_path):
         tfidf, model = small_bundle()
@@ -478,6 +487,8 @@ class TestModelBundle:
             (lambda b: b["linear"].update(columns=b["linear"]["columns"][:-4]), DimensionMismatch, "weight bytes"),
             (lambda b: _recode(b["linear"], "column_index", lambda raw: raw + b"\0"), DimensionMismatch, "column index bytes"),
             (lambda b: _index_past_end(b["linear"]), Malformed, "out of range for"),
+            # The arrays are checked before the classifier's JSON fields.
+            (lambda b: (_index_past_end(b["linear"]), b["linear"]["class_names"].reverse()), Malformed, "out of range for"),
             (lambda b: _recode(b["linear"], "column_index", lambda raw: raw[:-4]), DimensionMismatch, r"featurizer has \d+ terms, classifier"),
             (lambda b: b["linear"]["biases"].pop(), DimensionMismatch, "bias count"),
             (lambda b: _drop_last_term(b["tfidf"]), DimensionMismatch, "featurizer has"),

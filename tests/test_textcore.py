@@ -18,6 +18,7 @@ from noisekit.textcore import (
     read_punctuation_table,
     tokenize,
     word_ngrams,
+    write_bytes,
     write_text,
 )
 
@@ -126,18 +127,12 @@ class TestWriteText:
         if old is not None:
             target.write_bytes(old)
         with pytest.raises(error) as excinfo:
-            write_text(target, failing_after(["new", " rows\n"], exc))
+            write_bytes(target, failing_after([b"new", b" rows\n"], exc))
         if error is IoFailure:
             assert str(excinfo.value) == f"cannot write {target}: No space left on device"
         assert os.listdir(tmp_path) == ([] if old is None else ["out.tsv"])
         if old is not None:
             assert target.read_bytes() == old
-
-    def test_chunks_and_string_write_the_same_bytes(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        write_text(a, "x\ty\nযে\n")
-        write_text(b, iter(["x\t", "y\n", "যে", "\n"]))
-        assert a.read_bytes() == b.read_bytes() == "x\ty\nযে\n".encode("utf-8")
 
     def test_new_file_has_the_mode_open_gives(self, tmp_path):
         reference = tmp_path / "reference"
