@@ -491,11 +491,12 @@ def main(argv=None) -> int:
     try:
         print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
         sys.stdout.flush()
-    except OSError as exc:
-        if exc.errno == errno.EPIPE:
+    except (OSError, UnicodeEncodeError) as exc:
+        if isinstance(exc, OSError) and exc.errno == errno.EPIPE:
             # As the Python docs advise: the flush at exit then cannot raise again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"ERROR {IoFailure.__name__}: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"ERROR {IoFailure.__name__}: cannot write stdout: {reason}", file=sys.stderr)
         return IoFailure.exit_code
     return 0
 

@@ -35,22 +35,36 @@ SOURCE_LANG = "bn"
 PIVOT_LANG = "en"
 
 
-def _phonetic_class(digit: str) -> str:
-    if len(digit) != 1 or not digit.isdigit():
-        raise ValueError(f"class must be one digit, got {digit!r}")
-    return digit
-
-
-def read_phonetic_table(path) -> dict[str, str]:
-    """{consonant: articulation-class digit} from a CODEPOINT<TAB>digit file of one script."""
-    return textcore.read_codepoint_table(path, _phonetic_class)
-
-
 @functools.cache
 def bengali_phonetic_table() -> dict[str, str]:
-    """The packaged table, loaded once and shared by every caller: read it, never change it."""
-    with textcore.packaged_data("phonetic_bn.tsv") as path:
-        return read_phonetic_table(path)
+    """{Bengali consonant: articulation-class digit}, built once: read it, never change it.
+
+    Vowels, vowel signs, hasanta, candrabindu and anything unlisted are dropped by the encoder.
+    """
+    # Escapes, not literal letters: U+09DC and U+09DD are NFC composition exclusions, which
+    # an editor that normalizes would split into U+09A1/U+09A2 plus nukta, moving those two
+    # letters from class 3 to class 6.
+    classes = {
+        # velar stops
+        "1": "\u0995\u0996\u0997\u0998",
+        # palatal affricates (incl. ya, pronounced like ja)
+        "2": "\u099a\u099b\u099c\u099d\u09af",
+        # retroflex and dental stops (incl. khanda ta)
+        "3": "\u099f\u09a0\u09a1\u09a2\u09a4\u09a5\u09a6\u09a7\u09ce",
+        # nasals (incl. anusvara)
+        "4": "\u0999\u099e\u09a3\u09a8\u09ae\u0982",
+        # sibilants
+        "5": "\u09b6\u09b7\u09b8",
+        # r-like (incl. rra/rha flaps)
+        "6": "\u09b0\u09dc\u09dd",
+        # lateral
+        "7": "\u09b2",
+        # labial stops
+        "8": "\u09aa\u09ab\u09ac\u09ad",
+        # h-like (incl. visarga)
+        "9": "\u09b9\u0983",
+    }
+    return {consonant: digit for digit, consonants in classes.items() for consonant in consonants}
 
 
 def phonetic_encode(word: str, table: dict[str, str]) -> str:

@@ -9,9 +9,7 @@ here are deliberately small and fixed:
   split off as single-character tokens,
 * n-grams = contiguous runs of Unicode scalar values (not grapheme clusters).
 
-The punctuation canonicalization table is a versioned data file shipped with
-the package (``data/punctuation.tsv``) so the mapping stays auditable. Text
-files are read and all output files written here; this module imports no numpy.
+Text files are read and all output files written here; this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import os
 import stat
 import unicodedata
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .errors import BadEncoding, IoFailure, Malformed
 
@@ -184,11 +181,6 @@ def write_bytes(path, chunks) -> None:
         raise
 
 
-def packaged_data(name: str):
-    """Context manager yielding a filesystem path to the package's ``data/<name>``."""
-    return resources.as_file(resources.files("noisekit").joinpath(f"data/{name}"))
-
-
 def _is_separator_char(ch: str) -> bool:
     """Punctuation or symbol code points become their own tokens."""
     return unicodedata.category(ch)[0] in ("P", "S")
@@ -213,50 +205,29 @@ def char_script(ch: str) -> str | None:
         return None
 
 
-def _parse_codepoint(text: str) -> str:
-    text = text.strip()
-    if text.upper().startswith("U+"):
-        return chr(int(text[2:], 16))
-    if len(text) == 1:
-        return text
-    raise ValueError(f"expected U+XXXX or a single character, got {text!r}")
-
-
-def read_codepoint_table(path, parse_value) -> dict:
-    """{character: parse_value(VALUE)} from CODEPOINT<TAB>VALUE lines; '#' starts a comment.
-
-    ``parse_value`` raises ValueError on a bad value; every error names the path and line.
-    """
-    table = {}
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise Malformed("expected CODEPOINT<TAB>VALUE", path=path, line=lineno)
-        try:
-            table[_parse_codepoint(fields[0])] = parse_value(fields[1].strip())
-        except ValueError as exc:
-            raise Malformed(str(exc), path=path, line=lineno) from None
-    return table
-
-
-def read_punctuation_table(path) -> dict[int, str]:
-    """The `str.translate` map of a FROM<TAB>TO code-point file; each target must map to itself."""
-    mapping = read_codepoint_table(path, _parse_codepoint)
-    for src, dst in mapping.items():
-        if mapping.get(dst, dst) != dst:
-            reason = f"punctuation map is not idempotent: {src!r} -> {dst!r} -> {mapping[dst]!r}"
-            raise Malformed(reason, path=path)
-    return {ord(src): dst for src, dst in mapping.items()}
-
-
 @functools.cache
 def default_punctuation_table() -> dict[int, str]:
-    """The packaged table, loaded once and shared by every caller: read it, never change it."""
-    with packaged_data("punctuation.tsv") as path:
-        return read_punctuation_table(path)
+    """The `str.translate` map `normalize` applies, built once: read it, never change it.
+
+    Every target maps to itself, so normalizing twice changes nothing.
+    """
+    return str.maketrans({
+        # Curly/typographic quotes -> ASCII quotes
+        "\u2018": "\u0027", "\u2019": "\u0027", "\u201a": "\u0027", "\u201b": "\u0027",
+        "\u2032": "\u0027", "\u2039": "\u0027", "\u203a": "\u0027",
+        "\u201c": "\u0022", "\u201d": "\u0022", "\u201e": "\u0022", "\u201f": "\u0022",
+        "\u2033": "\u0022", "\u00ab": "\u0022", "\u00bb": "\u0022",
+        # Dashes and minus variants -> hyphen-minus
+        "\u2010": "\u002d", "\u2011": "\u002d", "\u2012": "\u002d", "\u2013": "\u002d",
+        "\u2014": "\u002d", "\u2015": "\u002d", "\u2212": "\u002d",
+        # Horizontal ellipsis -> full stop
+        "\u2026": "\u002e",
+        # Fullwidth forms -> ASCII
+        "\uff01": "\u0021", "\uff08": "\u0028", "\uff09": "\u0029", "\uff0c": "\u002c",
+        "\uff0e": "\u002e", "\uff1a": "\u003a", "\uff1b": "\u003b", "\uff1f": "\u003f",
+        # Double danda -> danda
+        "\u0965": "\u0964",
+    })
 
 
 def normalize(text: str) -> str:

@@ -1179,6 +1179,22 @@ class TestErrorsAndUx:
         assert proc.returncode == 2
         assert proc.stderr == "ERROR IoFailure: cannot write stdout: No space left on device\n"
 
+    def test_stdout_that_cannot_encode_the_result_is_one_error_line(self, tmp_path):
+        (tmp_path / "c.tsv").write_text(
+            "id\ttext\tsentiment\tnoise\nr1\tখুব ভালু\t-\t-\n", encoding="utf-8"
+        )
+        (tmp_path / "d.tsv").write_text("খুব\t3\nভালো\t5\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisekit.cli", "reduce", "c.tsv", "--method", "spell",
+             "--dict", "d.tsv", "--out", "ফল.tsv"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**subprocess_env(), "PYTHONIOENCODING": "ascii"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("ERROR IoFailure: cannot write stdout: 'ascii' codec can't encode")
+        assert proc.stderr.count("\n") == 1
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -1241,13 +1257,16 @@ def test_reduce_and_textcore_import_without_numpy():
         "from noisekit import reduce, textcore\n"
         "textcore.default_punctuation_table()\n"
         "reduce.bengali_phonetic_table()\n"
-        "print('numpy' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'"
+        " or m.startswith('importlib.resources')))\n"
     )
+    # -S: no site hook may import importlib.resources first. -S also leaves site-packages
+    # off sys.path; subprocess_env's PYTHONPATH still leads with the package's directory.
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # Each case runs one subcommand on a malformed input; placeholders name files of `sweep_files`.

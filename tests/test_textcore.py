@@ -1,21 +1,19 @@
+import hashlib
+import json
 import os
 import random
 import stat
 import unicodedata
-from importlib import resources
 
 import pytest
 
-from noisekit import textcore
-from noisekit.errors import BadEncoding, IoFailure, Malformed
-from noisekit.reduce import read_phonetic_table
+from noisekit import reduce, textcore
+from noisekit.errors import IoFailure, Malformed
 from noisekit.textcore import (
     NGRAM_JOIN,
     NoiseLabelSet,
     char_ngrams,
     normalize,
-    read_codepoint_table,
-    read_punctuation_table,
     tokenize,
     word_ngrams,
     write_bytes,
@@ -69,46 +67,21 @@ class TestNormalize:
             once = normalize(text)
             assert normalize(once) == once
 
-    def test_custom_table_rejects_non_fixed_point(self, tmp_path):
-        path = tmp_path / "p.tsv"
-        path.write_text("a\tb\nb\tc\n", encoding="utf-8")
-        with pytest.raises(Malformed, match="not idempotent") as excinfo:
-            read_punctuation_table(path)
-        assert excinfo.value.path == path
+    def test_every_punctuation_target_maps_to_itself(self):
+        # Else normalizing twice could change the text again.
+        table = textcore.default_punctuation_table()
+        for dst in table.values():
+            assert table.get(ord(dst), dst) == dst
 
 
-class TestCodepointTable:
-    def test_comments_blank_lines_and_both_codepoint_forms(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("# header\n\nU+2018\tU+0027  # quote\nx\ty\n", encoding="utf-8")
-        assert read_codepoint_table(path, str.upper) == {"\u2018": "U+0027", "x": "Y"}
-        assert "\u2018x".translate(read_punctuation_table(path)) == "'y"
-
-    @pytest.mark.parametrize(
-        "content, reason",
-        [
-            ("# c\nU+0062\t1\t2\n", "expected CODEPOINT<TAB>VALUE"),
-            ("# c\nbb\t1\n", "expected U\\+XXXX or a single character"),
-            ("# c\nU+0062\t12\n", "class must be one digit"),
-        ],
-    )
-    def test_bad_line_names_path_and_line(self, tmp_path, content, reason):
-        path = tmp_path / "t.tsv"
-        path.write_text(content, encoding="utf-8")
-        with pytest.raises(Malformed, match=reason) as excinfo:
-            read_phonetic_table(path)
-        assert (excinfo.value.path, excinfo.value.line) == (path, 2)
-
-    def test_read_through_the_checked_text_reader(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_bytes(b"U+2018\tU+0027\n\xff\n")
-        with pytest.raises(BadEncoding, match="t.tsv"):
-            read_punctuation_table(path)
-
-    def test_package_data_is_exactly_the_two_tables(self):
-        # Read as the installed package exposes it, wherever it was imported from.
-        data = resources.files("noisekit").joinpath("data")
-        assert sorted(p.name for p in data.iterdir()) == ["phonetic_bn.tsv", "punctuation.tsv"]
+@pytest.mark.parametrize("table, entries, digest", [
+    (textcore.default_punctuation_table, 31, "8b4da69e830396cdbcab5664887a713344c144ab97d18e10557230b7c4b29aed"),
+    (reduce.bengali_phonetic_table, 37, "0dc8c810024a0e98f78dfb73a16641e2cf5350074fa5044f5f3dc1a429646df6"),
+], ids=["punctuation", "phonetic-bn"])
+def test_fixed_table_contents_are_pinned(table, entries, digest):
+    items = sorted(table().items())
+    assert len(items) == entries
+    assert hashlib.sha256(json.dumps(items).encode()).hexdigest() == digest
 
 
 def failing_after(chunks, exc):
