@@ -253,9 +253,11 @@ def cmd_import_corpus(args) -> dict:
     }
 
 
-def _build_client(args):
+def _build_client(args, documents: int):
     if args.client:
-        return reduction.SubprocessClient(args.client)
+        copies = max(1, min(reduction.CLIENT_COPIES, documents))
+        # Both constants are read here, at call time, so a test can lower them.
+        return reduction.SubprocessClient(args.client, copies, timeout=reduction.CLIENT_TIMEOUT_S)
     if args.fixture:
         return dataio.load_fixture(args.fixture)
     return None
@@ -269,23 +271,25 @@ def cmd_reduce(args) -> dict:
     dictionary = None
     if args.dict:
         dictionary = dataio.load_dictionary(args.dict)
-    client = _build_client(args)
+    client = _build_client(args, len(corpus.documents))
     try:
-        reduce_one = reduction.reducer(method, dictionary, client, mask_probability=args.p)
-        reduced_docs = []
-        for doc in corpus.documents:
-            # Seeding from (seed, id) keeps each document's masks independent of row order.
-            digest = hashlib.blake2b(f"{args.seed}\t{doc.id}".encode(), digest_size=8).digest()
-            seed = int.from_bytes(digest, "big")
-            text = reduce_one(doc.text, seed)
-            if not textcore.normalize(text):
-                # The output must load again, and loading normalizes; empty text is malformed.
-                warnings.warn(f"{doc.id}: reduction produced empty text; keeping the original")
-                text = doc.text
-            reduced_docs.append(dataclasses.replace(doc, text=text))
+        reduce_all = reduction.reducer(method, dictionary, client, mask_probability=args.p)
+        # Seeding from (seed, id) keeps each document's masks independent of row order.
+        seeds = [
+            int.from_bytes(hashlib.blake2b(f"{args.seed}\t{doc.id}".encode(), digest_size=8).digest(), "big")
+            for doc in corpus.documents
+        ]
+        texts = reduce_all([doc.text for doc in corpus.documents], seeds)
     finally:
         if client is not None:
             client.close()
+    reduced_docs = []
+    for doc, text in zip(corpus.documents, texts):
+        if not textcore.normalize(text):
+            # The output must load again, and loading normalizes; empty text is malformed.
+            warnings.warn(f"{doc.id}: reduction produced empty text; keeping the original")
+            text = doc.text
+        reduced_docs.append(dataclasses.replace(doc, text=text))
     dataio.save_corpus(reduced_docs, args.out)
     return {"method": method.value, "documents": len(reduced_docs), "out": str(args.out)}
 

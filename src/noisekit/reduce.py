@@ -13,8 +13,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
+import selectors
 import subprocess
+import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -269,85 +272,205 @@ class FixtureClient:
     def __init__(self, entries: dict[tuple[str, str, str, str], str]):
         self.entries = dict(entries)
 
-    def request(self, task: str, src: str, tgt: str, text: str) -> str:
-        key = (task, src, tgt, text)
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise FixtureMiss(f"no fixture entry for task={task} {src}->{tgt} text={text!r}") from None
+    def request(self, task: str, src: str, tgt: str, texts: list[str]) -> list[str]:
+        """One reply per text, in order; the first text without an entry raises FixtureMiss."""
+        replies = []
+        for text in texts:
+            try:
+                replies.append(self.entries[(task, src, tgt, text)])
+            except KeyError:
+                raise FixtureMiss(f"no fixture entry for task={task} {src}->{tgt} text={text!r}") from None
+        return replies
 
     def close(self):
         pass
 
 
+# `reduce --client` runs this many copies of the client program, fewer for a smaller corpus.
+CLIENT_COPIES = 4
+# Seconds a copy may take to read one request and answer it.
+CLIENT_TIMEOUT_S = 60.0
+# Seconds `close` waits, for all copies together, before it kills the ones still running.
+CLIENT_CLOSE_WAIT_S = 5.0
+
+
+class _Copy:
+    """One child process and its latest request."""
+
+    __slots__ = ("proc", "rid", "index", "deadline", "unsent", "received")
+
+    def __init__(self, proc: subprocess.Popen):
+        self.proc = proc
+        self.rid = -1  # ids count from 0
+        self.index: int | None = None  # of the text in flight
+        self.deadline = 0.0
+        self.unsent = b""
+        self.received = bytearray()
+
+
 class SubprocessClient:
-    """One exclusive child process speaking line-oriented JSON.
+    """`copies` child processes, each speaking line-oriented JSON.
 
     Request: {"id", "task", "src", "tgt", "text"}; response: {"id", "text"},
-    one per line, in order. The child starts when the client is built, so a
-    program that cannot start raises `ClientUnavailable` before any request.
-    A dead child shows as a failed write or as end of file on read; either
-    raises `ClientUnavailable` with its exit status.
+    one per line. Text i of a batch goes to copy i mod `copies`; each copy has
+    one request in flight and numbers its requests from 0. The children start
+    when the client is built, so a program that cannot start raises
+    `ClientUnavailable` before any request. A dead child (a failed write or end
+    of file on read, named with its exit status), a bad reply and a request
+    left unanswered for `timeout` seconds raise `ClientUnavailable`.
     """
 
-    def __init__(self, argv: list[str]):
+    def __init__(self, argv: list[str], copies: int = 1, timeout: float = CLIENT_TIMEOUT_S):
         self.argv = list(argv)
-        self._next_id = 0
-        try:
-            self._proc = subprocess.Popen(
-                self.argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
-            )
-        except OSError as exc:
-            raise ClientUnavailable(f"cannot start client {self.argv!r}: {exc}") from exc
+        self.timeout = timeout
+        self._copies: list[_Copy] = []
+        self._failure: ClientUnavailable | None = None
+        for _ in range(copies):
+            try:
+                proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+            except OSError as exc:
+                self.close()
+                raise ClientUnavailable(f"cannot start client {self.argv!r}: {exc}") from exc
+            os.set_blocking(proc.stdin.fileno(), False)
+            self._copies.append(_Copy(proc))
 
-    def request(self, task: str, src: str, tgt: str, text: str) -> str:
-        rid = self._next_id
-        self._next_id += 1
-        message = json.dumps(
-            {"id": rid, "task": task, "src": src, "tgt": tgt, "text": text},
-            ensure_ascii=False,
-        )
+    def request(self, task: str, src: str, tgt: str, texts: list[str]) -> list[str]:
+        """One reply per text, in order, from the copies answering concurrently.
+
+        After a failure at index f only texts below f are still sent. The failure
+        with the lowest index is raised, every copy is closed, and each later call
+        raises that failure again.
+        """
+        if self._failure is not None:
+            raise self._failure
+        replies: list[str | None] = [None] * len(texts)
+        failures: dict[int, ClientUnavailable] = {}
+        limit = len(texts)
+        selector = selectors.DefaultSelector()
+
+        def send(j: int, index: int) -> None:
+            copy = self._copies[j]
+            if index >= limit:
+                copy.index = None
+                return
+            copy.index = index
+            copy.rid += 1
+            message = {"id": copy.rid, "task": task, "src": src, "tgt": tgt, "text": texts[index]}
+            copy.unsent = (json.dumps(message, ensure_ascii=False) + "\n").encode("utf-8")
+            copy.deadline = time.monotonic() + self.timeout
+            selector.register(copy.proc.stdin, selectors.EVENT_WRITE, j)
+
+        def fail(j: int, exc: ClientUnavailable) -> None:
+            nonlocal limit
+            copy = self._copies[j]
+            failures[copy.index] = exc
+            limit = min(limit, copy.index)
+            # A copy has one pipe registered: stdin while its request is unwritten, then stdout.
+            selector.unregister(copy.proc.stdin if copy.unsent else copy.proc.stdout)
+            copy.index = None
+
         try:
-            self._proc.stdin.write(message + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except OSError:  # BrokenPipeError: the child is gone
-            line = ""
+            for j in range(len(self._copies)):
+                send(j, j)
+            while True:
+                waiting = [c.deadline for c in self._copies if c.index is not None and c.index < limit]
+                if not waiting:
+                    break
+                for key, _ in selector.select(max(min(waiting) - time.monotonic(), 0.0)):
+                    j = key.data
+                    copy = self._copies[j]
+                    if key.fileobj is copy.proc.stdin:
+                        try:
+                            written = os.write(key.fd, copy.unsent)
+                        except BrokenPipeError:
+                            fail(j, self._closed(copy))
+                            continue
+                        copy.unsent = copy.unsent[written:]
+                        if copy.unsent:
+                            continue
+                        # The reply is read only once the request is written; it may already be buffered.
+                        selector.unregister(copy.proc.stdin)
+                        selector.register(copy.proc.stdout, selectors.EVENT_READ, j)
+                    else:
+                        chunk = os.read(key.fd, 65536)
+                        if not chunk:
+                            fail(j, self._closed(copy))
+                            continue
+                        copy.received += chunk
+                    end = copy.received.find(b"\n")
+                    if end < 0:
+                        continue
+                    line = bytes(copy.received[:end])
+                    del copy.received[: end + 1]
+                    try:
+                        replies[copy.index] = self._reply_text(line, copy.rid)
+                    except ClientUnavailable as exc:
+                        fail(j, exc)
+                        continue
+                    selector.unregister(copy.proc.stdout)
+                    send(j, copy.index + len(self._copies))
+                now = time.monotonic()
+                for j, copy in enumerate(self._copies):
+                    if copy.index is not None and copy.index < limit and copy.deadline <= now:
+                        fail(j, ClientUnavailable(
+                            f"client sent no reply within {self.timeout:g} s (sent id {copy.rid})"
+                        ))
+        finally:
+            selector.close()
+        if failures:
+            self._failure = failures[min(failures)]
+            self.close()
+            raise self._failure
+        return replies
+
+    def _closed(self, copy: _Copy) -> ClientUnavailable:
+        """The failure of a copy whose pipes closed, named with its exit status."""
+        try:
+            status = copy.proc.wait(timeout=max(copy.deadline - time.monotonic(), 0.0))
+        except subprocess.TimeoutExpired:
+            return ClientUnavailable(f"client closed its pipes but did not exit within {self.timeout:g} s")
+        return ClientUnavailable(f"client closed its pipes (exit status {status})")
+
+    @staticmethod
+    def _reply_text(line: bytes, rid: int) -> str:
+        """The text of one reply line, which must answer request `rid`."""
+        try:
+            decoded = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ClientUnavailable(f"client reply is not UTF-8: {exc}") from exc
-        if not line:
-            status = self._proc.wait()
-            raise ClientUnavailable(f"client closed its pipes (exit status {status})")
         # Syntax and digit-limit errors are ValueErrors; nesting too deep is a RecursionError.
         try:
-            response = json.loads(line)
+            response = json.loads(decoded)
         except (ValueError, RecursionError) as exc:
             raise ClientUnavailable(f"client sent invalid JSON: {exc}") from exc
         if not isinstance(response, dict):
-            raise ClientUnavailable(f"client reply is not a JSON object: {line.strip()[:80]}")
+            raise ClientUnavailable(f"client reply is not a JSON object: {decoded.strip()[:80]}")
         # type() rather than ==, since JSON false and true equal the ids 0 and 1.
         if type(response.get("id")) is not int or response["id"] != rid:
             raise ClientUnavailable(
                 f"client answered out of order (sent id {rid}, got {response.get('id')!r})"
             )
-        if not isinstance(response.get("text"), str):
+        text = response.get("text")
+        if not isinstance(text, str):
             raise ClientUnavailable("client reply has no string text field")
-        return response["text"]
+        try:
+            text.encode("utf-8")  # a JSON escape can hold a lone surrogate, which no file can store
+        except UnicodeEncodeError as exc:
+            raise ClientUnavailable(f"client reply text is not valid Unicode: {exc}") from exc
+        return text
 
     def close(self):
-        try:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-        except (OSError, subprocess.TimeoutExpired):
-            self._proc.kill()
-            self._proc.wait()
-        finally:
-            self._proc.stdout.close()
+        """Close every stdin, wait for all copies together, then kill those still running."""
+        for copy in self._copies:
+            copy.proc.stdin.close()
+        deadline = time.monotonic() + CLIENT_CLOSE_WAIT_S
+        for copy in self._copies:
+            try:
+                copy.proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+            except subprocess.TimeoutExpired:
+                copy.proc.kill()
+                copy.proc.wait()
+            copy.proc.stdout.close()
 
     def __enter__(self):
         return self
@@ -356,15 +479,15 @@ class SubprocessClient:
         self.close()
 
 
-def back_translate(text: str, client) -> str:
+def back_translate(texts: list[str], client) -> list[str]:
     """Source -> pivot -> source through the client, recorded verbatim."""
-    pivot_text = client.request("translate", SOURCE_LANG, PIVOT_LANG, text)
-    return client.request("translate", PIVOT_LANG, SOURCE_LANG, pivot_text)
+    pivots = client.request("translate", SOURCE_LANG, PIVOT_LANG, texts)
+    return client.request("translate", PIVOT_LANG, SOURCE_LANG, pivots)
 
 
-def paraphrase(text: str, client, dictionary: Dictionary) -> str:
-    """Spell-correct first, then one paraphrase call on the corrected text."""
-    corrected = spell_correct(text, dictionary).corrected
+def paraphrase(texts: list[str], client, dictionary: Dictionary) -> list[str]:
+    """Spell-correct every text, then one paraphrase call on the corrected texts."""
+    corrected = [spell_correct(text, dictionary).corrected for text in texts]
     return client.request("paraphrase", SOURCE_LANG, SOURCE_LANG, corrected)
 
 
@@ -378,27 +501,30 @@ class ReduceMethod(Enum):
 
 def reducer(method: ReduceMethod, dictionary: Dictionary | None = None, client=None,
             mask_probability: float = 0.2):
-    """The `(text, seed) -> str` function that applies `method` to one document.
+    """The `(texts, seeds) -> list[str]` function that applies `method` to documents.
 
     It checks the method's inputs once, here: a missing dictionary or client raises
     MissingResource, a mask-random probability outside [0, 1] InvalidProbability.
-    Only the mask methods build a filler; `seed` drives mask-random alone.
+    Only the mask methods build a filler; `seeds`, one per text, drive mask-random alone.
+    The client methods send all texts in one batched call per stage.
     """
     if method is ReduceMethod.MASK_RANDOM_FILL:
         _check_probability(mask_probability)
         if mask_probability == 0.0:
-            return lambda text, seed: text
+            return lambda texts, seeds: list(texts)
     if dictionary is None and method is not ReduceMethod.BACK_TRANSLATE:
         raise MissingResource(f"method {method.value} needs a dictionary")
     if client is None and method in (ReduceMethod.SPELL_PARAPHRASE, ReduceMethod.BACK_TRANSLATE):
         raise MissingResource(f"method {method.value} needs a client")
     if method is ReduceMethod.SPELL:
-        return lambda text, seed: spell_correct(text, dictionary).corrected
+        return lambda texts, seeds: [spell_correct(text, dictionary).corrected for text in texts]
     if method is ReduceMethod.SPELL_PARAPHRASE:
-        return lambda text, seed: paraphrase(text, client, dictionary)
+        return lambda texts, seeds: paraphrase(texts, client, dictionary)
     if method is ReduceMethod.BACK_TRANSLATE:
-        return lambda text, seed: back_translate(text, client)
+        return lambda texts, seeds: back_translate(texts, client)
     filler = NgramMaskFiller.from_dictionary(dictionary)
     if method is ReduceMethod.MASK_OOV_FILL:
-        return lambda text, seed: fill_masks(mask_oov(text, dictionary), filler)
-    return lambda text, seed: fill_masks(mask_random(text, mask_probability, seed), filler)
+        return lambda texts, seeds: [fill_masks(mask_oov(text, dictionary), filler) for text in texts]
+    return lambda texts, seeds: [
+        fill_masks(mask_random(text, mask_probability, seed), filler) for text, seed in zip(texts, seeds)
+    ]

@@ -166,7 +166,7 @@ def test_criterion_5_identity_fixture_reduction():
             entries[("translate", "bn", "en", text)] = text
             entries[("translate", "en", "bn", text)] = text
         client = FixtureClient(entries)
-        outputs = [back_translate(s, client) for s in sentences]
+        outputs = back_translate(sentences, client)
         assert outputs == sentences
 
         vectors = {w: np.array([1.0 + i, i % 3, (i * 7) % 5, 1.0]) for i, w in enumerate(words)}

@@ -632,7 +632,10 @@ class TestReduceCommand:
         assert code == 3
         assert err.startswith("ERROR FixtureMiss:")
 
-    @pytest.mark.parametrize("reply", ["5", "{'id': json.loads(line)['id'], 'text': None}"])
+    @pytest.mark.parametrize("reply", [
+        "5", "{'id': json.loads(line)['id'], 'text': None}",
+        pytest.param("{'id': json.loads(line)['id'], 'text': '\\ud800'}", id="lone-surrogate"),
+    ])
     def test_bad_client_reply_exits_3(self, capsys, tmp_path, small_corpus, reply):
         script = tmp_path / "client.py"
         script.write_text(
@@ -686,6 +689,75 @@ class TestReduceCommand:
         assert proc.stderr == stderr
         assert proc.returncode == (3 if stderr else 0)
         assert out.exists() == (not stderr)
+
+    @pytest.mark.parametrize("client", [
+        pytest.param("import sys\nsys.stdin.read()\n", id="silent"),
+        pytest.param("import sys\nsys.stdout.write('{\"id\": 0, \"te')\nsys.stdout.flush()\nsys.stdin.read()\n",
+                     id="mid-line"),
+    ])
+    def test_unanswering_client_times_out_under_dev_mode(self, tmp_path, small_corpus, client):
+        # The deadline is lowered in the child; each stalled client exits once its stdin closes.
+        script = tmp_path / "client.py"
+        script.write_text(client, encoding="utf-8")
+        out = tmp_path / "bt.tsv"
+        run = (
+            "import sys\nfrom noisekit import cli, reduce\n"
+            "reduce.CLIENT_TIMEOUT_S = 0.5\nsys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", run, "reduce", str(small_corpus),
+             "--method", "backtranslate", "--client", shlex.join([sys.executable, str(script)]),
+             "--out", str(out)],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.stderr == "ERROR ClientUnavailable: client sent no reply within 0.5 s (sent id 0)\n"
+        assert proc.returncode == 3
+        assert not out.exists()
+
+    def test_every_copy_is_reaped(self, capsys, tmp_path):
+        # Five documents start four copies; each records its pid, then answers every request badly.
+        src, out, pids = tmp_path / "in.tsv", tmp_path / "o.tsv", tmp_path / "pids.txt"
+        save_corpus(make_docs([f"text {i}" for i in range(5)]), src)
+        script = tmp_path / "client.py"
+        script.write_text(
+            f"import os, sys\nwith open({str(pids)!r}, 'a') as fh:\n    fh.write(f'{{os.getpid()}}\\n')\n"
+            "for line in sys.stdin:\n    print(5, flush=True)\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(
+            capsys, "reduce", str(src), "--method", "backtranslate",
+            "--client", shlex.join([sys.executable, str(script)]), "--out", str(out),
+        )
+        assert (code, err) == (3, "ERROR ClientUnavailable: client reply is not a JSON object: 5\n")
+        started = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        assert len(started) == 4
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_lowest_index_failure_is_reported(self, capsys, tmp_path):
+        # Row 2's bad reply comes last in time, but it is the lowest-index failure in every run.
+        src, out = tmp_path / "in.tsv", tmp_path / "o.tsv"
+        save_corpus(make_docs(["ok zero", "ok one", "slow A two", "B three", "ok four", "B five",
+                               "B six", "ok seven"]), src)
+        script = tmp_path / "client.py"
+        script.write_text(
+            "import json, sys, time\nfor line in sys.stdin:\n    request = json.loads(line)\n"
+            "    text = request['text']\n"
+            "    if 'slow' in text:\n        time.sleep(0.3)\n"
+            "    if 'A' in text:\n        print(5, flush=True)\n"
+            "    elif 'B' in text:\n        print(6, flush=True)\n"
+            "    else:\n        print(json.dumps({'id': request['id'], 'text': text}), flush=True)\n",
+            encoding="utf-8",
+        )
+        for _ in range(5):
+            code, stdout, err = run_cli(
+                capsys, "reduce", str(src), "--method", "backtranslate",
+                "--client", shlex.join([sys.executable, str(script)]), "--out", str(out),
+            )
+            assert (code, stdout) == (3, "")
+            assert err == "ERROR ClientUnavailable: client reply is not a JSON object: 5\n"
+            assert not out.exists()
 
     def test_client_and_fixture_are_mutually_exclusive(self, capsys, tmp_path, small_corpus):
         out = tmp_path / "bt.tsv"

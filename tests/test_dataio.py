@@ -232,9 +232,9 @@ class TestFixtureLoader:
     def test_load_and_request(self, tmp_path):
         line = '{"task": "translate", "src": "bn", "tgt": "en", "text_in": "a", "text_out": "A"}'
         client = load_fixture(write(tmp_path, "f.jsonl", line + "\n"))
-        assert client.request("translate", "bn", "en", "a") == "A"
+        assert client.request("translate", "bn", "en", ["a", "a"]) == ["A", "A"]
         with pytest.raises(FixtureMiss):
-            client.request("translate", "bn", "en", "b")
+            client.request("translate", "bn", "en", ["a", "b"])
 
     def test_duplicate_key_last_wins_with_warning(self, tmp_path):
         lines = (
@@ -243,7 +243,7 @@ class TestFixtureLoader:
         )
         with pytest.warns(UserWarning, match="duplicate"):
             client = load_fixture(write(tmp_path, "f.jsonl", lines))
-        assert client.request("translate", "bn", "en", "a") == "second"
+        assert client.request("translate", "bn", "en", ["a"]) == ["second"]
 
     def test_missing_field(self, tmp_path):
         with pytest.raises(Malformed) as excinfo:

@@ -1,6 +1,8 @@
 import itertools
 import random
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -31,6 +33,7 @@ from noisekit.reduce import (
     reducer,
     spell_correct,
 )
+from noisekit import reduce as reduce_module
 from noisekit.textcore import is_punct_token, tokenize
 
 from conftest import BASE_VOCAB, random_word
@@ -42,6 +45,10 @@ REVERSER = (
     "    req = json.loads(line)\n"
     "    print(json.dumps({'id': req['id'], 'text': req['text'][::-1]}), flush=True)\n"
 )
+# Children that read every request and never answer one: silently, or after half a line.
+# Each exits when its stdin closes.
+STALLS_SILENT = "import sys\nsys.stdin.read()\n"
+STALLS_MID_LINE = "import sys\nsys.stdout.write('{\"id\": 0, \"te'); sys.stdout.flush()\nsys.stdin.read()\n"
 
 
 class TestPhoneticEncode:
@@ -298,37 +305,73 @@ def identity_fixture(texts):
 
 class TestClients:
     def test_back_translate_identity_fixture(self):
-        client = identity_fixture(["the cat"])
-        assert back_translate("the cat", client) == "the cat"
+        client = identity_fixture(["the cat", "a dog"])
+        assert back_translate(["the cat", "a dog"], client) == ["the cat", "a dog"]
 
     def test_back_translate_table_lookup(self):
         client = FixtureClient(
             {("translate", "bn", "en", "a"): "EN1", ("translate", "en", "bn", "EN1"): "b"}
         )
-        assert back_translate("a", client) == "b"
+        assert back_translate(["a"], client) == ["b"]
 
     def test_fixture_miss(self):
         client = FixtureClient({})
-        with pytest.raises(FixtureMiss):
-            back_translate("a", client)
+        with pytest.raises(FixtureMiss, match="text='a'"):
+            back_translate(["a", "b"], client)
 
     def test_subprocess_reverser_round_trip(self):
         with SubprocessClient([sys.executable, "-c", REVERSER]) as client:
-            assert client.request("translate", "bn", "en", "abc") == "cba"
-            assert back_translate("the cat", client) == "the cat"
+            assert client.request("translate", "bn", "en", ["abc"]) == ["cba"]
+            assert back_translate(["the cat"], client) == ["the cat"]
+            assert client.request("translate", "bn", "en", []) == []
+
+    @pytest.mark.parametrize("copies", [1, 2, 4])
+    def test_copies_answer_in_text_order(self, copies):
+        texts = [f"text {i}" for i in range(10)]
+        with SubprocessClient([sys.executable, "-c", REVERSER], copies=copies) as client:
+            assert client.request("translate", "bn", "en", texts) == [t[::-1] for t in texts]
+
+    def test_ids_count_within_each_copy(self):
+        # Text i goes to copy i mod 2, and each copy numbers its own requests from 0.
+        replier = (
+            "import sys, json\n"
+            "for line in sys.stdin:\n"
+            "    rid = json.loads(line)['id']\n"
+            "    print(json.dumps({'id': rid, 'text': str(rid)}), flush=True)\n"
+        )
+        with SubprocessClient([sys.executable, "-c", replier], copies=2) as client:
+            assert client.request("translate", "bn", "en", list("abcde")) == ["0", "0", "1", "1", "2"]
+            assert client.request("translate", "bn", "en", list("ab")) == ["3", "2"]
 
     def test_subprocess_spawn_failure(self):
         with pytest.raises(ClientUnavailable, match="^cannot start client"):
             SubprocessClient(["/nonexistent/binary"])
 
+    def test_copies_started_before_a_spawn_failure_are_reaped(self, monkeypatch):
+        started = []
+        popen = subprocess.Popen
+
+        def third_fails(*args, **kwargs):
+            if len(started) == 2:
+                raise OSError("no more processes")
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", third_fails)
+        with pytest.raises(ClientUnavailable, match="^cannot start client .*no more processes"):
+            SubprocessClient([sys.executable, "-c", REVERSER], copies=4)
+        assert len(started) == 2
+        assert all(proc.returncode is not None and proc.stdout.closed for proc in started)
+
     def test_subprocess_child_dies(self):
         client = SubprocessClient([sys.executable, "-c", "import sys; sys.exit(3)"])
-        with pytest.raises(ClientUnavailable):
-            client.request("translate", "bn", "en", "x")
+        with pytest.raises(ClientUnavailable, match="exit status 3"):
+            client.request("translate", "bn", "en", ["x"])
         client.close()
 
     def test_subprocess_child_dies_after_reply(self):
-        # Answers once and exits 4; the next write or read fails and names the status.
+        # Answers once and exits 4; the next request fails and names the status, and
+        # every later request raises that failure again.
         once = (
             "import sys, json\n"
             "req = json.loads(sys.stdin.readline())\n"
@@ -336,16 +379,16 @@ class TestClients:
             "sys.exit(4)\n"
         )
         with SubprocessClient([sys.executable, "-c", once]) as client:
-            assert client.request("translate", "bn", "en", "x") == "x"
+            assert client.request("translate", "bn", "en", ["x"]) == ["x"]
             for _ in range(2):
                 with pytest.raises(ClientUnavailable, match="exit status 4"):
-                    client.request("translate", "bn", "en", "y")
+                    client.request("translate", "bn", "en", ["y"])
 
     def test_subprocess_reply_not_an_object(self):
         replier = "import sys\nfor line in sys.stdin:\n    print(5, flush=True)\n"
         with SubprocessClient([sys.executable, "-c", replier]) as client:
             with pytest.raises(ClientUnavailable, match="not a JSON object"):
-                client.request("translate", "bn", "en", "x")
+                client.request("translate", "bn", "en", ["x"])
 
     @pytest.mark.parametrize("reply_id, good_replies", [("False", 0), ("rid and True", 1)])
     def test_subprocess_reply_id_must_be_an_int(self, reply_id, good_replies):
@@ -358,9 +401,22 @@ class TestClients:
         )
         with SubprocessClient([sys.executable, "-c", replier]) as client:
             for _ in range(good_replies):
-                assert client.request("translate", "bn", "en", "x") == "y"
+                assert client.request("translate", "bn", "en", ["x"]) == ["y"]
             with pytest.raises(ClientUnavailable, match="out of order"):
-                client.request("translate", "bn", "en", "x")
+                client.request("translate", "bn", "en", ["x"])
+
+    def test_extra_reply_line_answers_the_next_request(self):
+        # A second line sent for one request is read, from the buffer, as the next reply.
+        replier = (
+            "import sys, json\n"
+            "json.loads(sys.stdin.readline())\n"
+            "print(json.dumps({'id': 0, 'text': 'a'}) + '\\n' + json.dumps({'id': 0, 'text': 'b'}), flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        with SubprocessClient([sys.executable, "-c", replier], timeout=30.0) as client:
+            assert client.request("translate", "bn", "en", ["x"]) == ["a"]
+            with pytest.raises(ClientUnavailable, match=r"out of order \(sent id 1, got 0\)"):
+                client.request("translate", "bn", "en", ["y"])
 
     def test_subprocess_reply_text_not_a_string(self):
         replier = (
@@ -370,51 +426,76 @@ class TestClients:
         )
         with SubprocessClient([sys.executable, "-c", replier]) as client:
             with pytest.raises(ClientUnavailable, match="no string text"):
-                client.request("translate", "bn", "en", "x")
+                client.request("translate", "bn", "en", ["x"])
+
+    @pytest.mark.parametrize("client", [STALLS_SILENT, STALLS_MID_LINE], ids=["silent", "mid-line"])
+    def test_unanswered_request_times_out(self, client):
+        start = time.monotonic()
+        with SubprocessClient([sys.executable, "-c", client], copies=2, timeout=0.5) as stalled:
+            with pytest.raises(ClientUnavailable, match=r"^client sent no reply within 0\.5 s \(sent id 0\)$"):
+                stalled.request("translate", "bn", "en", ["x", "y", "z"])
+        assert time.monotonic() - start < 10.0
+
+    def test_child_that_closes_stdout_but_runs_on(self, monkeypatch):
+        monkeypatch.setattr(reduce_module, "CLIENT_CLOSE_WAIT_S", 0.5)
+        child = "import os, time\nos.close(1)\ntime.sleep(60)\n"
+        with SubprocessClient([sys.executable, "-c", child], timeout=0.5) as client:
+            with pytest.raises(ClientUnavailable, match=r"^client closed its pipes but did not exit within 0\.5 s$"):
+                client.request("translate", "bn", "en", ["x"])
+            assert client._copies[0].proc.returncode is not None
+
+    def test_close_waits_once_for_all_copies(self, monkeypatch):
+        # Children that outlive their stdin are killed after one shared wait, not one wait each.
+        monkeypatch.setattr(reduce_module, "CLIENT_CLOSE_WAIT_S", 1.0)
+        client = SubprocessClient([sys.executable, "-c", "import time; time.sleep(60)"], copies=3)
+        procs = [copy.proc for copy in client._copies]
+        start = time.monotonic()
+        client.close()
+        assert time.monotonic() - start < 2.5
+        assert all(proc.returncode is not None for proc in procs)
 
     def test_paraphrase_corrects_first(self, latin_dict):
         texts = ["the cat", "helo world"]
         client = identity_fixture(texts + ["hello world"])
-        assert paraphrase("the cat", client, latin_dict) == "the cat"
-        assert paraphrase("helo world", client, latin_dict) == "hello world"
+        assert paraphrase(texts, client, latin_dict) == ["the cat", "hello world"]
 
 
 class TestDispatcher:
     def test_spell(self, latin_dict):
-        reduce_one = reducer(ReduceMethod.SPELL, dictionary=latin_dict)
-        clean = "the cat"
-        assert reduce_one(clean, 0) == clean
-        assert reduce_one("helo", 0) == spell_correct("helo", latin_dict).corrected
+        reduce_all = reducer(ReduceMethod.SPELL, dictionary=latin_dict)
+        assert reduce_all(["the cat", "helo"], [0, 0]) == [
+            "the cat", spell_correct("helo", latin_dict).corrected
+        ]
 
     def test_mask_random_p_zero_identity(self, latin_dict):
-        reduce_one = reducer(ReduceMethod.MASK_RANDOM_FILL, dictionary=latin_dict, mask_probability=0.0)
-        assert reduce_one("any text here", 5) == "any text here"
+        reduce_all = reducer(ReduceMethod.MASK_RANDOM_FILL, dictionary=latin_dict, mask_probability=0.0)
         # A mask literal already in the text is not filled: p = 0 is the identity.
-        assert reduce_one(f"ami {MASK_TOKEN} bhalo", 5) == f"ami {MASK_TOKEN} bhalo"
+        texts = ["any text here", f"ami {MASK_TOKEN} bhalo"]
+        assert reduce_all(texts, [5, 5]) == texts
 
     def test_mask_random_p_zero_needs_no_filler(self, monkeypatch):
         def no_filler(cls, dictionary):
             raise AssertionError("p = 0 built a mask filler")
 
         monkeypatch.setattr(NgramMaskFiller, "from_dictionary", classmethod(no_filler))
-        reduce_one = reducer(ReduceMethod.MASK_RANDOM_FILL, mask_probability=0.0)
-        assert reduce_one("any text", 0) == "any text"
+        reduce_all = reducer(ReduceMethod.MASK_RANDOM_FILL, mask_probability=0.0)
+        assert reduce_all(["any text"], [0]) == ["any text"]
 
     def test_each_method_matches_direct_call(self, latin_dict):
-        text = "helo world"
-        client = identity_fixture([text, "hello world"])
+        texts, seeds = ["helo world", "the cat"], [7, 8]
+        client = identity_fixture(texts + ["hello world"])
         filler = NgramMaskFiller.from_dictionary(latin_dict)
 
-        def reduce_one(method, seed=0):
-            return reducer(method, latin_dict, client, mask_probability=0.3)(text, seed)
+        def reduce_all(method):
+            return reducer(method, latin_dict, client, mask_probability=0.3)(texts, seeds)
 
-        assert reduce_one(ReduceMethod.SPELL) == spell_correct(text, latin_dict).corrected
-        assert reduce_one(ReduceMethod.SPELL_PARAPHRASE) == paraphrase(text, client, latin_dict)
-        assert reduce_one(ReduceMethod.BACK_TRANSLATE) == back_translate(text, client)
-        assert reduce_one(ReduceMethod.MASK_OOV_FILL) == fill_masks(mask_oov(text, latin_dict), filler)
-        assert reduce_one(ReduceMethod.MASK_RANDOM_FILL, 7) == fill_masks(
-            mask_random(text, p=0.3, seed=7), filler
-        )
+        assert reduce_all(ReduceMethod.SPELL) == [spell_correct(t, latin_dict).corrected for t in texts]
+        assert reduce_all(ReduceMethod.SPELL_PARAPHRASE) == paraphrase(texts, client, latin_dict)
+        assert reduce_all(ReduceMethod.BACK_TRANSLATE) == back_translate(texts, client)
+        assert reduce_all(ReduceMethod.MASK_OOV_FILL) == [fill_masks(mask_oov(t, latin_dict), filler) for t in texts]
+        assert reduce_all(ReduceMethod.MASK_RANDOM_FILL) == [
+            fill_masks(mask_random(t, p=0.3, seed=s), filler) for t, s in zip(texts, seeds)
+        ]
 
     def test_filler_built_only_for_mask_methods(self, latin_dict, monkeypatch):
         calls = []
