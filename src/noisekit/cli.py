@@ -253,11 +253,12 @@ def cmd_import_corpus(args) -> dict:
     }
 
 
-def _build_client(args, documents: int):
+def _build_client(args, method: ReduceMethod, documents: int):
     if args.client:
-        copies = max(1, min(reduction.CLIENT_COPIES, documents))
-        # Both constants are read here, at call time, so a test can lower them.
-        return reduction.SubprocessClient(args.client, copies, timeout=reduction.CLIENT_TIMEOUT_S)
+        # A method that sends no request still starts one copy, so a bad command fails.
+        sends = method in (ReduceMethod.BACK_TRANSLATE, ReduceMethod.SPELL_PARAPHRASE)
+        copies = max(1, min(reduction.CLIENT_COPIES, documents)) if sends else 1
+        return reduction.SubprocessClient(args.client, copies)
     if args.fixture:
         return dataio.load_fixture(args.fixture)
     return None
@@ -271,7 +272,7 @@ def cmd_reduce(args) -> dict:
     dictionary = None
     if args.dict:
         dictionary = dataio.load_dictionary(args.dict)
-    client = _build_client(args, len(corpus.documents))
+    client = _build_client(args, method, len(corpus.documents))
     try:
         reduce_all = reduction.reducer(method, dictionary, client, mask_probability=args.p)
         # Seeding from (seed, id) keeps each document's masks independent of row order.

@@ -317,12 +317,13 @@ class SubprocessClient:
     when the client is built, so a program that cannot start raises
     `ClientUnavailable` before any request. A dead child (a failed write or end
     of file on read, named with its exit status), a bad reply and a request
-    left unanswered for `timeout` seconds raise `ClientUnavailable`.
+    left unanswered for `CLIENT_TIMEOUT_S` seconds raise `ClientUnavailable`.
     """
 
-    def __init__(self, argv: list[str], copies: int = 1, timeout: float = CLIENT_TIMEOUT_S):
+    def __init__(self, argv: list[str], copies: int = 1):
+        if copies < 1:
+            raise ValueError(f"a client needs at least one copy, not {copies}")
         self.argv = list(argv)
-        self.timeout = timeout
         self._copies: list[_Copy] = []
         self._failure: ClientUnavailable | None = None
         for _ in range(copies):
@@ -344,7 +345,8 @@ class SubprocessClient:
         if self._failure is not None:
             raise self._failure
         replies: list[str | None] = [None] * len(texts)
-        failures: dict[int, ClientUnavailable] = {}
+        # A copy whose pipes closed stands for its failure until its exit status is read, after the loop.
+        failures: dict[int, ClientUnavailable | _Copy] = {}
         limit = len(texts)
         selector = selectors.DefaultSelector()
 
@@ -357,10 +359,10 @@ class SubprocessClient:
             copy.rid += 1
             message = {"id": copy.rid, "task": task, "src": src, "tgt": tgt, "text": texts[index]}
             copy.unsent = (json.dumps(message, ensure_ascii=False) + "\n").encode("utf-8")
-            copy.deadline = time.monotonic() + self.timeout
+            copy.deadline = time.monotonic() + CLIENT_TIMEOUT_S
             selector.register(copy.proc.stdin, selectors.EVENT_WRITE, j)
 
-        def fail(j: int, exc: ClientUnavailable) -> None:
+        def fail(j: int, exc: ClientUnavailable | _Copy) -> None:
             nonlocal limit
             copy = self._copies[j]
             failures[copy.index] = exc
@@ -383,7 +385,7 @@ class SubprocessClient:
                         try:
                             written = os.write(key.fd, copy.unsent)
                         except BrokenPipeError:
-                            fail(j, self._closed(copy))
+                            fail(j, copy)
                             continue
                         copy.unsent = copy.unsent[written:]
                         if copy.unsent:
@@ -394,7 +396,7 @@ class SubprocessClient:
                     else:
                         chunk = os.read(key.fd, 65536)
                         if not chunk:
-                            fail(j, self._closed(copy))
+                            fail(j, copy)
                             continue
                         copy.received += chunk
                     end = copy.received.find(b"\n")
@@ -413,22 +415,24 @@ class SubprocessClient:
                 for j, copy in enumerate(self._copies):
                     if copy.index is not None and copy.index < limit and copy.deadline <= now:
                         fail(j, ClientUnavailable(
-                            f"client sent no reply within {self.timeout:g} s (sent id {copy.rid})"
+                            f"client sent no reply within {CLIENT_TIMEOUT_S:g} s (sent id {copy.rid})"
                         ))
         finally:
             selector.close()
         if failures:
-            self._failure = failures[min(failures)]
+            first = failures[min(failures)]
+            self._failure = self._closed(first) if isinstance(first, _Copy) else first
             self.close()
             raise self._failure
         return replies
 
-    def _closed(self, copy: _Copy) -> ClientUnavailable:
+    @staticmethod
+    def _closed(copy: _Copy) -> ClientUnavailable:
         """The failure of a copy whose pipes closed, named with its exit status."""
         try:
-            status = copy.proc.wait(timeout=max(copy.deadline - time.monotonic(), 0.0))
+            status = copy.proc.wait(timeout=CLIENT_CLOSE_WAIT_S)
         except subprocess.TimeoutExpired:
-            return ClientUnavailable(f"client closed its pipes but did not exit within {self.timeout:g} s")
+            return ClientUnavailable(f"client closed its pipes but did not exit within {CLIENT_CLOSE_WAIT_S:g} s")
         return ClientUnavailable(f"client closed its pipes (exit status {status})")
 
     @staticmethod

@@ -735,6 +735,22 @@ class TestReduceCommand:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.parametrize("method", ["spell", "mask-oov"])
+    def test_methods_without_requests_start_one_copy(self, capsys, tmp_path, method):
+        src, out, pids = tmp_path / "in.tsv", tmp_path / "o.tsv", tmp_path / "pids.txt"
+        save_corpus(make_docs([f"text {i}" for i in range(5)]), src)
+        script = tmp_path / "client.py"
+        script.write_text(
+            f"import os, sys\nwith open({str(pids)!r}, 'a') as fh:\n    fh.write(f'{{os.getpid()}}\\n')\n"
+            "sys.stdin.read()\n",
+            encoding="utf-8",
+        )
+        run_json(
+            capsys, "reduce", str(src), "--method", method, "--dict", str(self.make_dict_file(tmp_path)),
+            "--client", shlex.join([sys.executable, str(script)]), "--out", str(out),
+        )
+        assert len(pids.read_text(encoding="utf-8").split()) == 1
+
     def test_lowest_index_failure_is_reported(self, capsys, tmp_path):
         # Row 2's bad reply comes last in time, but it is the lowest-index failure in every run.
         src, out = tmp_path / "in.tsv", tmp_path / "o.tsv"

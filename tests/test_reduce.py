@@ -343,6 +343,10 @@ class TestClients:
             assert client.request("translate", "bn", "en", list("abcde")) == ["0", "0", "1", "1", "2"]
             assert client.request("translate", "bn", "en", list("ab")) == ["3", "2"]
 
+    def test_no_copies_rejected(self):
+        with pytest.raises(ValueError, match="at least one copy"):
+            SubprocessClient([sys.executable, "-c", REVERSER], copies=0)
+
     def test_subprocess_spawn_failure(self):
         with pytest.raises(ClientUnavailable, match="^cannot start client"):
             SubprocessClient(["/nonexistent/binary"])
@@ -405,7 +409,7 @@ class TestClients:
             with pytest.raises(ClientUnavailable, match="out of order"):
                 client.request("translate", "bn", "en", ["x"])
 
-    def test_extra_reply_line_answers_the_next_request(self):
+    def test_extra_reply_line_answers_the_next_request(self, monkeypatch):
         # A second line sent for one request is read, from the buffer, as the next reply.
         replier = (
             "import sys, json\n"
@@ -413,7 +417,8 @@ class TestClients:
             "print(json.dumps({'id': 0, 'text': 'a'}) + '\\n' + json.dumps({'id': 0, 'text': 'b'}), flush=True)\n"
             "sys.stdin.read()\n"
         )
-        with SubprocessClient([sys.executable, "-c", replier], timeout=30.0) as client:
+        monkeypatch.setattr(reduce_module, "CLIENT_TIMEOUT_S", 30.0)
+        with SubprocessClient([sys.executable, "-c", replier]) as client:
             assert client.request("translate", "bn", "en", ["x"]) == ["a"]
             with pytest.raises(ClientUnavailable, match=r"out of order \(sent id 1, got 0\)"):
                 client.request("translate", "bn", "en", ["y"])
@@ -429,9 +434,10 @@ class TestClients:
                 client.request("translate", "bn", "en", ["x"])
 
     @pytest.mark.parametrize("client", [STALLS_SILENT, STALLS_MID_LINE], ids=["silent", "mid-line"])
-    def test_unanswered_request_times_out(self, client):
+    def test_unanswered_request_times_out(self, monkeypatch, client):
+        monkeypatch.setattr(reduce_module, "CLIENT_TIMEOUT_S", 0.5)
         start = time.monotonic()
-        with SubprocessClient([sys.executable, "-c", client], copies=2, timeout=0.5) as stalled:
+        with SubprocessClient([sys.executable, "-c", client], copies=2) as stalled:
             with pytest.raises(ClientUnavailable, match=r"^client sent no reply within 0\.5 s \(sent id 0\)$"):
                 stalled.request("translate", "bn", "en", ["x", "y", "z"])
         assert time.monotonic() - start < 10.0
@@ -439,10 +445,32 @@ class TestClients:
     def test_child_that_closes_stdout_but_runs_on(self, monkeypatch):
         monkeypatch.setattr(reduce_module, "CLIENT_CLOSE_WAIT_S", 0.5)
         child = "import os, time\nos.close(1)\ntime.sleep(60)\n"
-        with SubprocessClient([sys.executable, "-c", child], timeout=0.5) as client:
+        with SubprocessClient([sys.executable, "-c", child]) as client:
             with pytest.raises(ClientUnavailable, match=r"^client closed its pipes but did not exit within 0\.5 s$"):
                 client.request("translate", "bn", "en", ["x"])
             assert client._copies[0].proc.returncode is not None
+
+    def test_closed_copy_does_not_stall_the_others(self, monkeypatch):
+        # Copy 1 closes stdout and runs on; copy 0 answers later. Waiting on copy 1
+        # inside the loop would leave copy 0's reply unread until its deadline passed.
+        monkeypatch.setattr(reduce_module, "CLIENT_TIMEOUT_S", 2.0)
+        monkeypatch.setattr(reduce_module, "CLIENT_CLOSE_WAIT_S", 0.5)
+        child = (
+            "import json, os, sys, time\n"
+            "request = json.loads(sys.stdin.readline())\n"
+            "if request['text'] == 'close':\n"
+            "    os.close(1)\n"
+            "    time.sleep(60)\n"
+            "time.sleep(0.3)\n"
+            "print(json.dumps({'id': request['id'], 'text': request['text']}), flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        start = time.monotonic()
+        with SubprocessClient([sys.executable, "-c", child], copies=2) as client:
+            with pytest.raises(ClientUnavailable, match=r"^client closed its pipes but did not exit within 0\.5 s$"):
+                client.request("translate", "bn", "en", ["answer", "close"])
+            assert all(copy.proc.returncode is not None for copy in client._copies)
+        assert time.monotonic() - start < 10.0
 
     def test_close_waits_once_for_all_copies(self, monkeypatch):
         # Children that outlive their stdin are killed after one shared wait, not one wait each.
