@@ -175,10 +175,10 @@ def cmd_import_corpus(args) -> dict:
     sentiment_map = {}
     if args.sentiment_map:
         for pair in args.sentiment_map.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep or value.strip() not in SENTIMENT_CLASSES:
+            key, sep, value = (part.strip() for part in pair.partition("="))
+            if not (key and sep) or key in sentiment_map or value not in SENTIMENT_CLASSES:
                 raise Malformed(f"bad --sentiment-map entry {pair!r}")
-            sentiment_map[key.strip()] = value.strip()
+            sentiment_map[key] = value
     noise_cols = args.noise_cols.split(",") if args.noise_cols else None
     if noise_cols is not None and len(noise_cols) != len(NOISE_CLASSES):
         raise Malformed(f"--noise-cols needs {len(NOISE_CLASSES)} names, got {len(noise_cols)}")

@@ -15,14 +15,14 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from . import classify, features
+from . import classify, features, metrics
 from ._lazy import np
 from .agreement import INT64_MAX, RatingMatrix
-from .errors import BadEncoding, DataError, DimensionMismatch, InvalidCounts, IoFailure, Malformed
+from .errors import BadEncoding, DataError, DimensionMismatch, IoFailure, Malformed
 from .errors import MalformedMatrix
 from .reduce import Dictionary, FixtureClient
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
-from .textcore import read_text, write_bytes, write_text
+from .textcore import decode_json, read_text, utf8_storable, write_bytes, write_text
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
 BUNDLE_FORMAT = "noisekit-bundle-v5"
@@ -200,22 +200,6 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     return vectors
 
 
-def _parse_json(text: str, path, line=None):
-    """`json.loads(text)`, with every failure raised as `Malformed` naming `path`.
-
-    The error names `line` if given, else the decoder's line when it has one.
-    Besides syntax errors, this covers nesting deeper than the recursion limit
-    (`RecursionError`) and an integer longer than `sys.get_int_max_str_digits()`
-    (`ValueError`).
-    """
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise Malformed(f"invalid JSON: {exc.msg}", path=path, line=line or exc.lineno) from None
-    except (ValueError, RecursionError) as exc:
-        raise Malformed(f"invalid JSON: {exc}", path=path, line=line) from None
-
-
 _FIXTURE_FIELDS = ("task", "src", "tgt", "text_in", "text_out")
 
 
@@ -226,7 +210,7 @@ def load_fixture(path) -> FixtureClient:
     for lineno, line in enumerate(content.split("\n"), start=1):
         if not line.strip():
             continue
-        record = _parse_json(line, path, lineno)
+        record = decode_json(line, Malformed, path, lineno)
         if not isinstance(record, dict):
             raise Malformed("fixture entry must be a JSON object", path=path, line=lineno)
         missing = set(_FIXTURE_FIELDS) - set(record)
@@ -234,8 +218,11 @@ def load_fixture(path) -> FixtureClient:
             raise Malformed(
                 f"fixture entry missing {sorted(missing)}", path=path, line=lineno
             )
-        if not all(isinstance(record[f], str) for f in _FIXTURE_FIELDS):
-            raise Malformed("fixture fields must be strings", path=path, line=lineno)
+        for name in _FIXTURE_FIELDS:
+            if not isinstance(record[name], str):
+                raise Malformed("fixture fields must be strings", path=path, line=lineno)
+            if not utf8_storable(record[name]):
+                raise Malformed(f"fixture field {name!r} holds a lone surrogate", path=path, line=lineno)
         key = (record["task"], record["src"], record["tgt"], record["text_in"])
         if key in entries:
             warnings.warn(f"{path}, line {lineno}: duplicate fixture key {key!r}; last entry wins")
@@ -273,7 +260,7 @@ def load_rating_matrix(path) -> RatingMatrix:
 
 def load_human_tallies(path) -> dict[str, tuple[int, int]]:
     """JSON object mapping each method name to [accurate, total] integer counts."""
-    raw = _parse_json(read_text(path), path)
+    raw = decode_json(read_text(path), Malformed, path)
     if not isinstance(raw, dict):
         raise Malformed('expected a JSON object {"method": [accurate, total], ...}', path=path)
     tallies = {}
@@ -286,13 +273,11 @@ def load_human_tallies(path) -> dict[str, tuple[int, int]]:
             raise Malformed(
                 f"{name!r}: expected [accurate, total] integers, got {counts!r}", path=path
             )
-        accurate, total = counts
-        if total <= 0 or not 0 <= accurate <= total:
-            raise InvalidCounts(
-                f"{name!r}: need 0 <= accurate <= total with total > 0, got {accurate}/{total}",
-                path=path,
-            )
-        tallies[name] = (accurate, total)
+        try:
+            metrics.human_eval_score(*counts)  # the one range rule for a tally
+        except Malformed as exc:
+            raise Malformed(f"{name!r}: {exc.reason}", path=path) from None
+        tallies[name] = tuple(counts)
     return tallies
 
 
@@ -350,7 +335,7 @@ def _read_bundle(fh, path):
     if not line.endswith(b"\n"):
         raise Malformed("expected a JSON header line ending in a newline", path=path, line=1)
     try:
-        header = _parse_json(line.decode("utf-8"), path, line=1)
+        header = decode_json(line.decode("utf-8"), Malformed, path, line=1)
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"header is not UTF-8 at byte {exc.start}", path=path, line=1) from None
     version = header.get("version") if isinstance(header, dict) else None

@@ -37,7 +37,7 @@ class ClientError(NoisekitError):
 
 
 class Malformed(DataError):
-    """A file does not follow its schema."""
+    """A file breaks its schema, or a file or argument value is out of range."""
 
 
 class BadEncoding(DataError):
@@ -49,14 +49,6 @@ class IoFailure(DataError):
 
 
 class DimensionMismatch(DataError):
-    pass
-
-
-class InvalidProbability(DataError):
-    pass
-
-
-class InvalidCounts(DataError):
     pass
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 
 from . import textcore
 from ._lazy import np
-from .errors import DimensionMismatch, InsufficientData, InvalidCounts
+from .errors import DimensionMismatch, InsufficientData, Malformed
 
 EPSILON = 1e-9
 # BLEU-4, and beta, the composite score's weight on the semantic term.
@@ -117,7 +117,7 @@ def composite_similarity(semantic: float, surface_bleu: float) -> float:
 def human_eval_score(accurate: int, total: int) -> float:
     """Percentage of outputs judged accurate out of the evaluated total."""
     if total <= 0 or not 0 <= accurate <= total:
-        raise InvalidCounts(f"need 0 <= accurate <= total with total > 0, got {accurate}/{total}")
+        raise Malformed(f"need 0 <= accurate <= total with total > 0, got {accurate}/{total}")
     return 100.0 * accurate / total
 
 

@@ -27,7 +27,7 @@ from .errors import (
     ClientUnavailable,
     FixtureMiss,
     InsufficientData,
-    InvalidProbability,
+    Malformed,
     MissingResource,
     PredictorFailure,
 )
@@ -220,7 +220,7 @@ def mask_oov(text: str, vocab) -> str:
 
 def _check_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:  # false for nan too
-        raise InvalidProbability(f"mask probability must be in [0, 1], got {p}")
+        raise Malformed(f"mask probability must be in [0, 1], got {p}")
 
 
 def mask_random(text: str, p: float = 0.2, seed: int = 0) -> str:
@@ -442,11 +442,7 @@ class SubprocessClient:
             decoded = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ClientUnavailable(f"client reply is not UTF-8: {exc}") from exc
-        # Syntax and digit-limit errors are ValueErrors; nesting too deep is a RecursionError.
-        try:
-            response = json.loads(decoded)
-        except (ValueError, RecursionError) as exc:
-            raise ClientUnavailable(f"client sent invalid JSON: {exc}") from exc
+        response = textcore.decode_json(decoded, ClientUnavailable)
         if not isinstance(response, dict):
             raise ClientUnavailable(f"client reply is not a JSON object: {decoded.strip()[:80]}")
         # type() rather than ==, since JSON false and true equal the ids 0 and 1.
@@ -457,10 +453,8 @@ class SubprocessClient:
         text = response.get("text")
         if not isinstance(text, str):
             raise ClientUnavailable("client reply has no string text field")
-        try:
-            text.encode("utf-8")  # a JSON escape can hold a lone surrogate, which no file can store
-        except UnicodeEncodeError as exc:
-            raise ClientUnavailable(f"client reply text is not valid Unicode: {exc}") from exc
+        if not textcore.utf8_storable(text):
+            raise ClientUnavailable("client reply text holds a lone surrogate")
         return text
 
     def close(self):
@@ -508,7 +502,7 @@ def reducer(method: ReduceMethod, dictionary: Dictionary | None = None, client=N
     """The `(texts, seeds) -> list[str]` function that applies `method` to documents.
 
     It checks the method's inputs once, here: a missing dictionary or client raises
-    MissingResource, a mask-random probability outside [0, 1] InvalidProbability.
+    MissingResource, a mask-random probability outside [0, 1] Malformed.
     Only the mask methods build a filler; `seeds`, one per text, drive mask-random alone.
     The client methods send all texts in one batched call per stage.
     """

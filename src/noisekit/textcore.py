@@ -9,7 +9,7 @@ here are deliberately small and fixed:
   split off as single-character tokens,
 * n-grams = contiguous runs of Unicode scalar values (not grapheme clusters).
 
-Text files are read and all output files written here; this module imports no numpy.
+Text files are read, JSON decoded and output files written here; this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import json
 import os
+import re
 import stat
 import unicodedata
 from dataclasses import dataclass, field
@@ -146,6 +148,31 @@ def read_text(path) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"not valid UTF-8 at byte {exc.start}", path=path) from exc
+
+
+def decode_json(text: str, error, path=None, line=None):
+    """`json.loads(text)`, with every failure raised as `error` naming `path` and `line`.
+
+    In a file decoded whole, the error names the decoder's line when no `line` is
+    given. Besides syntax errors, this covers nesting deeper than the recursion
+    limit (`RecursionError`) and an integer longer than
+    `sys.get_int_max_str_digits()` (`ValueError`).
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        line = line or (exc.lineno if path is not None else None)
+        raise error(f"invalid JSON: {exc.msg}", path=path, line=line) from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}", path=path, line=line) from None
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def utf8_storable(text: str) -> bool:
+    """Whether UTF-8 can encode `text`: not if it holds a surrogate, as a JSON escape (`\\ud800`) can."""
+    return _SURROGATE.search(text) is None
 
 
 def write_text(path, text: str) -> None:

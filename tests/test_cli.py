@@ -539,7 +539,7 @@ class TestReduceCommand:
     @pytest.mark.parametrize("flags, error", [
         (["--method", "spell"], "ERROR MissingResource: method spell needs a dictionary"),
         (["--method", "mask-random", "--p", "1.5"],
-         "ERROR InvalidProbability: mask probability must be in [0, 1], got 1.5"),
+         "ERROR Malformed: mask probability must be in [0, 1], got 1.5"),
         (["--method", "mask-oov"], "ERROR MissingResource: method mask-oov needs a dictionary"),
         (["--method", "backtranslate"], "ERROR MissingResource: method backtranslate needs a client"),
     ], ids=["spell-without-dict", "mask-random-p-1.5", "mask-oov-without-dict", "backtranslate-without-client"])
@@ -631,6 +631,36 @@ class TestReduceCommand:
         )
         assert code == 3
         assert err.startswith("ERROR FixtureMiss:")
+
+    @pytest.mark.parametrize("field", ["task", "src", "tgt", "text_in", "text_out"])
+    def test_lone_surrogate_in_fixture_field_is_malformed(self, capsys, tmp_path, small_corpus, field):
+        # JSON can escape a lone surrogate ("\ud800"), which no UTF-8 output file can hold.
+        entry = {"task": "translate", "src": "bn", "tgt": "en", "text_in": "a", "text_out": "b"}
+        entry[field] = "\ud800"
+        fixture, out = tmp_path / "fx.jsonl", tmp_path / "bt.tsv"
+        fixture.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        error = run_data_error(
+            capsys, "reduce", str(small_corpus), "--method", "backtranslate",
+            "--fixture", str(fixture), "--out", str(out),
+        )
+        assert error == f"ERROR Malformed: {fixture}, line 1: fixture field {field!r} holds a lone surrogate"
+        assert not out.exists()
+
+    def test_surrogate_pair_in_fixture_loads(self, capsys, tmp_path, small_corpus):
+        # json.dumps escapes U+1F600 as the pair "\ud83d\ude00", which decodes to one code point.
+        corpus = load_corpus(small_corpus)
+        lines = []
+        for doc in corpus.documents:
+            lines.append({"task": "translate", "src": "bn", "tgt": "en", "text_in": doc.text, "text_out": doc.text})
+            lines.append({"task": "translate", "src": "en", "tgt": "bn", "text_in": doc.text, "text_out": doc.text + " \U0001f600"})
+        fixture, out = tmp_path / "fx.jsonl", tmp_path / "bt.tsv"
+        fixture.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        assert "\\ud83d\\ude00" in fixture.read_text(encoding="utf-8")
+        run_json(
+            capsys, "reduce", str(small_corpus), "--method", "backtranslate",
+            "--fixture", str(fixture), "--out", str(out),
+        )
+        assert [d.text for d in load_corpus(out).documents] == [d.text + " \U0001f600" for d in corpus.documents]
 
     @pytest.mark.parametrize("reply", [
         "5", "{'id': json.loads(line)['id'], 'text': None}",
@@ -869,7 +899,7 @@ class TestEvalReduction:
             capsys, "eval-reduction", str(output), "--truth", str(truth),
             "--human-tallies", str(tallies),
         )
-        assert error.startswith(f"ERROR InvalidCounts: {tallies}: 'spell': need 0 <= accurate")
+        assert error.startswith(f"ERROR Malformed: {tallies}: 'spell': need 0 <= accurate")
 
     def eval_argv(self, tmp_path, output_docs):
         truth = tmp_path / "truth.tsv"
@@ -1109,6 +1139,19 @@ class TestImportCorpus:
         )
         assert code == 2
         assert "unmapped sentiment" in err
+
+    @pytest.mark.parametrize("mapping", [
+        "2=positive,2=negative", "2=positive, 2 =negative", "=neutral,1=positive", "0=neutral,1=happy", "0",
+    ])
+    def test_bad_sentiment_map_entry_rejected(self, capsys, tmp_path, mapping):
+        src, out = tmp_path / "up.csv", tmp_path / "o.tsv"
+        src.write_text("Data,Label\nhello,2\n", encoding="utf-8")
+        error = run_data_error(
+            capsys, "import-corpus", str(src), str(out),
+            "--text-col", "Data", "--sentiment-col", "Label", "--sentiment-map", mapping,
+        )
+        assert error.startswith("ERROR Malformed: bad --sentiment-map entry ")
+        assert not out.exists()
 
     def test_wrong_noise_col_count(self, capsys, tmp_path):
         src = tmp_path / "up.csv"

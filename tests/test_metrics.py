@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from noisekit.errors import DimensionMismatch, InsufficientData, InvalidCounts
+from noisekit.errors import DimensionMismatch, InsufficientData, Malformed
 from noisekit.metrics import (
     _lcs_length,
     bleu,
@@ -210,7 +210,7 @@ class TestHumanEval:
 
     def test_invalid_counts(self):
         for accurate, total in ((5, 0), (-1, 10), (11, 10)):
-            with pytest.raises(InvalidCounts):
+            with pytest.raises(Malformed):
                 human_eval_score(accurate, total)
 
 

@@ -10,7 +10,7 @@ from noisekit.errors import (
     ClientUnavailable,
     FixtureMiss,
     InsufficientData,
-    InvalidProbability,
+    Malformed,
     MissingResource,
     PredictorFailure,
 )
@@ -267,7 +267,7 @@ class TestOovAndMasking:
         assert mask_random(text, p=0.4, seed=99) != mask_random(text, p=0.4, seed=100)
 
     def test_mask_random_invalid_probability(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(Malformed):
             mask_random("a b", p=1.5, seed=0)
 
 
@@ -547,5 +547,5 @@ class TestDispatcher:
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
     def test_bad_probability_raised_when_built(self, latin_dict, p):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(Malformed):
             reducer(ReduceMethod.MASK_RANDOM_FILL, latin_dict, mask_probability=p)
