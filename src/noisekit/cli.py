@@ -329,6 +329,8 @@ def cmd_eval_reduction(args) -> dict:
     paths = {}
     for output_path in args.outputs:
         name = Path(output_path).stem
+        if not textcore.utf8_storable(name):
+            raise Malformed(f"method name {name!r}, the file's stem, is not UTF-8", path=output_path)
         if name in paths:
             raise Malformed(
                 f"outputs {paths[name]} and {output_path} share the method name {name!r}"

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 from . import classify, features, metrics
@@ -157,8 +159,11 @@ def load_dictionary(path) -> Dictionary:
     return Dictionary(freq)
 
 
-def load_embeddings(path) -> dict[str, np.ndarray]:
-    """{word: vector}; first line VOCAB_SIZE DIM, then one word + DIM finite components per line."""
+def load_embeddings(path) -> tuple[np.ndarray, dict[str, int]]:
+    """A (V, DIM) float64 matrix and its {word: row} index, rows in file order.
+
+    The first line is VOCAB_SIZE DIM, then one word + DIM finite components per line.
+    """
     content = read_text(path)
     lines = content.split("\n")
     if lines and lines[-1] == "":
@@ -174,7 +179,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
         raise Malformed("header must be two integers", path=path, line=1) from None
     if vocab_size < 0 or dim < 1:
         raise Malformed("need VOCAB_SIZE >= 0 and DIM >= 1", path=path, line=1)
-    vectors: dict[str, np.ndarray] = {}
+    index: dict[str, int] = {}
+    values = array("d")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             raise Malformed("blank line inside embedding table", path=path, line=lineno)
@@ -184,20 +190,21 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 f"expected {dim} components, got {len(parts) - 1}", path=path, line=lineno
             )
         word = parts[0]
-        if word in vectors:
+        if word in index:
             raise Malformed(f"duplicate word {word!r}", path=path, line=lineno, column=1)
         try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            row = [float(v) for v in parts[1:]]
         except ValueError:
             raise Malformed("non-numeric vector component", path=path, line=lineno) from None
-        if not np.isfinite(vec).all():
+        if not all(map(math.isfinite, row)):
             raise Malformed(f"non-finite component for {word!r}", path=path, line=lineno)
-        vectors[word] = vec
-    if len(vectors) != vocab_size:
+        index[word] = len(index)
+        values.extend(row)
+    if len(index) != vocab_size:
         raise Malformed(
-            f"header declares {vocab_size} words but file has {len(vectors)}", path=path
+            f"header declares {vocab_size} words but file has {len(index)}", path=path
         )
-    return vectors
+    return np.frombuffer(values, dtype=np.float64).reshape(len(index), dim), index
 
 
 _FIXTURE_FIELDS = ("task", "src", "tgt", "text_in", "text_out")

@@ -23,31 +23,30 @@ BLEU_MAX_N = 4
 COMPOSITE_BETA = 4.0
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def ngram_table(tokens: list[str]) -> tuple[Counter, ...]:
+    """The n-gram Counters of a token list for orders 1..BLEU_MAX_N, which `bleu` scores."""
+    return tuple(Counter(zip(*[tokens[i:] for i in range(n)])) for n in range(1, BLEU_MAX_N + 1))
 
 
-def bleu(cand: list[str], ref: list[str]) -> float:
+def bleu(cand: tuple[Counter, ...], ref: tuple[Counter, ...]) -> float:
     """Geometric mean of clipped 1..BLEU_MAX_N-gram precisions times the brevity penalty.
 
-    Zero precisions are floored at a tiny epsilon instead of zeroing the
-    whole score; an empty candidate scores 0.
+    Both sides are `ngram_table`s. Zero precisions are floored at a tiny
+    epsilon instead of zeroing the whole score; an empty candidate scores 0.
     """
-    if not ref:
+    ref_length = ref[0].total()
+    if not ref_length:
         raise InsufficientData("BLEU needs a non-empty reference")
-    if not cand:
+    cand_length = cand[0].total()
+    if not cand_length:
         return 0.0
     log_sum = 0.0
-    orders = range(1, min(BLEU_MAX_N, len(cand)) + 1)
-    for n in orders:
-        cand_counts = _ngram_counts(cand, n)
-        ref_counts = _ngram_counts(ref, n)
+    orders = min(BLEU_MAX_N, cand_length)
+    for cand_counts, ref_counts in zip(cand[:orders], ref):
         clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-        total = len(cand) - n + 1
-        precision = clipped / total
-        log_sum += math.log(max(precision, EPSILON))
-    brevity = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
-    return brevity * math.exp(log_sum / len(orders))
+        log_sum += math.log(max(clipped / cand_counts.total(), EPSILON))
+    brevity = math.exp(min(0.0, 1.0 - ref_length / cand_length))
+    return brevity * math.exp(log_sum / orders)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -86,20 +85,22 @@ def word_coverage(tokens: list[str], vocab) -> float:
     return 100.0 * known / len(words)
 
 
-def sentence_similarity(cand: list[str], ref: list[str], vectors: dict[str, np.ndarray]) -> float:
-    """Cosine of mean {word: vector} vectors, skipping OOV words; 0 when a side is fully OOV."""
-    sides = []
-    for tokens in (cand, ref):
-        vecs = [vectors[t] for t in tokens if t in vectors]
-        if not vecs:
-            return 0.0
-        sides.append(np.mean(vecs, axis=0))
-    a, b = sides
+def mean_vector(tokens: list[str], embeddings: tuple[np.ndarray, dict[str, int]]):
+    """Mean of the embedding rows of the tokens in the `{word: row}` index; None when none is."""
+    matrix, index = embeddings
+    rows = [index[t] for t in tokens if t in index]
+    return np.mean(matrix[rows], axis=0) if rows else None
+
+
+def sentence_similarity(cand, ref) -> float:
+    """Cosine of two `mean_vector`s; 0 when a side is None, having no embedded word."""
+    if cand is None or ref is None:
+        return 0.0
     # numpy's pairwise sums, not BLAS ddot, whose order depends on the kernel.
-    norm = math.sqrt((a * a).sum()) * math.sqrt((b * b).sum())
+    norm = math.sqrt((cand * cand).sum()) * math.sqrt((ref * ref).sum())
     if norm == 0.0:
         return 0.0
-    return float((a * b).sum()) / norm
+    return float((cand * ref).sum()) / norm
 
 
 def composite_similarity(semantic: float, surface_bleu: float) -> float:
@@ -168,54 +169,67 @@ def prf_report(gold, predicted, class_names) -> dict:
     }
 
 
-def _token_lists(texts: list[str]) -> list[list[str]]:
-    return [textcore.tokenize(t).tokens for t in texts]
-
-
 def evaluate_reduction(
     outputs: dict[str, list[str]],
     ground_truth: list[str],
     *,
     inputs: list[str] | None = None,
-    embeddings: dict[str, np.ndarray] | None = None,
+    embeddings: tuple[np.ndarray, dict[str, int]] | None = None,
     coverage_vocab=None,
     human_tallies: dict[str, tuple[int, int]] | None = None,
 ) -> list[dict]:
     """Score each method's outputs against the manually corrected references.
 
     ``inputs`` are the original noisy sentences (needed for the composite
-    self-overlap penalty); ``coverage_vocab`` falls back to the embedding
+    self-overlap penalty); ``embeddings`` is the (matrix, index) pair of
+    `dataio.load_embeddings`; ``coverage_vocab`` falls back to the embedding
     words when unset; ``human_tallies`` maps method -> (accurate, total).
     Returns the `eval-reduction` record of each method, sorted by name.
-    """
-    truth_tokens = _token_lists(ground_truth)
-    input_tokens = None
-    if inputs is not None:
-        if len(inputs) != len(ground_truth):
-            raise DimensionMismatch(f"{len(inputs)} inputs vs {len(ground_truth)} references")
-        input_tokens = _token_lists(inputs)
-    vocab = coverage_vocab if coverage_vocab is not None else embeddings
-    human_tallies = human_tallies or {}
 
-    reports = []
-    for method in sorted(outputs):
-        sentences = outputs[method]
-        if len(sentences) != len(ground_truth):
+    One pass over the rows: each reference and input is tokenized, counted
+    and averaged once, and each output once, for every method.
+    """
+    if inputs is not None and len(inputs) != len(ground_truth):
+        raise DimensionMismatch(f"{len(inputs)} inputs vs {len(ground_truth)} references")
+    methods = sorted(outputs)
+    for method in methods:
+        count = len(outputs[method])
+        if count != len(ground_truth):
             raise DimensionMismatch(
-                f"method {method}: {len(sentences)} outputs vs {len(ground_truth)} references"
+                f"method {method}: {count} outputs vs {len(ground_truth)} references"
             )
-        bleu_scores, rouge_scores, semantic_scores, composite_scores = [], [], [], []
-        all_tokens: list[str] = []
-        for i, out_tokens in enumerate(_token_lists(sentences)):
+    composite = embeddings is not None and inputs is not None
+    # Per method: BLEU, ROUGE-L, semantic and composite scores, then every output token,
+    # for word coverage. Interned, each distinct token string is held once for all methods.
+    scores = {method: ([], [], [], [], []) for method in methods}
+    interned: dict[str, str] = {}
+    for i, truth in enumerate(ground_truth):
+        truth_tokens = textcore.tokenize(truth).tokens
+        truth_table = ngram_table(truth_tokens)
+        truth_mean = mean_vector(truth_tokens, embeddings) if embeddings is not None else None
+        input_table = ngram_table(textcore.tokenize(inputs[i]).tokens) if composite else None
+        for method in methods:
+            bleu_scores, rouge_scores, semantic_scores, composite_scores, all_tokens = scores[method]
+            tokens = textcore.tokenize(outputs[method][i]).tokens
+            out_tokens = [interned.setdefault(t, t) for t in tokens]
             all_tokens.extend(out_tokens)
-            bleu_scores.append(bleu(out_tokens, truth_tokens[i]))
-            rouge_scores.append(rouge_l(out_tokens, truth_tokens[i]))
+            out_table = ngram_table(out_tokens)
+            bleu_scores.append(bleu(out_table, truth_table))
+            rouge_scores.append(rouge_l(out_tokens, truth_tokens))
             if embeddings is not None:
-                semantic = sentence_similarity(out_tokens, truth_tokens[i], embeddings)
+                semantic = sentence_similarity(mean_vector(out_tokens, embeddings), truth_mean)
                 semantic_scores.append(semantic)
-                if input_tokens is not None:
-                    surface = bleu(out_tokens, input_tokens[i])
+                if composite:
+                    surface = bleu(out_table, input_table)
                     composite_scores.append(composite_similarity(semantic, surface))
+
+    vocab = coverage_vocab
+    if vocab is None and embeddings is not None:
+        vocab = embeddings[1]
+    human_tallies = human_tallies or {}
+    reports = []
+    for method in methods:
+        bleu_scores, rouge_scores, semantic_scores, composite_scores, all_tokens = scores[method]
         coverage = None
         if vocab is not None and any(not textcore.is_punct_token(t) for t in all_tokens):
             coverage = word_coverage(all_tokens, vocab)

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 import noisekit
 from noisekit.errors import BadEncoding, DataError, DimensionMismatch, InsufficientData, Malformed
 from noisekit.features import FeatureMatrix, TfidfModel, analyzer_terms
+from noisekit.metrics import BLEU_MAX_N, EPSILON, composite_similarity, human_eval_score, rouge_l, word_coverage
 from noisekit.reduce import Dictionary
-from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
+from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel, is_punct_token, tokenize
 
 # Latin-script corpus words used across the reduction and metric tests.
 BASE_VOCAB = {
@@ -340,3 +342,102 @@ def lcs_length_dp(a, b) -> int:
             current.append(previous[j - 1] + 1 if x == y else max(previous[j], current[j - 1]))
         previous = current
     return previous[-1]
+
+
+def embedding_table(vectors: dict) -> tuple[np.ndarray, dict[str, int]]:
+    """The (matrix, {word: row}) pair `dataio.load_embeddings` returns, from a {word: vector} dict."""
+    dim = len(next(iter(vectors.values()))) if vectors else 1
+    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+    return matrix, {word: row for row, word in enumerate(vectors)}
+
+
+def bleu_reference(cand: list[str], ref: list[str]) -> float:
+    """`metrics.bleu` on two token lists, counting both sides' n-grams by slicing, per order.
+
+    `bleu` on the two `metrics.ngram_table`s must return the same bits.
+    """
+    if not ref:
+        raise InsufficientData("BLEU needs a non-empty reference")
+    if not cand:
+        return 0.0
+    log_sum = 0.0
+    orders = range(1, min(BLEU_MAX_N, len(cand)) + 1)
+    for n in orders:
+        cand_counts = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
+        ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+        clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+        log_sum += math.log(max(clipped / (len(cand) - n + 1), EPSILON))
+    brevity = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
+    return brevity * math.exp(log_sum / len(orders))
+
+
+def sentence_similarity_reference(cand: list[str], ref: list[str], vectors: dict) -> float:
+    """Cosine of the means of each side's {word: vector} vectors; 0 when a side has none.
+
+    `metrics.sentence_similarity` on the two `metrics.mean_vector`s must return the same bits.
+    """
+    sides = []
+    for tokens in (cand, ref):
+        vecs = [vectors[t] for t in tokens if t in vectors]
+        if not vecs:
+            return 0.0
+        sides.append(np.mean(vecs, axis=0))
+    a, b = sides
+    norm = math.sqrt((a * a).sum()) * math.sqrt((b * b).sum())
+    if norm == 0.0:
+        return 0.0
+    return float((a * b).sum()) / norm
+
+
+def evaluate_reduction_reference(outputs, ground_truth, *, inputs=None, vectors=None,
+                                 coverage_vocab=None, human_tallies=None) -> list[dict]:
+    """`metrics.evaluate_reduction` method by method, scoring each pair from its token lists.
+
+    ``vectors`` is a {word: vector} dict. The one-pass `evaluate_reduction`, given the
+    `embedding_table` of the same vectors, must return equal reports and raise the same
+    first error.
+    """
+    truth_tokens = [tokenize(t).tokens for t in ground_truth]
+    input_tokens = None
+    if inputs is not None:
+        if len(inputs) != len(ground_truth):
+            raise DimensionMismatch(f"{len(inputs)} inputs vs {len(ground_truth)} references")
+        input_tokens = [tokenize(t).tokens for t in inputs]
+    vocab = coverage_vocab if coverage_vocab is not None else vectors
+    human_tallies = human_tallies or {}
+    reports = []
+    for method in sorted(outputs):
+        sentences = outputs[method]
+        if len(sentences) != len(ground_truth):
+            raise DimensionMismatch(
+                f"method {method}: {len(sentences)} outputs vs {len(ground_truth)} references"
+            )
+        bleu_scores, rouge_scores, semantic_scores, composite_scores = [], [], [], []
+        all_tokens: list[str] = []
+        for i, sentence in enumerate(sentences):
+            out_tokens = tokenize(sentence).tokens
+            all_tokens.extend(out_tokens)
+            bleu_scores.append(bleu_reference(out_tokens, truth_tokens[i]))
+            rouge_scores.append(rouge_l(out_tokens, truth_tokens[i]))
+            if vectors is not None:
+                semantic = sentence_similarity_reference(out_tokens, truth_tokens[i], vectors)
+                semantic_scores.append(semantic)
+                if input_tokens is not None:
+                    surface = bleu_reference(out_tokens, input_tokens[i])
+                    composite_scores.append(composite_similarity(semantic, surface))
+        coverage = None
+        if vocab is not None and any(not is_punct_token(t) for t in all_tokens):
+            coverage = word_coverage(all_tokens, vocab)
+        human = None
+        if method in human_tallies:
+            human = human_eval_score(*human_tallies[method])
+        reports.append({
+            "method": method,
+            "bleu": float(np.mean(bleu_scores)),
+            "rouge_l": float(np.mean(rouge_scores)),
+            "word_coverage": coverage,
+            "embedding_similarity": float(np.mean(semantic_scores)) if semantic_scores else None,
+            "composite": float(np.mean(composite_scores)) if composite_scores else None,
+            "human_eval": human,
+        })
+    return reports

@@ -26,6 +26,7 @@ from noisekit.metrics import (
     bleu,
     evaluate_reduction,
     human_eval_score,
+    ngram_table,
     prf_report,
     rouge_l,
 )
@@ -33,7 +34,7 @@ from noisekit.reduce import Dictionary, FixtureClient, back_translate, levenshte
 from noisekit.stats import corpus_summary, dedupe
 from noisekit.textcore import NOISE_CLASSES
 
-from conftest import BASE_VOCAB, csr, latin_test_phonetic_table, make_docs, softmax_loss_grad
+from conftest import BASE_VOCAB, csr, embedding_table, latin_test_phonetic_table, make_docs, softmax_loss_grad
 from test_cli import synth_noise_corpus
 
 DATASET_DIR = Path(os.environ.get("NOISEKIT_DATASET_DIR", Path(__file__).parent / "data" / "nc_sentnob"))
@@ -171,7 +172,7 @@ def test_criterion_5_identity_fixture_reduction():
 
         vectors = {w: np.array([1.0 + i, i % 3, (i * 7) % 5, 1.0]) for i, w in enumerate(words)}
         report = evaluate_reduction(
-            {"identity": outputs}, sentences, inputs=sentences, embeddings=vectors
+            {"identity": outputs}, sentences, inputs=sentences, embeddings=embedding_table(vectors)
         )[0]
         assert report["bleu"] == 1.0
         assert report["rouge_l"] == 1.0
@@ -196,13 +197,13 @@ def test_criterion_6_property_suites(tmp_path):
         for _ in range(500):
             cand = [rng.choice("abcd") for _ in range(rng.randint(0, 6))]
             ref = [rng.choice("abcd") for _ in range(rng.randint(1, 6))]
-            assert 0.0 <= bleu(cand, ref) <= 1.0
+            assert 0.0 <= bleu(ngram_table(cand), ngram_table(ref)) <= 1.0
             assert 0.0 <= rouge_l(cand, ref) <= 1.0
             if ref:
-                assert bleu(ref, ref) == 1.0
+                assert bleu(ngram_table(ref), ngram_table(ref)) == 1.0
                 assert rouge_l(ref, ref) == 1.0
         with pytest.raises(InsufficientData, match="^BLEU needs a non-empty reference$"):
-            bleu(["a"], [])
+            bleu(ngram_table(["a"]), ngram_table([]))
 
         # Spell-correct identity and idempotence on 1,000 dictionary sentences.
         dictionary = Dictionary(dict(BASE_VOCAB), table=latin_test_phonetic_table())

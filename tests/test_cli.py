@@ -962,6 +962,22 @@ class TestEvalReduction:
         assert str(output) in error and str(other) in error
 
 
+    def test_non_utf8_method_name_rejected(self, tmp_path, eval_files):
+        # A subprocess, so the name reaches argv as the raw byte 0xFF, as a shell passes it.
+        truth, output = eval_files
+        name = os.path.join(os.fsencode(tmp_path), b"\xff.tsv")
+        with open(name, "wb") as fh:
+            fh.write(output.read_bytes())
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisekit.cli", "eval-reduction", name, "--truth", str(truth)],
+            capture_output=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 2 and proc.stdout == b""
+        # stderr writes the surrogate that stands for 0xFF as the escape "\udcff".
+        assert proc.stderr.decode("ascii") == (
+            f"ERROR Malformed: {tmp_path}/\\udcff.tsv: method name '\\udcff', the file's stem, is not UTF-8\n"
+        )
+
 class TestAgreementCommands:
     def test_kappa(self, capsys, tmp_path):
         matrix = tmp_path / "m.tsv"

@@ -197,9 +197,14 @@ class TestDictionaryLoader:
 class TestEmbeddingLoader:
     def test_good_file(self, tmp_path):
         path = write(tmp_path, "e.txt", "2 3\ncat 1.0 0.0 0.5\ndog 0.0 1.0 -0.5\n")
-        vectors = load_embeddings(path)
-        assert list(vectors) == ["cat", "dog"]
-        assert vectors["dog"].tolist() == [0.0, 1.0, -0.5]
+        matrix, index = load_embeddings(path)
+        assert index == {"cat": 0, "dog": 1}
+        assert (matrix.dtype, matrix.shape) == (np.float64, (2, 3))
+        assert matrix[index["dog"]].tolist() == [0.0, 1.0, -0.5]
+
+    def test_empty_table(self, tmp_path):
+        matrix, index = load_embeddings(write(tmp_path, "e.txt", "0 3\n"))
+        assert index == {} and matrix.shape == (0, 3)
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
     def test_non_finite_component(self, tmp_path, component):

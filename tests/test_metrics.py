@@ -5,13 +5,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from noisekit.errors import DimensionMismatch, InsufficientData, Malformed
+from noisekit.errors import DataError, DimensionMismatch, InsufficientData, Malformed
 from noisekit.metrics import (
     _lcs_length,
     bleu,
     composite_similarity,
     evaluate_reduction,
     human_eval_score,
+    mean_vector,
+    ngram_table,
     prf_report,
     rouge_l,
     sentence_similarity,
@@ -19,13 +21,28 @@ from noisekit.metrics import (
 )
 from noisekit.textcore import NOISE_CLASSES, NoiseLabelSet, tokenize
 
-from conftest import lcs_length_dp, random_word
+from conftest import (
+    bleu_reference,
+    embedding_table,
+    evaluate_reduction_reference,
+    lcs_length_dp,
+    random_word,
+    sentence_similarity_reference,
+)
+
+
+def bleu_of(cand: list[str], ref: list[str]) -> float:
+    return bleu(ngram_table(cand), ngram_table(ref))
+
+
+def similarity_of(cand: list[str], ref: list[str], table) -> float:
+    return sentence_similarity(mean_vector(cand, table), mean_vector(ref, table))
 
 
 class TestBleu:
     def test_identity(self):
         tokens = ["the", "cat", "sat"]
-        assert bleu(tokens, tokens) == pytest.approx(1.0)
+        assert bleu_of(tokens, tokens) == pytest.approx(1.0)
 
     def test_clipped_unigram_precision(self):
         candidate = ["the"] * 7
@@ -33,35 +50,35 @@ class TestBleu:
         # Clipped unigram precision 2/7; no bigram or longer matches, so each of
         # orders 2-4 is floored at epsilon. The brevity penalty is 1.
         expected = math.exp((math.log(2 / 7) + 3 * math.log(1e-9)) / 4)
-        assert bleu(candidate, reference) == pytest.approx(expected)
+        assert bleu_of(candidate, reference) == pytest.approx(expected)
 
     def test_brevity_penalty(self):
-        assert bleu(["a", "b"], ["a", "b", "c", "d"]) == pytest.approx(math.exp(-1.0), abs=1e-4)
+        assert bleu_of(["a", "b"], ["a", "b", "c", "d"]) == pytest.approx(math.exp(-1.0), abs=1e-4)
 
     def test_order_capped_by_candidate_length(self):
         # Candidate of length 2 only uses orders 1 and 2; both perfect here.
-        assert bleu(["a", "b"], ["a", "b"]) == pytest.approx(1.0)
+        assert bleu_of(["a", "b"], ["a", "b"]) == pytest.approx(1.0)
 
     def test_empty_candidate_scores_zero(self):
-        assert bleu([], ["a"]) == 0.0
+        assert bleu_of([], ["a"]) == 0.0
 
     def test_empty_reference_rejected(self):
         with pytest.raises(InsufficientData, match="^BLEU needs a non-empty reference$"):
-            bleu(["a"], [])
+            bleu_of(["a"], [])
 
     def test_tokenized_sentence(self):
         tokens = tokenize("the cat").tokens
-        assert bleu(tokens, list(tokens)) == pytest.approx(1.0)
+        assert bleu_of(tokens, list(tokens)) == pytest.approx(1.0)
 
     def test_bounds_and_relabeling_fuzz(self):
         rng = random.Random(73)
         for _ in range(400):
             cand = [rng.choice("abcd") for _ in range(rng.randint(0, 8))]
             ref = [rng.choice("abcd") for _ in range(rng.randint(1, 8))]
-            score = bleu(cand, ref)
+            score = bleu_of(cand, ref)
             assert 0.0 <= score <= 1.0
             relabel = {"a": "w", "b": "x", "c": "y", "d": "z"}
-            relabeled = bleu([relabel[t] for t in cand], [relabel[t] for t in ref])
+            relabeled = bleu_of([relabel[t] for t in cand], [relabel[t] for t in ref])
             assert relabeled == pytest.approx(score)
 
 
@@ -143,29 +160,31 @@ class TestWordCoverage:
 
 
 def small_table():
-    return {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 1.0]), "pet": np.array([1.0, 1.0])}
+    return embedding_table(
+        {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 1.0]), "pet": np.array([1.0, 1.0])}
+    )
 
 
 class TestSentenceSimilarity:
     def test_identical_sentences(self):
         table = small_table()
-        assert sentence_similarity(["cat", "dog"], ["cat", "dog"], table) == pytest.approx(1.0)
+        assert similarity_of(["cat", "dog"], ["cat", "dog"], table) == pytest.approx(1.0)
 
     def test_fully_oov_sides(self):
         table = small_table()
-        assert sentence_similarity(["xx"], ["yy"], table) == 0.0
-        assert sentence_similarity(["cat"], ["yy"], table) == 0.0
+        assert similarity_of(["xx"], ["yy"], table) == 0.0
+        assert similarity_of(["cat"], ["yy"], table) == 0.0
 
     def test_hand_computed_cosine(self):
         table = small_table()
         # mean(cat, dog) = (0.5, 0.5); cosine with pet (1, 1) = 1.
-        assert sentence_similarity(["cat", "dog"], ["pet"], table) == pytest.approx(1.0)
+        assert similarity_of(["cat", "dog"], ["pet"], table) == pytest.approx(1.0)
         # cat vs dog are orthogonal.
-        assert sentence_similarity(["cat"], ["dog"], table) == pytest.approx(0.0)
+        assert similarity_of(["cat"], ["dog"], table) == pytest.approx(0.0)
 
     def test_oov_words_skipped(self):
         table = small_table()
-        assert sentence_similarity(["cat", "zz"], ["cat"], table) == pytest.approx(1.0)
+        assert similarity_of(["cat", "zz"], ["cat"], table) == pytest.approx(1.0)
 
 
 class TestCompositeSimilarity:
@@ -298,7 +317,7 @@ class TestEvaluateReduction:
         truth = ["a b", "c d"]
         outputs = {"m": ["a b", "c x"]}
         reports = evaluate_reduction(outputs, truth)
-        per_sentence = [bleu(["a", "b"], ["a", "b"]), bleu(["c", "x"], ["c", "d"])]
+        per_sentence = [bleu_of(["a", "b"], ["a", "b"]), bleu_of(["c", "x"], ["c", "d"])]
         assert reports[0]["bleu"] == pytest.approx(sum(per_sentence) / 2)
         rouge_per_sentence = [rouge_l(["a", "b"], ["a", "b"]), rouge_l(["c", "x"], ["c", "d"])]
         assert reports[0]["rouge_l"] == pytest.approx(sum(rouge_per_sentence) / 2)
@@ -321,6 +340,78 @@ class TestEvaluateReduction:
         truth = ["a"]
         reports = evaluate_reduction({"z": ["a"], "a": ["a"], "m": ["a"]}, truth)
         assert [r["method"] for r in reports] == ["a", "m", "z"]
+
+
+def outcome(func, *args, **kwargs):
+    """What a call returns, or the class and message of the DataError it raises."""
+    try:
+        return func(*args, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassMatchesReference:
+    """The n-gram tables, mean vectors and one-pass `evaluate_reduction` keep every bit of
+    the per-pair scoring in conftest, compared with ``==``."""
+
+    def test_bleu_fuzz(self):
+        # A 3-letter alphabet repeats n-grams; references run from 0 to 8 tokens.
+        rng = random.Random(181)
+        for _ in range(2000):
+            cand = [rng.choice("abc") for _ in range(rng.randint(0, 8))]
+            ref = [rng.choice("abc") for _ in range(rng.randint(0, 8))]
+            assert outcome(bleu_of, cand, ref) == outcome(bleu_reference, cand, ref), (cand, ref)
+
+    def test_sentence_similarity_fuzz(self):
+        rng = random.Random(191)
+        words = [random_word(rng, max_len=3) for _ in range(8)] + [",", "!"]
+        for _ in range(1000):
+            vectors = random_vectors(rng, words)
+            table = embedding_table(vectors)
+            # Some tokens are not in the table, so a side can have no embedded word.
+            cand = [rng.choice(words + ["oov"]) for _ in range(rng.randint(0, 6))]
+            ref = [rng.choice(words + ["oov"]) for _ in range(rng.randint(1, 6))]
+            assert similarity_of(cand, ref, table) == sentence_similarity_reference(cand, ref, vectors)
+
+    def test_reports_fuzz(self, latin_dict):
+        rng = random.Random(193)
+        words = [random_word(rng, max_len=3) for _ in range(6)] + [",", "!"]
+
+        def sentences(n, min_len):
+            return [" ".join(rng.choices(words, k=rng.randint(min_len, 7))) for _ in range(n)]
+
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            truth, inputs = sentences(n, 1), sentences(n, 1)
+            # Empty outputs, outputs equal to the input and to the truth, and free ones.
+            outputs = {"empty": [""] * n, "input": list(inputs), "truth": list(truth),
+                       "m1": sentences(n, 0), "m2": sentences(n, 0)}
+            vectors = random_vectors(rng, words) if rng.random() < 0.8 else None
+            options = {
+                "inputs": inputs if rng.random() < 0.8 else None,
+                "coverage_vocab": latin_dict if rng.random() < 0.3 else None,
+                "human_tallies": {"m1": (3, 4)} if rng.random() < 0.5 else None,
+            }
+            embeddings = embedding_table(vectors) if vectors is not None else None
+            reports = evaluate_reduction(outputs, truth, embeddings=embeddings, **options)
+            assert reports == evaluate_reduction_reference(outputs, truth, vectors=vectors, **options)
+
+    @pytest.mark.parametrize("case", ["short-method", "long-method", "short-inputs", "empty-reference"])
+    def test_same_first_error(self, case):
+        truth, inputs = ["a b", "c d e", "f"], ["a x", "c d", "g"]
+        outputs = {"a": ["a b", "c", "f"], "b": ["b", "d e", "f f"], "c": ["a", "c d e", "x"]}
+        if case == "short-method":
+            outputs["b"] = outputs["b"][:2]
+        elif case == "long-method":
+            outputs["c"] = outputs["c"] + ["y"]
+        elif case == "short-inputs":
+            inputs = inputs[:1]
+        else:
+            truth[1] = ""
+        vectors = {"a": np.array([1.0, 0.5]), "c": np.array([0.0, 2.0])}
+        new = outcome(evaluate_reduction, outputs, truth, inputs=inputs, embeddings=embedding_table(vectors))
+        old = outcome(evaluate_reduction_reference, outputs, truth, inputs=inputs, vectors=vectors)
+        assert new == old and isinstance(new, tuple)
 
 
 # The range of each score `eval-reduction` reports. Each holds by construction:
@@ -354,8 +445,8 @@ class TestScoreRanges:
         for _ in range(500):
             cand = [rng.choice(words) for _ in range(rng.randint(0, 8))]
             ref = [rng.choice(words) for _ in range(rng.randint(1, 8))]
-            semantic = sentence_similarity(cand, ref, random_vectors(rng, words))
-            surface = bleu(cand, ref)
+            semantic = similarity_of(cand, ref, embedding_table(random_vectors(rng, words)))
+            surface = bleu_of(cand, ref)
             assert 0.0 <= surface <= 1.0
             assert 0.0 <= rouge_l(cand, ref) <= 1.0
             assert -1.0 - 1e-9 <= semantic <= 1.0 + 1e-9
@@ -377,7 +468,7 @@ class TestScoreRanges:
                 tallies[m] = (rng.randint(0, total), total)
             reports = evaluate_reduction(
                 {m: sentences(n, 0) for m in methods}, sentences(n, 1),
-                inputs=sentences(n, 1), embeddings=random_vectors(rng, words),
+                inputs=sentences(n, 1), embeddings=embedding_table(random_vectors(rng, words)),
                 human_tallies=tallies,
             )
             for report in reports:
