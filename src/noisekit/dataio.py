@@ -24,7 +24,7 @@ from .errors import BadEncoding, DataError, DimensionMismatch, IoFailure, Malfor
 from .errors import MalformedMatrix
 from .reduce import Dictionary, FixtureClient
 from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel, normalize
-from .textcore import decode_json, read_text, utf8_storable, write_bytes, write_text
+from .textcore import decode_json, read_lines, read_text, utf8_storable, write_bytes, write_text
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
 BUNDLE_FORMAT = "noisekit-bundle-v5"
@@ -159,18 +159,28 @@ def load_dictionary(path) -> Dictionary:
     return Dictionary(freq)
 
 
-def load_embeddings(path) -> tuple[np.ndarray, dict[str, int]]:
-    """A (V, DIM) float64 matrix and its {word: row} index, rows in file order.
+def load_embeddings(path) -> metrics.EmbeddingTable:
+    """The V x DIM float64 components in one flat array, rows in file order, with DIM and
+    the {word: row} index.
 
     The first line is VOCAB_SIZE DIM, then one word + DIM finite components per line.
+    Lines are read one at a time. An invalid UTF-8 byte anywhere in the file is reported
+    ahead of a bad line before it, as when the file was decoded whole.
     """
-    content = read_text(path)
-    lines = content.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    lines = read_lines(path)
+    try:
+        return _parse_embeddings(lines, path)
+    except DataError:
+        for _ in lines:  # raises BadEncoding at the first invalid byte after the bad line
+            pass
+        raise
+
+
+def _parse_embeddings(lines, path) -> metrics.EmbeddingTable:
+    header_line = next(lines, None)
+    if header_line is None:
         raise Malformed("missing header line", path=path, line=1)
-    header = lines[0].split()
+    header = header_line.split()
     if len(header) != 2:
         raise Malformed("header must be VOCAB_SIZE DIM", path=path, line=1)
     try:
@@ -181,7 +191,7 @@ def load_embeddings(path) -> tuple[np.ndarray, dict[str, int]]:
         raise Malformed("need VOCAB_SIZE >= 0 and DIM >= 1", path=path, line=1)
     index: dict[str, int] = {}
     values = array("d")
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             raise Malformed("blank line inside embedding table", path=path, line=lineno)
         parts = line.split(" ")
@@ -204,7 +214,7 @@ def load_embeddings(path) -> tuple[np.ndarray, dict[str, int]]:
         raise Malformed(
             f"header declares {vocab_size} words but file has {len(index)}", path=path
         )
-    return np.frombuffer(values, dtype=np.float64).reshape(len(index), dim), index
+    return metrics.EmbeddingTable(values, dim, index)
 
 
 _FIXTURE_FIELDS = ("task", "src", "tgt", "text_in", "text_out")

@@ -10,17 +10,62 @@ Corpus-level overlap scores are means of sentence-level scores.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from collections import Counter
+from operator import add, mul
+from typing import NamedTuple
 
 from . import textcore
-from ._lazy import np
 from .errors import DimensionMismatch, InsufficientData, Malformed
 
 EPSILON = 1e-9
 # BLEU-4, and beta, the composite score's weight on the semantic term.
 BLEU_MAX_N = 4
 COMPOSITE_BETA = 4.0
+
+
+class EmbeddingTable(NamedTuple):
+    """V rows of `dim` float64 components in one flat array, rows in file order, and the
+    {word: row} index; row r is ``values[r * dim : (r + 1) * dim]``."""
+
+    values: array
+    dim: int
+    index: dict[str, int]
+
+
+def _numpy_sum(values) -> float:
+    """numpy's float64 `add.reduce` of the floats, bit for bit: 0.0 plus their pairwise sum.
+
+    Never the built-in `sum`, which is compensated from Python 3.12 on, nor `math.fsum`:
+    either rounds otherwise. Index ranges, not slices, carry the recursion.
+    """
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _pairwise_sum(values, lo: int, n: int) -> float:
+    """numpy's `pairwise_sum` of values[lo : lo + n]: in order below 8 values; up to 128,
+    eight lanes seeded with the first 8 and fed in steps of 8, combined as a tree, then
+    the rest in order; else two halves split at a multiple of 8."""
+    hi = lo + n
+    if n < 8:
+        return functools.reduce(add, values[lo:hi], 0.0)
+    if n <= 128:
+        end = hi - n % 8
+        lanes = values[lo : lo + 8]
+        for start in range(lo + 8, end, 8):  # lane j adds values[start + j], lazily
+            lanes = map(add, lanes, values[start : start + 8])
+        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+        return functools.reduce(add, values[end:hi], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
+def _numpy_mean(values) -> float:
+    """`np.mean` of a non-empty list of floats, bit for bit."""
+    return _numpy_sum(values) / len(values)
 
 
 def ngram_table(tokens: list[str]) -> tuple[Counter, ...]:
@@ -85,22 +130,39 @@ def word_coverage(tokens: list[str], vocab) -> float:
     return 100.0 * known / len(words)
 
 
-def mean_vector(tokens: list[str], embeddings: tuple[np.ndarray, dict[str, int]]):
-    """Mean of the embedding rows of the tokens in the `{word: row}` index; None when none is."""
-    matrix, index = embeddings
-    rows = [index[t] for t in tokens if t in index]
-    return np.mean(matrix[rows], axis=0) if rows else None
+def mean_vector(tokens: list[str], embeddings: EmbeddingTable) -> list[float] | None:
+    """Mean of the embedding rows of the tokens in the index; None when none is.
+
+    The bits of numpy's `np.mean(matrix[rows], axis=0)`: each component starts at 0.0 and
+    adds the rows in order. A one-column table is the exception, as there numpy reduces
+    the column with its pairwise sum.
+    """
+    values, dim, index = embeddings
+    starts = [index[t] * dim for t in tokens if t in index]
+    if not starts:
+        return None
+    if dim == 1:
+        return [_numpy_mean([values[start] for start in starts])]
+    total = [0.0] * dim
+    for start in starts:
+        total = list(map(add, total, values[start : start + dim]))
+    count = len(starts)
+    return [component / count for component in total]
 
 
 def sentence_similarity(cand, ref) -> float:
-    """Cosine of two `mean_vector`s; 0 when a side is None, having no embedded word."""
+    """Cosine of two `mean_vector`s; 0 when a side is None, having no embedded word.
+
+    Each dot product is numpy's pairwise sum of the products, as ``(a * b).sum()`` gave.
+    """
     if cand is None or ref is None:
         return 0.0
-    # numpy's pairwise sums, not BLAS ddot, whose order depends on the kernel.
-    norm = math.sqrt((cand * cand).sum()) * math.sqrt((ref * ref).sum())
+    norm = math.sqrt(_numpy_sum(list(map(mul, cand, cand)))) * math.sqrt(
+        _numpy_sum(list(map(mul, ref, ref)))
+    )
     if norm == 0.0:
         return 0.0
-    return float((cand * ref).sum()) / norm
+    return _numpy_sum(list(map(mul, cand, ref))) / norm
 
 
 def composite_similarity(semantic: float, surface_bleu: float) -> float:
@@ -174,17 +236,18 @@ def evaluate_reduction(
     ground_truth: list[str],
     *,
     inputs: list[str] | None = None,
-    embeddings: tuple[np.ndarray, dict[str, int]] | None = None,
+    embeddings: EmbeddingTable | None = None,
     coverage_vocab=None,
     human_tallies: dict[str, tuple[int, int]] | None = None,
 ) -> list[dict]:
     """Score each method's outputs against the manually corrected references.
 
     ``inputs`` are the original noisy sentences (needed for the composite
-    self-overlap penalty); ``embeddings`` is the (matrix, index) pair of
+    self-overlap penalty); ``embeddings`` is the `EmbeddingTable` of
     `dataio.load_embeddings`; ``coverage_vocab`` falls back to the embedding
     words when unset; ``human_tallies`` maps method -> (accurate, total).
-    Returns the `eval-reduction` record of each method, sorted by name.
+    Returns the `eval-reduction` record of each method, sorted by name. Each
+    score is the mean over the rows, which must not be none.
 
     One pass over the rows: each reference and input is tokenized, counted
     and averaged once, and each output once, for every method.
@@ -198,6 +261,8 @@ def evaluate_reduction(
             raise DimensionMismatch(
                 f"method {method}: {count} outputs vs {len(ground_truth)} references"
             )
+    if not ground_truth:
+        raise InsufficientData("evaluation needs at least one reference row")
     composite = embeddings is not None and inputs is not None
     # Per method: BLEU, ROUGE-L, semantic and composite scores, then every output token,
     # for word coverage. Interned, each distinct token string is held once for all methods.
@@ -217,7 +282,9 @@ def evaluate_reduction(
             bleu_scores.append(bleu(out_table, truth_table))
             rouge_scores.append(rouge_l(out_tokens, truth_tokens))
             if embeddings is not None:
-                semantic = sentence_similarity(mean_vector(out_tokens, embeddings), truth_mean)
+                # An output equal to its reference, a method's aim, has the reference's mean.
+                out_mean = truth_mean if out_tokens == truth_tokens else mean_vector(out_tokens, embeddings)
+                semantic = sentence_similarity(out_mean, truth_mean)
                 semantic_scores.append(semantic)
                 if composite:
                     surface = bleu(out_table, input_table)
@@ -225,7 +292,7 @@ def evaluate_reduction(
 
     vocab = coverage_vocab
     if vocab is None and embeddings is not None:
-        vocab = embeddings[1]
+        vocab = embeddings.index
     human_tallies = human_tallies or {}
     reports = []
     for method in methods:
@@ -239,11 +306,11 @@ def evaluate_reduction(
             human = human_eval_score(accurate, total)
         reports.append({
             "method": method,
-            "bleu": float(np.mean(bleu_scores)),
-            "rouge_l": float(np.mean(rouge_scores)),
+            "bleu": _numpy_mean(bleu_scores),
+            "rouge_l": _numpy_mean(rouge_scores),
             "word_coverage": coverage,
-            "embedding_similarity": float(np.mean(semantic_scores)) if semantic_scores else None,
-            "composite": float(np.mean(composite_scores)) if composite_scores else None,
+            "embedding_similarity": _numpy_mean(semantic_scores) if semantic_scores else None,
+            "composite": _numpy_mean(composite_scores) if composite_scores else None,
             "human_eval": human,
         })
     return reports

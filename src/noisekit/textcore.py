@@ -150,6 +150,28 @@ def read_text(path) -> str:
         raise BadEncoding(f"not valid UTF-8 at byte {exc.start}", path=path) from exc
 
 
+def read_lines(path):
+    """The lines of a UTF-8 file without their "\n", read and decoded one at a time.
+
+    Fails as `read_text` does: `IoFailure` when the file cannot be read, and
+    `BadEncoding` naming the file offset of the first invalid byte, which a
+    line's own offset gives, since no UTF-8 sequence holds the byte "\n".
+    """
+    try:
+        with open(path, "rb") as fh:
+            offset = 0
+            for raw in fh:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    where = offset + exc.start
+                    raise BadEncoding(f"not valid UTF-8 at byte {where}", path=path) from exc
+                offset += len(raw)
+                yield line.removesuffix("\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def decode_json(text: str, error, path=None, line=None):
     """`json.loads(text)`, with every failure raised as `error` naming `path` and `line`.
 

@@ -14,9 +14,9 @@ import pytest
 import noisekit
 from noisekit.errors import BadEncoding, DataError, DimensionMismatch, InsufficientData, Malformed
 from noisekit.features import FeatureMatrix, TfidfModel, analyzer_terms
-from noisekit.metrics import BLEU_MAX_N, EPSILON, composite_similarity, human_eval_score, rouge_l, word_coverage
+from noisekit.metrics import BLEU_MAX_N, EPSILON, EmbeddingTable, composite_similarity, human_eval_score, rouge_l, word_coverage
 from noisekit.reduce import Dictionary
-from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel, is_punct_token, tokenize
+from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel, is_punct_token, read_text, tokenize
 
 # Latin-script corpus words used across the reduction and metric tests.
 BASE_VOCAB = {
@@ -344,11 +344,63 @@ def lcs_length_dp(a, b) -> int:
     return previous[-1]
 
 
-def embedding_table(vectors: dict) -> tuple[np.ndarray, dict[str, int]]:
-    """The (matrix, {word: row}) pair `dataio.load_embeddings` returns, from a {word: vector} dict."""
+def embedding_table(vectors: dict) -> EmbeddingTable:
+    """The `EmbeddingTable` `dataio.load_embeddings` returns, from a {word: vector} dict."""
     dim = len(next(iter(vectors.values()))) if vectors else 1
-    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
-    return matrix, {word: row for row, word in enumerate(vectors)}
+    values = array("d", (float(x) for vector in vectors.values() for x in vector))
+    return EmbeddingTable(values, dim, {word: row for row, word in enumerate(vectors)})
+
+
+def outcome(func, *args, **kwargs):
+    """What a call returns, or the class and message of the DataError it raises."""
+    try:
+        return func(*args, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def load_embeddings_reference(path) -> EmbeddingTable:
+    """`dataio.load_embeddings` on the whole file, decoded at once and split into lines.
+
+    The line-at-a-time loader must return an equal table and raise the same first error.
+    """
+    lines = read_text(path).split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise Malformed("missing header line", path=path, line=1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise Malformed("header must be VOCAB_SIZE DIM", path=path, line=1)
+    try:
+        vocab_size, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise Malformed("header must be two integers", path=path, line=1) from None
+    if vocab_size < 0 or dim < 1:
+        raise Malformed("need VOCAB_SIZE >= 0 and DIM >= 1", path=path, line=1)
+    index: dict[str, int] = {}
+    values = array("d")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            raise Malformed("blank line inside embedding table", path=path, line=lineno)
+        parts = line.split(" ")
+        if len(parts) != dim + 1:
+            raise DimensionMismatch(
+                f"expected {dim} components, got {len(parts) - 1}", path=path, line=lineno
+            )
+        if parts[0] in index:
+            raise Malformed(f"duplicate word {parts[0]!r}", path=path, line=lineno, column=1)
+        try:
+            row = [float(v) for v in parts[1:]]
+        except ValueError:
+            raise Malformed("non-numeric vector component", path=path, line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise Malformed(f"non-finite component for {parts[0]!r}", path=path, line=lineno)
+        index[parts[0]] = len(index)
+        values.extend(row)
+    if len(index) != vocab_size:
+        raise Malformed(f"header declares {vocab_size} words but file has {len(index)}", path=path)
+    return EmbeddingTable(values, dim, index)
 
 
 def bleu_reference(cand: list[str], ref: list[str]) -> float:

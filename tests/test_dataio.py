@@ -2,6 +2,7 @@ import json
 import os
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from noisekit.dataio import (
 )
 from noisekit.errors import BadEncoding, DimensionMismatch, FixtureMiss, Malformed, MalformedMatrix
 from noisekit.features import AnalyzerConfig, AnalyzerMode, TfidfModel, fit_tfidf, transform
+from noisekit.metrics import EmbeddingTable
 from noisekit.reduce import Dictionary
 from noisekit.textcore import Document, NoiseLabelSet, SentimentLabel
 
@@ -31,7 +33,9 @@ from conftest import (
     INT_DIGIT_LIMIT,
     distinct_rows_reference,
     edit_bundle,
+    load_embeddings_reference,
     make_docs,
+    outcome,
     read_bundle,
     repeated_rows_table,
 )
@@ -197,14 +201,70 @@ class TestDictionaryLoader:
 class TestEmbeddingLoader:
     def test_good_file(self, tmp_path):
         path = write(tmp_path, "e.txt", "2 3\ncat 1.0 0.0 0.5\ndog 0.0 1.0 -0.5\n")
-        matrix, index = load_embeddings(path)
-        assert index == {"cat": 0, "dog": 1}
-        assert (matrix.dtype, matrix.shape) == (np.float64, (2, 3))
-        assert matrix[index["dog"]].tolist() == [0.0, 1.0, -0.5]
+        table = load_embeddings(path)
+        assert isinstance(table, EmbeddingTable)
+        assert table.index == {"cat": 0, "dog": 1}
+        assert (table.values.typecode, table.dim) == ("d", 3)
+        assert table.values.tolist() == [1.0, 0.0, 0.5, 0.0, 1.0, -0.5]
 
     def test_empty_table(self, tmp_path):
-        matrix, index = load_embeddings(write(tmp_path, "e.txt", "0 3\n"))
-        assert index == {} and matrix.shape == (0, 3)
+        table = load_embeddings(write(tmp_path, "e.txt", "0 3\n"))
+        assert table == EmbeddingTable(array("d"), 3, {})
+
+    def test_bad_encoding_names_the_absolute_byte(self, tmp_path):
+        content = "2 2\ncat 1.0 0.0\n".encode() + b"d\xffg 0.0 1.0\n"
+        path = write(tmp_path, "e.txt", content)
+        invalid = content.index(b"\xff")
+        with pytest.raises(BadEncoding) as excinfo:
+            load_embeddings(path)
+        assert str(excinfo.value) == f"{path}: not valid UTF-8 at byte {invalid}"
+
+    @pytest.mark.parametrize("bad_line", [
+        "dog 0.0\n",  # DimensionMismatch
+        "cat 0.0 1.0\n",  # duplicate word
+        "dog 0.0 nan\n",  # non-finite
+        "\n",  # blank line
+    ])
+    def test_invalid_byte_after_a_bad_line_wins(self, tmp_path, bad_line):
+        # Decoded whole, the file failed on its encoding before any line was parsed.
+        content = f"4 2\ncat 1.0 0.0\n{bad_line}pet 1.0 1.0\n".encode() + "ভালো 0.5 0.".encode() + b"\xe0\n"
+        path = write(tmp_path, "e.txt", content)
+        with pytest.raises(BadEncoding) as excinfo:
+            load_embeddings(path)
+        assert str(excinfo.value) == f"{path}: not valid UTF-8 at byte {len(content) - 2}"
+
+    def test_same_table_or_first_error_as_whole_file_decoding(self, tmp_path):
+        rng = random.Random(211)
+        path = tmp_path / "e.txt"
+        faults = [b"", b"\n", b"\xff", b"\xe0\xa6", b"nan", b" ", b"\r", b"x", b"0", "ভ".encode()]
+        for _ in range(600):
+            dim = rng.randint(1, 3)
+            lines = [f"{rng.randint(0, 4)} {dim}".encode()]
+            for _ in range(rng.randint(0, 4)):
+                word = rng.choice(["cat", "dog", "pet", "ভালো", "x"]).encode()
+                components = [repr(rng.uniform(-2, 2)).encode() for _ in range(dim)]
+                lines.append(b" ".join([word, *components]))
+            for _ in range(rng.randint(0, 2)):  # a fault spliced into a random place
+                line = rng.randrange(len(lines))
+                at = rng.randint(0, len(lines[line]))
+                lines[line] = lines[line][:at] + rng.choice(faults) + lines[line][at:]
+            path.write_bytes(b"\n".join(lines) + rng.choice([b"", b"\n", b"\n\n"]))
+            assert outcome(load_embeddings, path) == outcome(load_embeddings_reference, path), lines
+
+    def test_reads_one_line_at_a_time(self, tmp_path):
+        # Beyond the table it returns, the load's peak holds a line, not the file: decoded
+        # whole and split, the file's text was held twice at once.
+        rng = random.Random(223)
+        rows = [f"w{i} " + " ".join(repr(rng.random()) for _ in range(8)) for i in range(4000)]
+        path = write(tmp_path, "e.txt", f"{len(rows)} 8\n" + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            table = load_embeddings(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.index) == 4000
+        assert peak - kept < path.stat().st_size / 10
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
     def test_non_finite_component(self, tmp_path, component):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from functools import lru_cache
@@ -5,9 +6,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from noisekit.errors import DataError, DimensionMismatch, InsufficientData, Malformed
+from noisekit.errors import DimensionMismatch, InsufficientData, Malformed
 from noisekit.metrics import (
     _lcs_length,
+    _numpy_sum,
     bleu,
     composite_similarity,
     evaluate_reduction,
@@ -26,6 +28,7 @@ from conftest import (
     embedding_table,
     evaluate_reduction_reference,
     lcs_length_dp,
+    outcome,
     random_word,
     sentence_similarity_reference,
 )
@@ -187,6 +190,90 @@ class TestSentenceSimilarity:
         assert similarity_of(["cat", "zz"], ["cat"], table) == pytest.approx(1.0)
 
 
+def hexes(values) -> list[str]:
+    """Each float by `float.hex`, which tells -0.0 from 0.0, as ``==`` does not."""
+    return [float(v).hex() for v in values]
+
+
+def spread_floats(rng, n, zeros=0.2):
+    """n floats of mixed sign and magnitude, some of them -0.0 or 0.0."""
+    return [
+        rng.choice([-0.0, 0.0]) if rng.random() < zeros else rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)
+        for _ in range(n)
+    ]
+
+
+class TestNumpySummationOrder:
+    """The standard-library sums behind `eval-reduction` keep numpy's bits, with numpy as the
+    oracle. Python 3.12's compensated built-in `sum` fails these."""
+
+    def test_sum_matches_add_reduce(self):
+        # Below 8 values, up to 128 in eight lanes, and above 128 split in halves.
+        rng = random.Random(227)
+        for n in [*range(301), 600]:
+            cases = [spread_floats(rng, n) for _ in range(3)]
+            cases += [[-0.0] * n, [1e16, 1.0, -1e16, 1.0] * (n // 4) + [3.0] * (n % 4)]
+            for values in cases:
+                expected = float(np.add.reduce(np.array(values, dtype=np.float64)))
+                assert _numpy_sum(values).hex() == expected.hex(), (n, values)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 24, 300])
+    def test_mean_vector_matches_np_mean(self, dim):
+        # numpy adds the rows in order, but reduces a one-column table pairwise, which
+        # rounds otherwise from 8 rows on.
+        rng = random.Random(229 + dim)
+        words = [f"w{i}" for i in range(12)]
+        for _ in range(100):
+            vectors = {w: spread_floats(rng, dim, zeros=0.3) for w in words}
+            table = embedding_table(vectors)
+            matrix = np.array(list(vectors.values()), dtype=np.float64)
+            # One row, rows repeated, and more rows than numpy's 8 lanes and 128 block.
+            tokens = rng.choices(words + ["oov"], k=rng.choice([1, 2, 7, 8, 9, 20, 150]))
+            rows = [table.index[t] for t in tokens if t in table.index]
+            got = mean_vector(tokens, table)
+            if not rows:
+                assert got is None
+                continue
+            assert hexes(got) == hexes(np.mean(matrix[rows], axis=0)), tokens
+
+    def test_mean_of_negative_zeros(self):
+        # numpy starts each component at 0.0, and 0.0 + -0.0 is 0.0.
+        table = embedding_table({"z": [-0.0, -0.0], "y": [-0.0, 1.0]})
+        for tokens in (["z"], ["z", "z"], ["z", "y"]):
+            expected = np.mean(np.array([[-0.0, -0.0], [-0.0, 1.0]])[[table.index[t] for t in tokens]], axis=0)
+            assert hexes(mean_vector(tokens, table)) == hexes(expected)
+        assert hexes(mean_vector(["z"], table)) == ["0x0.0p+0", "0x0.0p+0"]
+
+    def test_similarity_matches_reference_at_every_width(self):
+        # Cosines over 1 to 300 components reach all three branches of the pairwise sum.
+        rng = random.Random(233)
+        words = [f"w{i}" for i in range(10)]
+        for dim in (1, 5, 8, 24, 129, 300):
+            vectors = {w: np.array(spread_floats(rng, dim, zeros=0.05)) for w in words}
+            table = embedding_table(vectors)
+            for _ in range(30):
+                cand = rng.choices(words, k=rng.randint(1, 12))
+                ref = rng.choices(words, k=rng.randint(1, 12))
+                got = similarity_of(cand, ref, table)
+                assert got.hex() == sentence_similarity_reference(cand, ref, vectors).hex()
+
+    def test_report_means_match_reference_over_many_rows(self):
+        # The per-method means over 300 rows run the pairwise split; the JSON text tells
+        # every bit, -0.0 included.
+        rng = random.Random(239)
+        words = [random_word(rng, max_len=3) for _ in range(8)]
+        vectors = {w: np.array(spread_floats(rng, 4, zeros=0.1)) for w in words}
+
+        def sentences(n):
+            return [" ".join(rng.choices(words, k=rng.randint(1, 6))) for _ in range(n)]
+
+        truth, inputs = sentences(300), sentences(300)
+        outputs = {"m1": sentences(300), "m2": list(inputs)}
+        got = evaluate_reduction(outputs, truth, inputs=inputs, embeddings=embedding_table(vectors))
+        expected = evaluate_reduction_reference(outputs, truth, inputs=inputs, vectors=vectors)
+        assert json.dumps(got) == json.dumps(expected)
+
+
 class TestCompositeSimilarity:
     def test_perfect_case(self):
         assert composite_similarity(1.0, 0.0) == pytest.approx(1.0)
@@ -336,18 +423,17 @@ class TestEvaluateReduction:
         assert report["word_coverage"] == pytest.approx(50.0)
         assert report["human_eval"] == pytest.approx(37.90)
 
+    def test_no_rows(self):
+        # Each score is a mean over the rows, so none leaves nothing to report.
+        with pytest.raises(InsufficientData, match="^evaluation needs at least one reference row$"):
+            evaluate_reduction({"a": []}, [])
+        with pytest.raises(DimensionMismatch, match="^method a: 1 outputs vs 0 references$"):
+            evaluate_reduction({"a": ["x"]}, [])
+
     def test_reports_sorted_by_method(self):
         truth = ["a"]
         reports = evaluate_reduction({"z": ["a"], "a": ["a"], "m": ["a"]}, truth)
         assert [r["method"] for r in reports] == ["a", "m", "z"]
-
-
-def outcome(func, *args, **kwargs):
-    """What a call returns, or the class and message of the DataError it raises."""
-    try:
-        return func(*args, **kwargs)
-    except DataError as exc:
-        return type(exc), str(exc)
 
 
 class TestOnePassMatchesReference:

@@ -74,6 +74,7 @@ def work(tmp_path_factory):
         encoding="utf-8",
     )
     (root / "emb.txt").write_text("2 2\nkhub 1.0 0.0\nbhalo 0.5 0.5\n", encoding="utf-8")
+    (root / "tallies.json").write_text('{"corpus": [1, 2]}', encoding="utf-8")
     (root / "ratings.tsv").write_text("a\tb\n2\t0\n1\t1\n0\t2\n", encoding="utf-8")
     (root / "upstream.csv").write_text("Data\nkhub bhalo\n", encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
@@ -99,6 +100,12 @@ NO_NUMPY = {
     "paraphrase-client": ["reduce", "corpus.tsv", "--method", "paraphrase", "--dict", "dict.tsv",
                           "--client", ECHO_CLIENT, "--out", "out.tsv"],
     "agreement-trust": ["agreement", "trust", "corpus.tsv", "corpus.tsv"],
+    "eval-reduction": ["eval-reduction", "corpus.tsv", "--truth", "corpus.tsv"],
+    "eval-reduction-embeddings": ["eval-reduction", "corpus.tsv", "--truth", "corpus.tsv",
+                                  "--embeddings", "emb.txt"],
+    "eval-reduction-every-option": ["eval-reduction", "corpus.tsv", "--truth", "corpus.tsv",
+                                    "--inputs", "corpus.tsv", "--embeddings", "emb.txt",
+                                    "--dict", "dict.tsv", "--human-tallies", "tallies.json"],
 }
 # These cases show that deferring numpy still loads it where arrays are used.
 WITH_NUMPY = {
@@ -107,9 +114,6 @@ WITH_NUMPY = {
     "train-sentiment": ["train-sentiment", "corpus.tsv", "--epochs", "2", "--out", "model.json"],
     "predict-noise": ["predict-noise", "noise.json", "corpus.tsv"],
     "predict-sentiment": ["predict-sentiment", "sentiment.json", "corpus.tsv"],
-    "eval-reduction": ["eval-reduction", "corpus.tsv", "--truth", "corpus.tsv"],
-    "eval-reduction-embeddings": ["eval-reduction", "corpus.tsv", "--truth", "corpus.tsv",
-                                  "--embeddings", "emb.txt"],
     "agreement-kappa": ["agreement", "kappa", "ratings.tsv"],
 }
 RUN_COMMAND = (
