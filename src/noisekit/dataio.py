@@ -27,7 +27,7 @@ from .textcore import SENTIMENT_CLASSES, Document, NoiseLabelSet, SentimentLabel
 from .textcore import decode_json, read_lines, read_text, utf8_storable, write_bytes, write_text
 
 CORPUS_HEADER = "id\ttext\tsentiment\tnoise"
-BUNDLE_FORMAT = "noisekit-bundle-v5"
+BUNDLE_FORMAT = "noisekit-bundle-v6"
 
 _ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
@@ -321,8 +321,24 @@ def _distinct_rows(weights):
     return by_term[order[first]], index
 
 
+def _sparse_rows(rows, chunk=1 << 16):
+    """The v6 weight section of the (U, K) distinct rows: the bit mask, then the stored entries.
+
+    Bit i of mask byte i // 8 is set where the i-th entry, row-major, has raw bytes that are
+    not all zero, so -0.0 is stored and +0.0 is not; the mask is zero-padded to a whole byte.
+    The stored entries follow as their raw 8 bytes, in order, gathered `chunk` entries at a
+    time as the file is written, so no second copy of the rows is ever held.
+    """
+    words = rows.view("<u8").reshape(-1)
+    stored = words != 0
+    yield np.packbits(stored, bitorder="little")
+    for start in range(0, len(words), chunk):
+        yield words[start : start + chunk][stored[start : start + chunk]]
+
+
 def save_model_bundle(path, tfidf_model, linear_model) -> None:
-    """Write featurizer + classifier as a v5 bundle: one JSON header line, then the two arrays."""
+    """Write featurizer + classifier as a v6 bundle: one JSON header line, then the mask, the
+    stored weights and the column index."""
     # The distinct rows are found first, so the peak of their sort and gathers passes before
     # the term lists exist. Keys are written sorted, so this order changes no byte.
     rows, index = _distinct_rows(linear_model.weights)
@@ -331,11 +347,11 @@ def save_model_bundle(path, tfidf_model, linear_model) -> None:
     # Streamed chunk by chunk: a one-shot `encode` holds a chunk list for the whole header.
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     text = itertools.chain(encoder.iterencode(header), ("\n",))
-    write_bytes(path, itertools.chain(map(str.encode, text), (rows, index)))
+    write_bytes(path, itertools.chain(map(str.encode, text), _sparse_rows(rows), (index,)))
 
 
 def load_model_bundle(path, kind: classify.ModelKind):
-    """Read a v5 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
+    """Read a v6 bundle holding a classifier of `kind`; featurizer and classifier must agree."""
     try:
         with open(path, "rb") as fh:
             tfidf_model, linear_model = _read_bundle(fh, path)
@@ -347,7 +363,7 @@ def load_model_bundle(path, kind: classify.ModelKind):
 
 
 def _read_bundle(fh, path):
-    """The header line, then exactly the U x K weights and D indices it calls for, read in place."""
+    """The header line, then exactly the weight section and D indices it calls for."""
     line = fh.readline()
     if not line.endswith(b"\n"):
         raise Malformed("expected a JSON header line ending in a newline", path=path, line=1)
@@ -362,27 +378,55 @@ def _read_bundle(fh, path):
         tfidf_model = features.from_json(header["tfidf"])
         linear = header["linear"]
         k = len(classify.ModelKind(linear["kind"]).class_names)
-        rows, dim = linear["distinct_rows"], tfidf_model.dim
+        rows = linear["distinct_rows"]
         if not (type(rows) is int and rows >= 0):
             raise Malformed(f"distinct_rows must be a non-negative integer, got {rows!r}")
-        expected = rows * k * 8 + dim * 4
-        got = os.fstat(fh.fileno()).st_size - fh.tell()
-        if got == expected:  # so the arrays never outgrow the file
-            columns, index = np.empty((rows, k), dtype="<f8"), np.empty(dim, dtype="<u4")
-            got = fh.readinto(columns) + fh.readinto(index)  # less if the file shrank
-        if got != expected:
-            raise DimensionMismatch(
-                f"featurizer has {dim} terms, classifier {rows} distinct rows of {k} weights, "
-                f"so {rows * k * 8} weight bytes and {dim * 4} column index bytes must follow "
-                f"the header, not {got}"
-            )
-        if index.size and int(index.max()) >= rows:
-            raise Malformed(f"column index {int(index.max())} is out of range for {rows} columns")
-        if not np.isfinite(columns).all():
-            raise Malformed("weights must be finite")
+        columns, index = _read_weights(fh, rows, k, tfidf_model.dim)
         linear_model = classify.from_json(linear, columns[index])
     except DataError as exc:
         raise type(exc)(exc.reason, path=path, line=exc.line, column=exc.column) from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"bad bundle entry ({type(exc).__name__}: {exc})", path=path) from None
     return tfidf_model, linear_model
+
+
+def _read_weights(fh, rows, k, dim):
+    """The (U, K) distinct rows and the (D,) column index, read from the rest of `fh`.
+
+    Nothing larger than the file is allocated before its size is checked against the mask's
+    popcount, and the mask and stored weights are gone before the caller's (D, K) gather.
+    """
+    entries = rows * k
+    mask_size = -(-entries // 8)
+    layout = f"featurizer has {dim} terms, classifier {rows} distinct rows of {k} weights"
+    got = os.fstat(fh.fileno()).st_size - fh.tell()
+    if got < mask_size + dim * 4:
+        raise DimensionMismatch(
+            f"{layout}, so at least {mask_size} mask bytes and {dim * 4} column index bytes "
+            f"must follow the header, not {got}"
+        )
+    mask = fh.read(mask_size)
+    bits = int.from_bytes(mask, "little")
+    stored = bits.bit_count() - (bits >> entries).bit_count()
+    expected = mask_size + stored * 8 + dim * 4
+    if got == expected:
+        values, index = np.empty(stored, dtype="<f8"), np.empty(dim, dtype="<u4")
+        got = len(mask) + fh.readinto(values) + fh.readinto(index)  # less if the file shrank
+    if got != expected:
+        raise DimensionMismatch(
+            f"{layout}, and the mask marks {stored} stored weights, so {mask_size} mask bytes, "
+            f"{stored * 8} weight bytes and {dim * 4} column index bytes must follow the "
+            f"header, not {got}"
+        )
+    if bits >> entries:
+        raise Malformed(f"mask bits past the {entries} weight entries must be zero")
+    if index.size and int(index.max()) >= rows:
+        raise Malformed(f"column index {int(index.max())} is out of range for {rows} columns")
+    if not values.view("<u8").all():
+        raise Malformed("a stored weight is +0.0, which the mask must leave out")
+    if not np.isfinite(values).all():
+        raise Malformed("weights must be finite")
+    flags = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=entries, bitorder="little")
+    columns = np.zeros((rows, k), dtype="<f8")
+    columns.reshape(-1)[flags.view(bool)] = values
+    return columns, index

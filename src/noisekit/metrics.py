@@ -88,7 +88,8 @@ def bleu(cand: tuple[Counter, ...], ref: tuple[Counter, ...]) -> float:
     log_sum = 0.0
     orders = min(BLEU_MAX_N, cand_length)
     for cand_counts, ref_counts in zip(cand[:orders], ref):
-        clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+        # `.get`, not `[]`: Counter's `__missing__` is a Python call per n-gram the reference lacks.
+        clipped = sum(min(count, ref_counts.get(gram, 0)) for gram, count in cand_counts.items())
         log_sum += math.log(max(clipped / cand_counts.total(), EPSILON))
     brevity = math.exp(min(0.0, 1.0 - ref_length / cand_length))
     return brevity * math.exp(log_sum / orders)

@@ -238,23 +238,45 @@ def raw_arrays(*arrays: np.ndarray) -> list[tuple]:
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def read_bundle(path) -> dict:
-    """A v5 bundle as its JSON header, with the raw bytes of its two arrays added to ``linear``.
+def sparse_rows_reference(weights: np.ndarray) -> tuple[bytes, bytes, np.ndarray]:
+    """The v6 weight section of (D, K) weights: the mask, the stored entries and the index.
 
-    ``columns`` gets the header's ``distinct_rows`` x K weights, and
-    ``column_index`` every byte after them.
+    A mask bit is set, little-endian within each byte, where an entry of the
+    `distinct_rows_reference` rows has raw bytes that are not all zero; the stored entries
+    are those, row-major. The bytes a bundle stores after its header must equal these.
+    """
+    rows, index = distinct_rows_reference(weights)
+    stored = rows.view("<u8") != 0
+    return np.packbits(stored, bitorder="little").tobytes(), rows[stored].tobytes(), index
+
+
+def mask_flags(mask: bytes, entries: int) -> np.ndarray:
+    """The first `entries` bits of a v6 mask as booleans."""
+    return np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=entries, bitorder="little").view(bool)
+
+
+def read_bundle(path) -> dict:
+    """A v6 bundle as its JSON header, with the raw bytes of its three arrays added to ``linear``.
+
+    ``mask`` gets the header's ceil(``distinct_rows`` x K / 8) mask bytes, ``columns`` 8 bytes
+    for each bit set among the first ``distinct_rows`` x K of the mask, and ``column_index``
+    every byte after them.
     """
     header, _, arrays = Path(path).read_bytes().partition(b"\n")
     bundle = json.loads(header)
     linear = bundle["linear"]
-    split = linear["distinct_rows"] * len(linear["class_names"]) * 8
-    linear["columns"], linear["column_index"] = arrays[:split], arrays[split:]
+    entries = linear["distinct_rows"] * len(linear["class_names"])
+    mask_size = -(-entries // 8)
+    split = mask_size + 8 * int(mask_flags(arrays[:mask_size], entries).sum())
+    linear["mask"], linear["columns"], linear["column_index"] = (
+        arrays[:mask_size], arrays[mask_size:split], arrays[split:]
+    )
     return bundle
 
 
 def _header_and_arrays(bundle: dict) -> tuple[bytes, bytes]:
     linear = dict(bundle["linear"])
-    arrays = bytes(linear.pop("columns")) + bytes(linear.pop("column_index"))
+    arrays = b"".join(bytes(linear.pop(key)) for key in ("mask", "columns", "column_index"))
     return json.dumps({**bundle, "linear": linear}, ensure_ascii=False).encode("utf-8"), arrays
 
 
@@ -277,20 +299,56 @@ def edit_bundle(path, edit) -> None:
         write_bundle(path, bundle)
 
 
+def _dense_rows(linear: dict) -> bytes:
+    """The U x K distinct rows of a `read_bundle` linear section, as v4 and v5 stored them."""
+    k = len(linear["class_names"])
+    rows = np.zeros((linear["distinct_rows"], k), dtype="<f8")
+    rows.reshape(-1)[mask_flags(linear["mask"], rows.size)] = np.frombuffer(linear["columns"], dtype="<f8")
+    return rows.tobytes()
+
+
+def _older_linear(bundle: dict) -> dict:
+    linear = {key: value for key, value in bundle["linear"].items() if key != "mask"}
+    linear["columns"] = _dense_rows(bundle["linear"])
+    return linear
+
+
 def v4_bundle(bundle: dict) -> bytes:
     """The noisekit-bundle-v4 file of a `read_bundle` bundle: one JSON line, arrays in base64."""
-    linear = {key: value for key, value in bundle["linear"].items() if key != "distinct_rows"}
+    linear = {key: value for key, value in _older_linear(bundle).items() if key != "distinct_rows"}
     for key in ("columns", "column_index"):
         linear[key] = base64.b64encode(linear[key]).decode("ascii")
     payload = {**bundle, "version": "noisekit-bundle-v4", "linear": linear}
     return (json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def v5_bundle(bundle: dict) -> bytes:
+    """The noisekit-bundle-v5 file of a `read_bundle` bundle: the header, then the dense rows and index."""
+    linear = _older_linear(bundle)
+    arrays = linear.pop("columns") + linear.pop("column_index")
+    payload = {**bundle, "version": "noisekit-bundle-v5", "linear": linear}
+    return (json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n").encode() + arrays
+
+
+def _set_stored(bundle, position, value):
+    """Overwrite the stored entry at `position` with the raw bytes of float `value`."""
+    columns = bytearray(bundle["linear"]["columns"])
+    columns[8 * position : 8 * position + 8] = np.array([value], dtype="<f8").tobytes()
+    bundle["linear"]["columns"] = bytes(columns)
+
+
+def _clear_first_mask_bit(bundle):
+    mask = bytearray(bundle["linear"]["mask"])
+    first = next(i for i, byte in enumerate(mask) if byte)
+    mask[first] &= mask[first] - 1
+    bundle["linear"]["mask"] = bytes(mask)
+
+
 def _set_rows(bundle, rows):
     bundle["linear"]["distinct_rows"] = rows
 
 
-# v5 files that break the layout: (edit for `edit_bundle`, error class, message pattern).
+# v6 files that break the layout: (edit for `edit_bundle`, error class, message pattern).
 BROKEN_BUNDLES = {
     "arrays-cut-short": (lambda b: b["linear"].update(column_index=b["linear"]["column_index"][:-1]),
                          DimensionMismatch, "column index bytes must follow the header, not"),
@@ -305,7 +363,15 @@ BROKEN_BUNDLES = {
     "rows-bool": (lambda b: _set_rows(b, True), Malformed, "distinct_rows must be a non-negative integer, got True"),
     "rows-negative": (lambda b: _set_rows(b, -1), Malformed, "distinct_rows must be a non-negative integer, got -1"),
     "rows-float": (lambda b: _set_rows(b, float(b["linear"]["distinct_rows"])), Malformed, r"got \d+\.0"),
+    "rows-past-the-file": (lambda b: _set_rows(b, 2**60), DimensionMismatch,
+                           r"so at least \d+ mask bytes and \d+ column index bytes must follow the header"),
     "v4-file": (v4_bundle, Malformed, "unsupported bundle version 'noisekit-bundle-v4'"),
+    "v5-file": (v5_bundle, Malformed, "unsupported bundle version 'noisekit-bundle-v5'"),
+    # One set bit fewer: 8 stored bytes too many for the mask's popcount.
+    "mask-bit-cleared": (_clear_first_mask_bit, DimensionMismatch,
+                         r"the mask marks \d+ stored weights, so \d+ mask bytes, \d+ weight bytes"),
+    "stored-positive-zero": (lambda b: _set_stored(b, 0, 0.0), Malformed, r"a stored weight is \+0\.0"),
+    "stored-nan": (lambda b: _set_stored(b, 0, float("nan")), Malformed, "weights must be finite"),
 }
 
 

@@ -319,12 +319,12 @@ class TestGoldenPredictions:
 
     NOISE_SHA256 = "ac51855ba20ae17f017db6fe6a2682e795e2c09cc05c33a8bbb52ccc7572b1f0"
     SENTIMENT_SHA256 = "9b076b90e0c0c49e62f3e1550872eabbe3d47303041d7fc8ea53b16a5537caca"
-    # The noisekit-bundle-v5 file of the noise training run; moves when the format drifts.
-    NOISE_BUNDLE_SHA256 = "8a96b323871604053e9ea95ae2c7117e519593a5892e8eaf118522bf5a8643a3"
+    # The noisekit-bundle-v6 file of the noise training run; moves when the format drifts.
+    NOISE_BUNDLE_SHA256 = "d082132f624f98511f18794d42da1d822b4d6cea596b62dac4662a8b917a6521"
     # Full-precision bundles; with c != 1 they move if the SGD arithmetic is re-associated.
-    SENTIMENT_BUNDLE_SHA256 = "437f91267a39d4f5d84b290b62f870f060774dff88a42ab0a64957706648a487"
-    NOISE_BUNDLE_C_SHA256 = "08f4f96a22c1e08a0b78d0f623e389a0dad13db62b51c10d18bd4f99ac3fe558"
-    SENTIMENT_BUNDLE_C_SHA256 = "17fbc511433b631d5e81bc2d44570595561053210da782cb4471159809182d89"
+    SENTIMENT_BUNDLE_SHA256 = "8f942efbe628ba323c343480e9f7d7f235e7a0593008d5b24a306ee0b4d2eaea"
+    NOISE_BUNDLE_C_SHA256 = "0629ebf8bbd210bcd3ad03b187c607c8ce6c75d0fd16f3adc422f171464bc314"
+    SENTIMENT_BUNDLE_C_SHA256 = "ae8cb8470c08d1d9ee0f311f1a829d15823d316ccc13f8473d12e47861c4f966"
     SENTIMENT_FLAGS = (
         "--analyzer", "char+word", "--nmax", "2", "--auto-weights", "--epochs", "8", "--seed", "4",
     )
@@ -1464,7 +1464,7 @@ MALFORMED_INPUT_CASES = {
     "trust-non-utf8": ["agreement", "trust", "{binary}", "{corpus}"],
     "trust-wrong-header": ["agreement", "trust", "{corpus}", "{wrong_header}"],
 }
-# Each way a v5 bundle file can break its layout, for predict-noise.
+# Each way a v6 bundle file can break its layout, for predict-noise.
 MALFORMED_INPUT_CASES.update(
     {f"predict-noise-{name}-bundle": ["predict-noise", f"{{{name}}}", "{corpus}"] for name in BROKEN_BUNDLES}
 )

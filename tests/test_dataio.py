@@ -35,9 +35,12 @@ from conftest import (
     edit_bundle,
     load_embeddings_reference,
     make_docs,
+    mask_flags,
     outcome,
+    raw_arrays,
     read_bundle,
     repeated_rows_table,
+    sparse_rows_reference,
 )
 
 
@@ -403,6 +406,10 @@ HAND_BUILT_WEIGHTS = {
         ]
     ),
     "one-term": np.array([[0.25, -0.0, 7.0]]),
+    # nothing stored: the mask alone, all zero bits
+    "all-zero-table": np.zeros((4, 3)),
+    # every entry stored, as in a softmax table
+    "dense": np.array([[0.5, -1.25, 3.0], [-0.0, 1e-300, -2.0], [7.0, 0.125, -0.5]]),
 }
 
 
@@ -424,9 +431,10 @@ def _sentiment_classifier(bundle, class_names):
     """Swap in a valid sentiment classifier of the same dimension, then set its class_names."""
     dim = len(bundle["tfidf"]["terms"])
     model = LinearModel(ModelKind.SOFTMAX_WEIGHTED, np.zeros((dim, 3)), np.zeros(3))
-    rows, index = distinct_rows_reference(model.weights)
+    rows, _ = distinct_rows_reference(model.weights)
+    mask, columns, index = sparse_rows_reference(model.weights)
     bundle["linear"] = {**to_json(model), "distinct_rows": len(rows),
-                        "columns": rows.tobytes(), "column_index": index.tobytes()}
+                        "mask": mask, "columns": columns, "column_index": index.tobytes()}
     bundle["linear"]["class_names"] = class_names
 
 
@@ -447,6 +455,9 @@ class TestModelBundle:
         assert model2.bias.tobytes() == model.bias.tobytes()
         assert tfidf2.idf.tobytes() == tfidf.idf.tobytes()
         assert np.array_equal(tfidf2.df, tfidf.df)
+        again = tmp_path / "again.json"
+        save_model_bundle(again, tfidf2, model2)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_round_trip(self, tmp_path):
         self.assert_loads_bit_identical(tmp_path, *small_bundle())
@@ -460,7 +471,9 @@ class TestModelBundle:
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
         linear = read_bundle(path)["linear"]
-        assert linear["distinct_rows"] == 4 and len(linear["columns"]) == 4 * 3 * 8
+        # 12 entries in 2 mask bytes; 3 + 0 + 1 + 2 stored: every one but +0.0, -0.0 among them
+        assert linear["distinct_rows"] == 4 and len(linear["mask"]) == 2
+        assert len(linear["columns"]) == 6 * 8
         index = np.frombuffer(linear["column_index"], dtype="<u4")
         assert len(index) == 6 and index[0] == index[2] == index[4] != index[1] != index[3]
 
@@ -518,26 +531,31 @@ class TestModelBundle:
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
         payload = read_bundle(path)
-        assert payload["version"] == "noisekit-bundle-v5"
+        assert payload["version"] == "noisekit-bundle-v6"
         assert payload["tfidf"]["terms"] == sorted(tfidf.vocabulary)
         assert payload["tfidf"]["df"] == [int(v) for v in tfidf.df]
         assert "idf" not in payload["tfidf"] and "weights" not in payload["linear"]
-        assert isinstance(payload["linear"]["columns"], bytes)
-        assert isinstance(payload["linear"]["column_index"], bytes)
-        # After the header line, the two arrays' little-endian bytes and nothing else.
-        rows, index = distinct_rows_reference(model.weights)
+        for key in ("mask", "columns", "column_index"):
+            assert isinstance(payload["linear"][key], bytes)
+        # After the header line, the mask, the stored entries and the index, and nothing else.
+        mask, stored, index = sparse_rows_reference(model.weights)
         arrays = path.read_bytes().partition(b"\n")[2]
-        assert arrays == rows.tobytes() + index.tobytes()
+        assert arrays == mask + stored + index.tobytes()
 
     def test_bundle_stores_only_what_loading_reads(self, tmp_path):
         tfidf, model = small_bundle()
         path = tmp_path / "model.json"
         save_model_bundle(path, tfidf, model)
-        payload = json.loads(path.read_bytes().partition(b"\n")[0])
+        header, _, arrays = path.read_bytes().partition(b"\n")
+        payload = json.loads(header)
         assert set(payload) == {"version", "tfidf", "linear"}
         assert set(payload["tfidf"]) == {"config", "corpus_size", "terms", "df"}
         assert set(payload["tfidf"]["config"]) == {"mode", "n_min", "n_max"}
         assert set(payload["linear"]) == {"kind", "class_names", "biases", "distinct_rows"}
+        # ceil(U x K / 8) mask bytes, 8 per stored entry, 4 per term: the header needs no count S.
+        entries = payload["linear"]["distinct_rows"] * len(payload["linear"]["class_names"])
+        stored = int(mask_flags(arrays, entries).sum())
+        assert len(arrays) == -(-entries // 8) + 8 * stored + 4 * len(payload["tfidf"]["terms"])
 
     @pytest.mark.parametrize(
         "corrupt, error, message",
@@ -583,6 +601,55 @@ class TestModelBundle:
             load_model_bundle(path, ModelKind.OVR_HINGE)
         assert str(path) in str(excinfo.value)
         assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (5, 3), (3, 10), (16, 2)])
+    def test_weight_section_round_trip_at_any_width(self, tmp_path, shape):
+        # K = 1 and odd U x K exist only below the two model kinds, so the section is tested alone.
+        rng = np.random.default_rng(sum(shape))
+        weights = rng.normal(size=shape)
+        weights[rng.random(shape) < 0.5] = 0.0
+        weights[-1] = 0.0  # an all-zero row
+        weights[0, 0] = -0.0
+        rows, index = distinct_rows_reference(weights)
+        mask, stored, _ = sparse_rows_reference(weights)
+        path = tmp_path / "section"
+        path.write_bytes(b"".join(map(bytes, dataio._sparse_rows(rows, chunk=3))) + index.tobytes())
+        assert path.read_bytes() == mask + stored + index.tobytes()
+        with open(path, "rb") as fh:
+            columns, loaded = dataio._read_weights(fh, len(rows), shape[1], shape[0])
+        assert raw_arrays(columns, loaded) == raw_arrays(rows, index)
+        assert raw_arrays(columns[loaded]) == raw_arrays(weights)
+
+    def test_mask_padding_bit_rejected(self, tmp_path):
+        # 4 distinct rows of 3 weights: 12 mask bits in 2 bytes, so bits 12 to 15 are padding.
+        tfidf, model = hand_built_bundle(HAND_BUILT_WEIGHTS["repeated-and-signed-zero"])
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+        edit_bundle(path, lambda b: b["linear"].update(mask=b["linear"]["mask"][:1] + bytes([b["linear"]["mask"][1] | 0x80])))
+        with pytest.raises(Malformed, match="mask bits past the 12 weight entries must be zero") as excinfo:
+            load_model_bundle(path, ModelKind.SOFTMAX_WEIGHTED)
+        assert excinfo.value.path == path
+
+    def test_popcount_checked_before_the_stored_weights_are_allocated(self, tmp_path):
+        # 10**6 set mask bytes call for 8 x 10**6 stored weights, 64 MB, in a file of about 1 MB.
+        tfidf, model = small_bundle()
+        path = tmp_path / "model.json"
+        save_model_bundle(path, tfidf, model)
+
+        def inflate(bundle):
+            linear = bundle["linear"]
+            linear["distinct_rows"] = 8 * 10**6 // len(linear["class_names"])
+            linear["mask"], linear["columns"] = b"\xff" * 10**6, b""
+
+        edit_bundle(path, inflate)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match=rf"the mask marks 8000000 stored weights, .* not {10**6 + 4 * tfidf.dim}$"):
+                load_model_bundle(path, ModelKind.OVR_HINGE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
     def test_swapped_in_sentiment_classifier_loads(self, tmp_path):
         """Control for the class_names cases above: with the right names the bundle is valid."""
