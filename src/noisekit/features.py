@@ -84,9 +84,9 @@ def analyzer_terms(text: str, config: AnalyzerConfig) -> list[str]:
     if config.mode is AnalyzerMode.CHAR:
         return textcore.char_ngrams(text, config.n_min, config.n_max)
     if config.mode is AnalyzerMode.WORD:
-        return textcore.word_ngrams(textcore.tokenize(text).tokens, config.n_min, config.n_max)
+        return textcore.word_ngrams(textcore.tokenize(text), config.n_min, config.n_max)
     chars = textcore.char_ngrams(text, config.n_min, config.n_max)
-    words = textcore.word_ngrams(textcore.tokenize(text).tokens, config.n_min, config.n_max)
+    words = textcore.word_ngrams(textcore.tokenize(text), config.n_min, config.n_max)
     return [_CHAR_TAG + g for g in chars] + [_WORD_TAG + g for g in words]
 
 

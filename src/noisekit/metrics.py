@@ -270,13 +270,13 @@ def evaluate_reduction(
     scores = {method: ([], [], [], [], []) for method in methods}
     interned: dict[str, str] = {}
     for i, truth in enumerate(ground_truth):
-        truth_tokens = textcore.tokenize(truth).tokens
+        truth_tokens = textcore.tokenize(truth)
         truth_table = ngram_table(truth_tokens)
         truth_mean = mean_vector(truth_tokens, embeddings) if embeddings is not None else None
-        input_table = ngram_table(textcore.tokenize(inputs[i]).tokens) if composite else None
+        input_table = ngram_table(textcore.tokenize(inputs[i])) if composite else None
         for method in methods:
             bleu_scores, rouge_scores, semantic_scores, composite_scores, all_tokens = scores[method]
-            tokens = textcore.tokenize(outputs[method][i]).tokens
+            tokens = textcore.tokenize(outputs[method][i])
             out_tokens = [interned.setdefault(t, t) for t in tokens]
             all_tokens.extend(out_tokens)
             out_table = ngram_table(out_tokens)

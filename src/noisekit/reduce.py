@@ -163,9 +163,9 @@ def spell_correct(text: str, dictionary: Dictionary) -> CorrectionResult:
     """
     if not dictionary.freq:
         raise MissingResource("spell correction needs a non-empty dictionary")
-    seq = textcore.tokenize(text)
+    tokens = textcore.tokenize(text)
     edits = []
-    for i, token in enumerate(seq.tokens):
+    for i, token in enumerate(tokens):
         if not _token_is_correctable(token, dictionary):
             continue
         candidates = dictionary.phonetic_index.get(phonetic_encode(token, dictionary.table))
@@ -184,16 +184,17 @@ def spell_correct(text: str, dictionary: Dictionary) -> CorrectionResult:
             continue
         _, replacement, dist = best
         edits.append((i, token, replacement, dist))
-    corrected = _splice(text, seq, [(i, replacement) for i, _, replacement, _ in edits])
+    corrected = _splice(text, tokens, [(i, replacement) for i, _, replacement, _ in edits])
     return CorrectionResult(corrected=corrected, edits=edits)
 
 
-def _splice(text: str, seq: textcore.TokenSequence, replacements) -> str:
+def _splice(text: str, tokens: list[str], replacements) -> str:
     """`text` with the span of each (token index, word) pair, in ascending order, replaced."""
+    spans = textcore.token_spans(text, tokens)
     pieces = []
     cursor = 0
     for i, word in replacements:
-        start, end = seq.spans[i]
+        start, end = spans[i]
         pieces.append(text[cursor:start])
         pieces.append(word)
         cursor = end
@@ -201,10 +202,10 @@ def _splice(text: str, seq: textcore.TokenSequence, replacements) -> str:
     return "".join(pieces)
 
 
-def detect_oov(tokens: textcore.TokenSequence, vocab) -> list[int]:
+def detect_oov(tokens: list[str], vocab) -> list[int]:
     """Indices of word tokens missing from the vocabulary; punctuation is never flagged."""
     flagged = []
-    for i, token in enumerate(tokens.tokens):
+    for i, token in enumerate(tokens):
         if textcore.is_punct_token(token):
             continue
         if token not in vocab:
@@ -214,8 +215,8 @@ def detect_oov(tokens: textcore.TokenSequence, vocab) -> list[int]:
 
 def mask_oov(text: str, vocab) -> str:
     """Replace every OOV word token by the mask literal; spacing is preserved."""
-    seq = textcore.tokenize(text)
-    return _splice(text, seq, [(i, MASK_TOKEN) for i in detect_oov(seq, vocab)])
+    tokens = textcore.tokenize(text)
+    return _splice(text, tokens, [(i, MASK_TOKEN) for i in detect_oov(tokens, vocab)])
 
 
 def _check_probability(p: float) -> None:
@@ -226,15 +227,15 @@ def _check_probability(p: float) -> None:
 def mask_random(text: str, p: float = 0.2, seed: int = 0) -> str:
     """Mask each word token independently with probability p (seeded, reproducible)."""
     _check_probability(p)
-    seq = textcore.tokenize(text)
+    tokens = textcore.tokenize(text)
     rng = random.Random(seed)
     chosen = []
-    for i, token in enumerate(seq.tokens):
+    for i, token in enumerate(tokens):
         if textcore.is_punct_token(token):
             continue
         if rng.random() < p:
             chosen.append((i, MASK_TOKEN))
-    return _splice(text, seq, chosen)
+    return _splice(text, tokens, chosen)
 
 
 class NgramMaskFiller:

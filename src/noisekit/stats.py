@@ -32,7 +32,7 @@ def dedupe(documents) -> tuple[list[Document], int]:
 
 
 def _word_count(text: str) -> int:
-    return sum(1 for t in textcore.tokenize(text).tokens if not textcore.is_punct_token(t))
+    return sum(1 for t in textcore.tokenize(text) if not textcore.is_punct_token(t))
 
 
 def class_stats(labeled) -> dict[str, dict]:

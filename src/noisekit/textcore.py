@@ -22,7 +22,7 @@ import os
 import re
 import stat
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadEncoding, IoFailure, Malformed
 
@@ -130,14 +130,6 @@ class Document:
     noise: NoiseLabelSet | None = None
 
 
-@dataclass
-class TokenSequence:
-    """Tokens plus their (start, end) character spans into the source text."""
-
-    tokens: list[str] = field(default_factory=list)
-    spans: list[tuple[int, int]] = field(default_factory=list)
-
-
 def read_text(path) -> str:
     try:
         with open(path, "rb") as fh:
@@ -241,7 +233,8 @@ def is_punct_token(token: str) -> bool:
 
 
 def is_digit_token(token: str) -> bool:
-    return token != "" and all(unicodedata.category(ch) == "Nd" for ch in token)
+    """True for a non-empty token of decimal digits (general category Nd) only."""
+    return token.isdecimal()
 
 
 def char_script(ch: str) -> str | None:
@@ -291,35 +284,40 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-def tokenize(text: str) -> TokenSequence:
+class _Pad(dict):
+    """`tokenize`'s `str.translate` table: P*/S* code points padded with spaces, others kept."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        self[code] = padded = f" {ch} " if _is_separator_char(ch) else ch  # cached
+        return padded
+
+
+_PAD = _Pad()
+
+
+def tokenize(text: str) -> list[str]:
     """Split on whitespace; punctuation/symbol code points become their own tokens.
 
-    Letters, digits and combining marks stay attached to their word. Spans
-    index into ``text`` and each token equals the substring at its span.
+    Letters, digits and combining marks stay attached to their word. No P* or S*
+    code point is whitespace, so padding each with spaces before `str.split` does this.
     """
-    tokens: list[str] = []
-    spans: list[tuple[int, int]] = []
-    start = None
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            if start is not None:
-                tokens.append(text[start:i])
-                spans.append((start, i))
-                start = None
-        elif _is_separator_char(ch):
-            if start is not None:
-                tokens.append(text[start:i])
-                spans.append((start, i))
-                start = None
-            tokens.append(ch)
-            spans.append((i, i + 1))
-        else:
-            if start is None:
-                start = i
-    if start is not None:
-        tokens.append(text[start:])
-        spans.append((start, len(text)))
-    return TokenSequence(tokens, spans)
+    return text.translate(_PAD).split()
+
+
+def token_spans(text: str, tokens: list[str]) -> list[tuple[int, int]]:
+    """The (start, end) span in `text` of each token `tokenize(text)` returned.
+
+    A token holds no whitespace and only whitespace lies between two tokens, so
+    each token is the first match of itself after the end of the one before.
+    """
+    spans = []
+    end = 0
+    for token in tokens:
+        start = text.find(token, end)
+        end = start + len(token)
+        spans.append((start, end))
+    return spans
 
 
 def char_ngrams(text: str, n_min: int, n_max: int) -> list[str]:

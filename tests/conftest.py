@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+import unicodedata
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -84,6 +85,37 @@ def make_docs(texts, sentiments=None, noises=None):
 
 def random_word(rng: random.Random, alphabet="abdegikloprstz", max_len=8):
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+
+
+def tokenize_reference(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """`textcore.tokenize` and `textcore.token_spans` as one loop over the characters.
+
+    Whitespace ends a word; a punctuation or symbol code point (general category P* or
+    S*) ends a word and is a token of its own; every other code point joins the word.
+    """
+    tokens: list[str] = []
+    spans: list[tuple[int, int]] = []
+    start = None
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            if start is not None:
+                tokens.append(text[start:i])
+                spans.append((start, i))
+                start = None
+        elif unicodedata.category(ch)[0] in ("P", "S"):
+            if start is not None:
+                tokens.append(text[start:i])
+                spans.append((start, i))
+                start = None
+            tokens.append(ch)
+            spans.append((i, i + 1))
+        else:
+            if start is None:
+                start = i
+    if start is not None:
+        tokens.append(text[start:])
+        spans.append((start, len(text)))
+    return tokens, spans
 
 
 def csr(rows, dim=None):
@@ -515,12 +547,12 @@ def evaluate_reduction_reference(outputs, ground_truth, *, inputs=None, vectors=
     `embedding_table` of the same vectors, must return equal reports and raise the same
     first error.
     """
-    truth_tokens = [tokenize(t).tokens for t in ground_truth]
+    truth_tokens = [tokenize(t) for t in ground_truth]
     input_tokens = None
     if inputs is not None:
         if len(inputs) != len(ground_truth):
             raise DimensionMismatch(f"{len(inputs)} inputs vs {len(ground_truth)} references")
-        input_tokens = [tokenize(t).tokens for t in inputs]
+        input_tokens = [tokenize(t) for t in inputs]
     vocab = coverage_vocab if coverage_vocab is not None else vectors
     human_tallies = human_tallies or {}
     reports = []
@@ -533,7 +565,7 @@ def evaluate_reduction_reference(outputs, ground_truth, *, inputs=None, vectors=
         bleu_scores, rouge_scores, semantic_scores, composite_scores = [], [], [], []
         all_tokens: list[str] = []
         for i, sentence in enumerate(sentences):
-            out_tokens = tokenize(sentence).tokens
+            out_tokens = tokenize(sentence)
             all_tokens.extend(out_tokens)
             bleu_scores.append(bleu_reference(out_tokens, truth_tokens[i]))
             rouge_scores.append(rouge_l(out_tokens, truth_tokens[i]))

@@ -70,7 +70,7 @@ class TestBleu:
             bleu_of(["a"], [])
 
     def test_tokenized_sentence(self):
-        tokens = tokenize("the cat").tokens
+        tokens = tokenize("the cat")
         assert bleu_of(tokens, list(tokens)) == pytest.approx(1.0)
 
     def test_bounds_and_relabeling_fuzz(self):

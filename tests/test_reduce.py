@@ -34,7 +34,7 @@ from noisekit.reduce import (
     spell_correct,
 )
 from noisekit import reduce as reduce_module
-from noisekit.textcore import is_punct_token, tokenize
+from noisekit.textcore import is_punct_token, token_spans, tokenize
 
 from conftest import BASE_VOCAB, random_word
 
@@ -186,10 +186,10 @@ class TestSpellCorrect:
                 assert best is not None
                 assert (dist, -latin_dict.freq[replacement], replacement) == best
             # Applying the edits to the original reproduces the corrected text.
-            seq = tokenize(noisy)
+            spans = token_spans(noisy, tokenize(noisy))
             pieces, cursor = [], 0
             for i, _, replacement, _ in result.edits:
-                start, end = seq.spans[i]
+                start, end = spans[i]
                 pieces.extend((noisy[cursor:start], replacement))
                 cursor = end
             pieces.append(noisy[cursor:])
@@ -220,12 +220,12 @@ class TestSpellCorrect:
 
 class TestOovAndMasking:
     def test_detect_all_known(self, latin_dict):
-        seq = tokenize("the cat")
-        assert detect_oov(seq, latin_dict) == []
+        tokens = tokenize("the cat")
+        assert detect_oov(tokens, latin_dict) == []
 
     def test_detect_example(self, latin_dict):
-        seq = tokenize("the xx cat yy")
-        assert detect_oov(seq, latin_dict) == [1, 3]
+        tokens = tokenize("the xx cat yy")
+        assert detect_oov(tokens, latin_dict) == [1, 3]
 
     def test_punctuation_never_flagged(self, latin_dict):
         rng = random.Random(61)
@@ -233,9 +233,9 @@ class TestOovAndMasking:
             text = " ".join(
                 rng.choice([",", "?", "xx", "the", "cat", "!"]) for _ in range(rng.randint(0, 8))
             )
-            seq = tokenize(text)
-            flagged = detect_oov(seq, latin_dict)
-            word_indices = [i for i, t in enumerate(seq.tokens) if not is_punct_token(t)]
+            tokens = tokenize(text)
+            flagged = detect_oov(tokens, latin_dict)
+            word_indices = [i for i, t in enumerate(tokens) if not is_punct_token(t)]
             assert set(flagged) <= set(word_indices)
 
     def test_mask_oov_no_oov_unchanged(self, latin_dict):
@@ -250,14 +250,14 @@ class TestOovAndMasking:
         rng = random.Random(67)
         for _ in range(200):
             text = " ".join(random_word(rng) for _ in range(rng.randint(1, 8)))
-            seq = tokenize(text)
-            assert mask_oov(text, latin_dict).count(MASK_TOKEN) == len(detect_oov(seq, latin_dict))
+            tokens = tokenize(text)
+            assert mask_oov(text, latin_dict).count(MASK_TOKEN) == len(detect_oov(tokens, latin_dict))
 
     def test_mask_random_p_zero_and_one(self):
         text = "the cat sat , on a mat"
         assert mask_random(text, p=0.0, seed=1) == text
         fully = mask_random(text, p=1.0, seed=1)
-        words = [t for t in tokenize(text).tokens if not is_punct_token(t)]
+        words = [t for t in tokenize(text) if not is_punct_token(t)]
         assert fully.count(MASK_TOKEN) == len(words)
         assert "," in fully  # punctuation never masked
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -7,13 +8,17 @@ import unicodedata
 
 import pytest
 
+from conftest import tokenize_reference
 from noisekit import reduce, textcore
 from noisekit.errors import IoFailure, Malformed
 from noisekit.textcore import (
     NGRAM_JOIN,
     NoiseLabelSet,
     char_ngrams,
+    is_digit_token,
+    is_punct_token,
     normalize,
+    token_spans,
     tokenize,
     word_ngrams,
     write_bytes,
@@ -140,35 +145,97 @@ class TestWriteText:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["pipe"]
 
 
+# Pools for the tokenizer oracle: ASCII with its controls, Latin-1, Latin Extended,
+# Bengali, astral letters, combining marks, and the whitespace and format characters
+# the tokenizer must tell apart (U+0085, U+00A0, U+2028, U+3000, U+001C-U+001F, ZWJ).
+TOKENIZER_POOLS = (
+    range(0x00, 0x80),
+    range(0x80, 0x100),
+    range(0x100, 0x250),
+    range(0x980, 0xA00),
+    (*range(0x10400, 0x10450), *range(0x1D400, 0x1D420), 0x20000, 0x1F600),
+    range(0x300, 0x370),
+    (0x85, 0xA0, 0x2028, 0x3000, 0x1C, 0x1D, 0x1E, 0x1F, 0x200D),
+)
+
+
+def tokenizer_text(rng, max_len=40):
+    return "".join(chr(rng.choice(rng.choice(TOKENIZER_POOLS))) for _ in range(rng.randint(0, max_len)))
+
+
+@pytest.fixture(scope="module")
+def every_code_point() -> str:
+    """Every code point but the surrogates, in order."""
+    return "".join(map(chr, itertools.chain(range(0xD800), range(0xE000, 0x110000))))
+
+
 class TestTokenize:
     def test_simple_split(self):
-        assert tokenize("a b").tokens == ["a", "b"]
+        assert tokenize("a b") == ["a", "b"]
 
     def test_punct_split_off(self):
-        assert tokenize("a, b").tokens == ["a", ",", "b"]
-        assert tokenize("a,b").tokens == ["a", ",", "b"]
+        assert tokenize("a, b") == ["a", ",", "b"]
+        assert tokenize("a,b") == ["a", ",", "b"]
 
     def test_empty(self):
-        assert tokenize("").tokens == []
+        assert tokenize("") == []
 
     def test_combining_marks_stay_attached(self):
-        seq = tokenize("ক্র x")
-        assert seq.tokens == ["ক্র", "x"]
+        assert tokenize("ক্র x") == ["ক্র", "x"]
 
     def test_spans_fuzz(self):
         rng = random.Random(2)
         for _ in range(1500):
             text = random_text(rng)
-            seq = tokenize(text)
+            tokens = tokenize(text)
+            spans = token_spans(text, tokens)
+            assert len(spans) == len(tokens)
             previous_start, previous_end = -1, 0
-            for token, (start, end) in zip(seq.tokens, seq.spans):
+            for token, (start, end) in zip(tokens, spans):
                 assert start > previous_start  # strictly increasing
                 assert start >= previous_end  # non-overlapping
                 assert end > start
                 assert text[start:end] == token
                 previous_start, previous_end = start, end
             # Non-whitespace content survives tokenization in order.
-            assert "".join(seq.tokens) == "".join(ch for ch in text if not ch.isspace())
+            assert "".join(tokens) == "".join(ch for ch in text if not ch.isspace())
+
+    def test_matches_reference_fuzz(self):
+        rng = random.Random(17)
+        for _ in range(3000):
+            text = tokenizer_text(rng)
+            tokens = tokenize(text)
+            assert (tokens, token_spans(text, tokens)) == tokenize_reference(text), ascii(text)
+
+    def test_matches_reference_per_category(self):
+        first = {}
+        for code in range(0x10000):
+            first.setdefault(unicodedata.category(chr(code)), chr(code))
+        assert len(first) == 30  # every general category, Cn and Cs included
+        for category, ch in first.items():
+            text = f"a{ch}b"
+            tokens = tokenize(text)
+            assert (tokens, token_spans(text, tokens)) == tokenize_reference(text), category
+
+
+class TestWholeUnicode:
+    """What `tokenize` and `is_digit_token` rest on, checked against this Python's Unicode database."""
+
+    def test_split_splits_exactly_at_isspace(self, every_code_point):
+        spaces = [ch for ch in every_code_point if ch.isspace()]
+        # Each code point stands alone between two letters, so each space is one split.
+        text = "x".join(every_code_point)
+        parts = text.split()
+        assert len(parts) == len(spaces) + 1
+        assert "".join(parts) == text.translate(dict.fromkeys(map(ord, spaces)))
+
+    def test_no_separator_is_whitespace(self, every_code_point):
+        assert [ch for ch in every_code_point if ch.isspace() and is_punct_token(ch)] == []
+
+    def test_is_digit_token_is_category_nd(self, every_code_point):
+        differ = [ch for ch in every_code_point if is_digit_token(ch) != (unicodedata.category(ch) == "Nd")]
+        assert differ == []
+        assert is_digit_token("১২3") and not is_digit_token("") and not is_digit_token("1a")
 
 
 class TestCharNgrams:
